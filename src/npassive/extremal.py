@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,23 +82,42 @@ class InfeasibleSaturationError(RuntimeError):
     """The requested saturation fraction is outside the parameter window."""
 
 
+# elementwise math.log, so batched normalizers round exactly like scalar ones
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-slot log-populations of level weights b (population ~ exp(-b)).
+
+    Levels run along the last axis of ``b``; leading axes are a batch.
+    """
+    terms = logg - b
+    m = np.max(terms, axis=-1, keepdims=True)
+    total = np.sum(np.exp(terms - m), axis=-1, keepdims=True)
+    log_norm = m + _log(total).astype(float)
+    return -b - log_norm
+
+
+def _energy(s: Spectrum, lnp: np.ndarray) -> np.ndarray:
+    return np.sum(np.exp(s.log_multiplicities + lnp) * s.level_energies, axis=-1)
+
+
+def _entropy(s: Spectrum, lnp: np.ndarray) -> np.ndarray:
+    return -np.sum(np.exp(s.log_multiplicities + lnp) * lnp, axis=-1)
+
+
 def level_energy(s: Spectrum, ls: LevelState) -> float:
-    lnp = np.asarray(ls.log_populations)
-    return float(np.sum(np.exp(s.log_multiplicities + lnp) * s.level_energies))
+    return float(_energy(s, np.asarray(ls.log_populations)))
 
 
 def level_entropy(s: Spectrum, ls: LevelState) -> float:
-    lnp = np.asarray(ls.log_populations)
-    return float(-np.sum(np.exp(s.log_multiplicities + lnp) * lnp))
+    return float(_entropy(s, np.asarray(ls.log_populations)))
 
 
 def level_state_from_b(s: Spectrum, b) -> LevelState:
     """Normalize per-level 'log-weights' b (population ~ exp(-b)) into a state."""
     b = np.asarray(b, dtype=float)
-    terms = s.log_multiplicities - b
-    m = np.max(terms)
-    log_norm = m + math.log(np.sum(np.exp(terms - m)))
-    return LevelState(tuple(-b - log_norm))
+    return LevelState(tuple(_log_populations(s.log_multiplicities, b)))
 
 
 def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None = None,
@@ -216,9 +236,58 @@ def sample_n_passive(
     return samples
 
 
-def _entropy_on_chord(s: Spectrum, b1: float, b2: float):
-    ls = level_state_from_b(s, np.array([0.0, b1, b2]))
-    return level_entropy(s, ls), ls
+def _entropy_on_chord(s: Spectrum, b1, b2):
+    """Entropies and log-populations of the level states b = (0, b1, b2).
+
+    ``b1`` and ``b2`` broadcast against each other; the level axis is last.
+    """
+    b1, b2 = np.broadcast_arrays(np.asarray(b1, dtype=float), np.asarray(b2, dtype=float))
+    lnp = _log_populations(s.log_multiplicities,
+                           np.stack([np.zeros_like(b1), b1, b2], axis=-1))
+    return _entropy(s, lnp), lnp
+
+
+@lru_cache(maxsize=8)
+def _chord_cuts(energies: tuple[float, ...], N: int, cap: int):
+    """Columns (v1, v2) of the three-level difference vectors, read-only."""
+    V = _difference_vectors(energies, N, cap).reshape(-1, len(energies))
+    v1, v2 = V[:, 1].copy(), V[:, 2].copy()
+    v1.flags.writeable = v2.flags.writeable = False
+    return v1, v2
+
+
+def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: int):
+    """Log-populations of every isentropic point found on the feasible chords.
+
+    One chord per b1 on a grid; along it b2 = t is confined by the
+    passivity cuts v1*b1 + v2*t >= 0.  Sign changes of S - S_target on a
+    t grid are bisected in lockstep.  Roots come out in (b1, t) grid order.
+    """
+    v1, v2 = cuts
+    b1 = np.linspace(0.0, 1.2 * beta * s.level_energies[1] + 2.0, resolution)
+    up, down, flat = v2 > 0, v2 < 0, v2 == 0
+    lo = np.max(-v1[up] * b1[:, None] / v2[up], axis=1, initial=0.0)
+    hi = np.min(-v1[down] * b1[:, None] / v2[down], axis=1, initial=2000.0)
+    blocked = np.any(v1[flat] * b1[:, None] < 0, axis=1)
+    keep = ~blocked & (hi > lo)
+    b1 = b1[keep]
+    ts = np.linspace(lo[keep], hi[keep], max(resolution, 64), axis=-1)
+    vals = _entropy_on_chord(s, b1[:, None], ts)[0] - S_target
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0))
+    b1, a, b, fa = b1[row], ts[row, col], ts[row, col + 1], vals[row, col]
+    live = np.arange(len(a))
+    for _ in range(100):
+        if not len(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        fm = _entropy_on_chord(s, b1[live], mid)[0] - S_target
+        hit = np.abs(fm) <= 1e-13
+        same = (fm > 0) == (fa[live] > 0)
+        a[live[hit | same]] = mid[hit | same]
+        fa[live[same & ~hit]] = fm[same & ~hit]
+        b[live[hit | ~same]] = mid[hit | ~same]
+        live = live[~hit]
+    return _entropy_on_chord(s, b1, 0.5 * (a + b))[1]
 
 
 def max_alpha_scan(
@@ -232,12 +301,16 @@ def max_alpha_scan(
 
     Grid method for spectra with at most three distinct levels: sweep the
     first excited log-population, solve the entropy equality for the second
-    by bisection along the feasible chord, keep the best energy.
+    by bisection along the feasible chord, keep the best energy.  Each beta
+    evaluates the whole (b1, t) entropy grid in one batched call and bisects
+    every bracket in lockstep.  The roots are then visited in grid order, and
+    each strict energy gain that passes the passivity scan becomes the best.
     """
     if s.num_levels > 3:
         raise NotImplementedError("grid scan supports at most three distinct levels")
     rows: list[AlphaScanRow] = []
     eps = s.level_energies
+    cuts = _chord_cuts(tuple(eps.tolist()), N, cap) if s.num_levels == 3 else None
     for beta in beta_grid:
         gp = gibbs_point(s, beta)
         if gp.energy <= 0:
@@ -245,46 +318,14 @@ def max_alpha_scan(
         gibbs_ls = level_state_from_b(s, beta * eps)
         best_E = level_energy(s, gibbs_ls)
         best_ls = gibbs_ls
-        if s.num_levels == 3:
-            V = _difference_vectors(tuple(eps), N, cap)
-            b1_hi = 1.2 * beta * eps[1] + 2.0
-            for b1 in np.linspace(0.0, b1_hi, resolution):
-                lo, hi = 0.0, 2000.0
-                feasible = True
-                for v0, v1, v2 in V:
-                    if v2 > 0:
-                        lo = max(lo, -v1 * b1 / v2)
-                    elif v2 < 0:
-                        hi = min(hi, -v1 * b1 / v2)
-                    elif v1 * b1 < 0:
-                        feasible = False
-                        break
-                if not feasible or hi <= lo:
-                    continue
-                ts = np.linspace(lo, hi, max(resolution, 64))
-                vals = np.array(
-                    [_entropy_on_chord(s, b1, t)[0] for t in ts]
-                ) - gp.entropy
-                for k in range(len(ts) - 1):
-                    if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0:
-                        a, b = ts[k], ts[k + 1]
-                        fa = vals[k]
-                        for _ in range(100):
-                            mid = 0.5 * (a + b)
-                            fm = _entropy_on_chord(s, b1, mid)[0] - gp.entropy
-                            if abs(fm) <= 1e-13:
-                                a = b = mid
-                                break
-                            if (fm > 0) == (fa > 0):
-                                a, fa = mid, fm
-                            else:
-                                b = mid
-                        root = 0.5 * (a + b)
-                        _, ls = _entropy_on_chord(s, b1, root)
-                        E = level_energy(s, ls)
-                        if E > best_E and verify_level_passive(s, ls, N, cap=cap):
-                            best_E = E
-                            best_ls = ls
+        if cuts is not None:
+            lnp = _chord_roots(s, cuts, beta, gp.entropy, resolution)
+            for E, lnp_k in zip(_energy(s, lnp).tolist(), lnp):
+                if E > best_E:
+                    ls = LevelState(tuple(lnp_k))
+                    if verify_level_passive(s, ls, N, cap=cap):
+                        best_E = E
+                        best_ls = ls
         rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy,
                                  state=best_ls))
     return rows
