@@ -82,20 +82,20 @@ class InfeasibleSaturationError(RuntimeError):
     """The requested saturation fraction is outside the parameter window."""
 
 
-# elementwise math.log, so batched normalizers round exactly like scalar ones
-_log = np.frompyfunc(math.log, 1, 1)
-
-
 def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-slot log-populations of level weights b (population ~ exp(-b)).
 
-    Levels run along the last axis of ``b``; leading axes are a batch.
+    Levels run along the last axis of ``b``; leading axes are a batch.  The
+    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
+    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
     """
     terms = logg - b
     m = np.max(terms, axis=-1, keepdims=True)
-    total = np.sum(np.exp(terms - m), axis=-1, keepdims=True)
-    log_norm = m + _log(total).astype(float)
-    return -b - log_norm
+    top = terms == m
+    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
+    rest = np.sum(np.where(top, 0.0, np.exp(terms - m)), axis=-1, keepdims=True)
+    rest += np.count_nonzero(top, axis=-1, keepdims=True) - 1
+    return -b - (m + np.log1p(rest))
 
 
 def _energy(s: Spectrum, lnp: np.ndarray) -> np.ndarray:
@@ -241,9 +241,10 @@ def _entropy_on_chord(s: Spectrum, b1, b2):
 
     ``b1`` and ``b2`` broadcast against each other; the level axis is last.
     """
-    b1, b2 = np.broadcast_arrays(np.asarray(b1, dtype=float), np.asarray(b2, dtype=float))
-    lnp = _log_populations(s.log_multiplicities,
-                           np.stack([np.zeros_like(b1), b1, b2], axis=-1))
+    b = np.zeros(np.broadcast_shapes(np.shape(b1), np.shape(b2)) + (3,))
+    b[..., 1] = b1
+    b[..., 2] = b2
+    lnp = _log_populations(s.log_multiplicities, b)
     return _entropy(s, lnp), lnp
 
 
@@ -261,7 +262,8 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
 
     One chord per b1 on a grid; along it b2 = t is confined by the
     passivity cuts v1*b1 + v2*t >= 0.  Sign changes of S - S_target on a
-    t grid are bisected in lockstep.  Roots come out in (b1, t) grid order.
+    t grid are bisected in lockstep until |S - S_target| <= 1e-13*S_target
+    or the midpoint is an endpoint.  Roots come out in (b1, t) grid order.
     """
     v1, v2 = cuts
     b1 = np.linspace(0.0, 1.2 * beta * s.level_energies[1] + 2.0, resolution)
@@ -273,21 +275,25 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
     b1 = b1[keep]
     ts = np.linspace(lo[keep], hi[keep], max(resolution, 64), axis=-1)
     vals = _entropy_on_chord(s, b1[:, None], ts)[0] - S_target
-    row, col = np.nonzero((vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0))
-    b1, a, b, fa = b1[row], ts[row, col], ts[row, col + 1], vals[row, col]
+    sign = np.sign(vals)
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (sign[:, :-1] * sign[:, 1:] < 0))
+    b1 = b1[row]
+    a, b, fa = ts[row, col], ts[row, col + 1], vals[row, col]
+    roots = np.empty(len(a))
     live = np.arange(len(a))
     for _ in range(100):
         if not len(live):
             break
-        mid = 0.5 * (a[live] + b[live])
+        mid = 0.5 * (a + b)
         fm = _entropy_on_chord(s, b1[live], mid)[0] - S_target
-        hit = np.abs(fm) <= 1e-13
-        same = (fm > 0) == (fa[live] > 0)
-        a[live[hit | same]] = mid[hit | same]
-        fa[live[same & ~hit]] = fm[same & ~hit]
-        b[live[hit | ~same]] = mid[hit | ~same]
-        live = live[~hit]
-    return _entropy_on_chord(s, b1, 0.5 * (a + b))[1]
+        done = (np.abs(fm) <= 1e-13 * S_target) | (mid == a) | (mid == b)
+        roots[live[done]] = mid[done]
+        same = (fm > 0) == (fa > 0)
+        a, b, fa = np.where(same, mid, a), np.where(same, b, mid), np.where(same, fm, fa)
+        go = ~done
+        live, a, b, fa = live[go], a[go], b[go], fa[go]
+    roots[live] = 0.5 * (a + b)
+    return _entropy_on_chord(s, b1, roots)[1]
 
 
 def max_alpha_scan(
@@ -301,10 +307,14 @@ def max_alpha_scan(
 
     Grid method for spectra with at most three distinct levels: sweep the
     first excited log-population, solve the entropy equality for the second
-    by bisection along the feasible chord, keep the best energy.  Each beta
-    evaluates the whole (b1, t) entropy grid in one batched call and bisects
-    every bracket in lockstep.  The roots are then visited in grid order, and
-    each strict energy gain that passes the passivity scan becomes the best.
+    by bisection along the feasible chord, keep the best energy.
+
+    Each beta evaluates the whole (b1, t) entropy grid in one batched call
+    and bisects every bracket in lockstep.  Bisection stops at a relative
+    entropy error of 1e-13, or when the midpoint equals an endpoint; the
+    target is the Gibbs entropy under the same level functional.  The roots
+    are then visited in grid order, and each strict energy gain that passes
+    the passivity scan becomes the best.
     """
     if s.num_levels > 3:
         raise NotImplementedError("grid scan supports at most three distinct levels")
@@ -319,7 +329,8 @@ def max_alpha_scan(
         best_E = level_energy(s, gibbs_ls)
         best_ls = gibbs_ls
         if cuts is not None:
-            lnp = _chord_roots(s, cuts, beta, gp.entropy, resolution)
+            S_target = level_entropy(s, gibbs_ls)
+            lnp = _chord_roots(s, cuts, beta, S_target, resolution)
             for E, lnp_k in zip(_energy(s, lnp).tolist(), lnp):
                 if E > best_E:
                     ls = LevelState(tuple(lnp_k))

@@ -1,14 +1,22 @@
+import csv
+import importlib.util
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from npassive.bounds import alpha_max, exponential_factor, inverse_factor, spectral_ratio
 from npassive.extremal import (
+    DEFAULT_CAP,
     InfeasibleSaturationError,
     LevelState,
+    _difference_vectors,
+    _entropy_on_chord,
     level_energy,
     level_entropy,
+    level_state_from_b,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
@@ -55,8 +63,6 @@ class TestLevelState:
     def test_functionals_match_dense(self):
         s = Spectrum.from_levels([(0, 2), (1, 3)])
         b = np.array([0.3, 1.7])
-        from npassive.extremal import level_state_from_b
-
         ls = level_state_from_b(s, b)
         dense = ls.to_dense(s)
         from npassive.spectra import state_energy, state_entropy
@@ -117,6 +123,101 @@ class TestAlphaScan:
         s = normalize_spectrum([0, 1, 2, 3])
         with pytest.raises(NotImplementedError):
             max_alpha_scan(s, 3, [1.0])
+
+
+def _decimal_gibbs_entropy(levels, beta: float, prec: int = 200) -> Decimal:
+    """S_beta = beta*E + ln Z in stdlib decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        b = Decimal(beta)
+        weights = [(Decimal(g), Decimal(e), (-b * Decimal(e)).exp()) for e, g in levels]
+        Z = sum(g * w for g, _, w in weights)
+        E = sum(g * e * w for g, e, w in weights) / Z
+        return b * E + Z.ln()
+
+
+def _scalar_alpha_scan(s, N, beta, resolution):
+    """Reference chord search, one point at a time, with the scan's stopping rule."""
+    eps = s.level_energies
+    gibbs_ls = level_state_from_b(s, beta * eps)
+    target = level_entropy(s, gibbs_ls)
+    best_E, best_ls = level_energy(s, gibbs_ls), gibbs_ls
+    V = _difference_vectors(tuple(eps), N, DEFAULT_CAP)
+
+    def excess(b1, t):
+        return _entropy_on_chord(s, b1, t)[0] - target
+
+    for b1 in np.linspace(0.0, 1.2 * beta * eps[1] + 2.0, resolution):
+        lo, hi, feasible = 0.0, 2000.0, True
+        for _, v1, v2 in V:
+            if v2 > 0:
+                lo = max(lo, -v1 * b1 / v2)
+            elif v2 < 0:
+                hi = min(hi, -v1 * b1 / v2)
+            elif v1 * b1 < 0:
+                feasible = False
+        if not feasible or hi <= lo:
+            continue
+        ts = np.linspace(lo, hi, max(resolution, 64))
+        vals = excess(b1, ts).tolist()
+        for k in range(len(ts) - 1):
+            if vals[k] == 0.0 or np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
+                a, b, fa = ts[k], ts[k + 1], vals[k]
+                for _ in range(100):
+                    mid = 0.5 * (a + b)
+                    fm = float(excess(b1, mid))
+                    if abs(fm) <= 1e-13 * target or mid == a or mid == b:
+                        a = b = mid
+                        break
+                    if (fm > 0) == (fa > 0):
+                        a, fa = mid, fm
+                    else:
+                        b = mid
+                ls = LevelState(tuple(_entropy_on_chord(s, b1, 0.5 * (a + b))[1]))
+                E = level_energy(s, ls)
+                if E > best_E and verify_level_passive(s, ls, N):
+                    best_E, best_ls = E, ls
+    return best_E / gibbs_point(s, beta).energy, best_ls
+
+
+class TestAlphaScanAccuracy:
+    @pytest.mark.parametrize("g2", [10**3, 10**9, 10**12])
+    def test_rows_are_isentropic_at_low_temperature(self, g2):
+        levels = [(0.0, 1), (1.0, 1), (1.001, g2)]
+        s = Spectrum.from_levels(levels)
+        amax = alpha_max(5, spectral_ratio(s))
+        for row in max_alpha_scan(s, 5, [33.8, 45.0, 77.0, 120.0, 165.0], resolution=40):
+            ref = _decimal_gibbs_entropy(levels, row.beta_rho)
+            S = Decimal(level_entropy(s, row.state))
+            assert abs(S - ref) <= Decimal("1e-9") * ref, (row.beta_rho, float(S), float(ref))
+            assert row.alpha <= amax + 1e-9
+
+    @pytest.mark.parametrize("g2", [10, 10**3, 10**12])
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("resolution", [8, 40])
+    def test_batched_scan_matches_scalar_reference(self, g2, N, resolution):
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, g2)])
+        betas = [0.5, 5.0, 30.0, 90.0]
+        for beta, row in zip(betas, max_alpha_scan(s, N, betas, resolution=resolution)):
+            alpha, state = _scalar_alpha_scan(s, N, beta, resolution)
+            assert row.alpha == alpha
+            assert row.state == state
+
+
+def test_alpha_scan_curves_script(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "alpha_scan_curves.py"
+    spec = importlib.util.spec_from_file_location("alpha_scan_curves", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = script.ScanConfig(out_dir=tmp_path)
+    script.run(cfg)
+    assert len(list(tmp_path.glob("*.csv"))) == 3
+    for g2 in cfg.degeneracies:
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
+        with open(tmp_path / f"alpha_scan_g{g2}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 24
+        assert max(float(r["alpha"]) for r in rows) <= alpha_max(cfg.N, spectral_ratio(s)) + 1e-9
 
 
 class TestSaturation:
