@@ -278,7 +278,8 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
     sign = np.sign(vals)
     row, col = np.nonzero((vals[:, :-1] == 0.0) | (sign[:, :-1] * sign[:, 1:] < 0))
     b1 = b1[row]
-    a, b, fa = ts[row, col], ts[row, col + 1], vals[row, col]
+    # wherever a moves, S - S_target keeps the sign it had at the left end
+    a, b, a_pos = ts[row, col], ts[row, col + 1], vals[row, col] > 0
     roots = np.empty(len(a))
     live = np.arange(len(a))
     for _ in range(100):
@@ -288,10 +289,10 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
         fm = _entropy_on_chord(s, b1[live], mid)[0] - S_target
         done = (np.abs(fm) <= 1e-13 * S_target) | (mid == a) | (mid == b)
         roots[live[done]] = mid[done]
-        same = (fm > 0) == (fa > 0)
-        a, b, fa = np.where(same, mid, a), np.where(same, b, mid), np.where(same, fm, fa)
+        same = (fm > 0) == a_pos
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
         go = ~done
-        live, a, b, fa = live[go], a[go], b[go], fa[go]
+        live, a, b, a_pos = live[go], a[go], b[go], a_pos[go]
     roots[live] = 0.5 * (a + b)
     return _entropy_on_chord(s, b1, roots)[1]
 

@@ -100,14 +100,6 @@ class Spectrum:
         return tuple(out)
 
     @cached_property
-    def level_index(self) -> tuple[int, ...]:
-        """Level index of each dense energy slot."""
-        out = []
-        for ell, (_, g) in enumerate(self.distinct_levels):
-            out.extend([ell] * g)
-        return tuple(out)
-
-    @cached_property
     def level_slices(self) -> tuple[tuple[int, int], ...]:
         """Half-open dense index ranges, one per distinct level."""
         out, start = [], 0
@@ -284,8 +276,3 @@ def level_extrema(s: Spectrum, rho: DiagonalState):
         out.append((min(chunk), max(chunk), sum(chunk) / len(chunk)))
     return out
 
-
-def level_populations(s: Spectrum, rho: DiagonalState) -> list[float]:
-    """Total population carried by each distinct level."""
-    _check_aligned(s, rho)
-    return [sum(rho.populations[lo:hi]) for lo, hi in s.level_slices]
