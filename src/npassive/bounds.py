@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .gibbs import gibbs_point, solve_beta_for_entropy
+from .passivity import DEFAULT_CAP, is_n_passive
 from .spectra import DiagonalState, Spectrum, _check_aligned, state_energy, state_entropy
 
 SLACK_TOL = 1e-9
@@ -202,14 +203,12 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     return report(ASYMPTOTIC_GENERAL, lead + tail, asymptotic=True)
 
 
-def check_bound(s: Spectrum, rho: DiagonalState, N: int, cap: int = 200_000) -> float:
+def check_bound(s: Spectrum, rho: DiagonalState, N: int, cap: int = DEFAULT_CAP) -> float:
     """Verify the hypothesis class, evaluate the bound, and return the slack.
 
     Raises if the state is not order-N passive, or if a non-asymptotic bound
     comes out negative beyond tolerance (which would falsify the theory).
     """
-    from .passivity import is_n_passive
-
     verdict = is_n_passive(s, rho, N, cap=cap)
     if not verdict.passive:
         raise HypothesisError(

@@ -20,8 +20,6 @@ from . import gibbs as gibbs_mod
 from . import passivity as pass_mod
 from .spectra import DiagonalState, Spectrum, SpectrumError, StateError, normalize_spectrum
 
-SLACK_TOL = 1e-9
-
 
 class InputError(Exception):
     pass
@@ -191,7 +189,7 @@ def cmd_bounds(args) -> int:
         _emit({"rows": rows}, args.output)
     else:
         _emit(out, args.output)
-    return 0 if rep.slack >= -SLACK_TOL else 1
+    return 0 if rep.slack >= -bounds_mod.SLACK_TOL else 1
 
 
 def cmd_flatten(args) -> int:
@@ -251,7 +249,9 @@ def cmd_scan_alpha(args) -> int:
 def cmd_saturate(args) -> int:
     try:
         res = extremal_mod.saturation_construct(args.n, args.m, args.frac)
-    except (ValueError, extremal_mod.InfeasibleSaturationError) as exc:
+    except (
+        ValueError, extremal_mod.InfeasibleSaturationError, bounds_mod.BoundViolationError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     p = res.params
@@ -259,7 +259,7 @@ def cmd_saturate(args) -> int:
         {
             "params": {
                 "N": p.N, "m": p.m, "r": p.r, "beta_eps1": p.beta_eps1,
-                "g1": p.g1, "g2": p.g2, "xi": p.xi, "eta": p.eta, "k0": p.k0,
+                "g1": p.g1, "g2": p.g2, "xi": p.xi,
             },
             "levels": [[e, g] for e, g in res.spectrum.distinct_levels],
             "log_populations": list(res.state.log_populations),

@@ -14,8 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gibbs import gibbs_point, solve_beta_for_entropy
-from .passivity import _scan_passive, default_energy_tol
+from .bounds import BoundViolationError
+from .gibbs import _energy, _entropy, _log_populations, gibbs_point, solve_beta_for_entropy
+from .passivity import DEFAULT_CAP, _scan_passive, default_energy_tol
 from .spectra import (
     DiagonalState,
     EnumerationCapError,
@@ -24,7 +25,6 @@ from .spectra import (
     compositions,
 )
 
-DEFAULT_CAP = 200_000
 DEFAULT_B_MAX = 30.0
 
 
@@ -63,8 +63,6 @@ class SaturationParams:
     g1: int
     g2: int
     xi: float
-    eta: float
-    k0: float
 
 
 @dataclass(frozen=True)
@@ -82,36 +80,12 @@ class InfeasibleSaturationError(RuntimeError):
     """The requested saturation fraction is outside the parameter window."""
 
 
-def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-slot log-populations of level weights b (population ~ exp(-b)).
-
-    Levels run along the last axis of ``b``; leading axes are a batch.  The
-    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
-    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
-    """
-    terms = logg - b
-    m = np.max(terms, axis=-1, keepdims=True)
-    top = terms == m
-    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
-    rest = np.sum(np.where(top, 0.0, np.exp(terms - m)), axis=-1, keepdims=True)
-    rest += np.count_nonzero(top, axis=-1, keepdims=True) - 1
-    return -b - (m + np.log1p(rest))
-
-
-def _energy(s: Spectrum, lnp: np.ndarray) -> np.ndarray:
-    return np.sum(np.exp(s.log_multiplicities + lnp) * s.level_energies, axis=-1)
-
-
-def _entropy(s: Spectrum, lnp: np.ndarray) -> np.ndarray:
-    return -np.sum(np.exp(s.log_multiplicities + lnp) * lnp, axis=-1)
-
-
 def level_energy(s: Spectrum, ls: LevelState) -> float:
-    return float(_energy(s, np.asarray(ls.log_populations)))
+    return float(_energy(s.level_energies, s.log_multiplicities, np.asarray(ls.log_populations)))
 
 
 def level_entropy(s: Spectrum, ls: LevelState) -> float:
-    return float(_entropy(s, np.asarray(ls.log_populations)))
+    return float(_entropy(s.log_multiplicities, np.asarray(ls.log_populations)))
 
 
 def level_state_from_b(s: Spectrum, b) -> LevelState:
@@ -130,35 +104,41 @@ def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None 
     if tol is None:
         scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
         tol = 1e-8 * N * scale
-    hit = _scan_passive(
-        tuple(s.level_energies),
-        ls.log_populations,
-        N,
-        tol,
-        default_energy_tol(s.eps_max, N),
-        cap,
-    )
-    return hit is None
+    etol = default_energy_tol(s.eps_max, N)
+    return _scan_passive(tuple(s.level_energies), ls.log_populations, N, tol, etol, cap) is None
 
 
 def _difference_vectors(energies, N, cap):
-    """Deduplicated occupation differences I-J with strictly larger energy on I."""
+    """Deduplicated occupation differences I-J with strictly larger energy on I,
+    in the order a scan over the pairs (I, J), I outer, first meets them.
+
+    Pairs are formed a block of I at a time; a difference is keyed by its
+    digits in the balanced base 2N+1, unique as every entry lies in [-N, N].
+    """
     d = len(energies)
     if composition_count(d, N) > cap:
         raise EnumerationCapError("occupation enumeration exceeds cap")
-    vectors = list(compositions(d, N))
-    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
+    C = np.array(list(compositions(d, N)), dtype=np.int64)
+    evals = np.zeros(len(C))
+    # summed left to right like passivity._scan_passive, so both see the same ties
+    for k, e in enumerate(energies):
+        evals = evals + C[:, k] * e
     etol = default_energy_tol(max(energies), N)
-    seen = set()
+    base = 2 * N + 1
+    # Python-int keys once base**d leaves int64
+    keys = C @ np.array([base**k for k in range(d)], object if base**d > 2**62 else np.int64)
+    seen = np.array([base**d], keys.dtype)  # sorted, with a sentinel above every key
     rows = []
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
-            if evals[i] > evals[j] + etol:
-                diff = tuple(a - b for a, b in zip(vi, vj))
-                if diff not in seen:
-                    seen.add(diff)
-                    rows.append(diff)
-    return np.array(rows, dtype=float)
+    block = max(1, 8192 // len(C))
+    for start in range(0, len(C), block):
+        i, j = np.nonzero(evals[start:start + block, None] > evals + etol)
+        i += start
+        uniq, first = np.unique(keys[i] - keys[j], return_index=True)
+        new = seen[np.searchsorted(seen, uniq)] != uniq
+        first = np.sort(first[new])
+        rows.append(C[i[first]] - C[j[first]])
+        seen = np.sort(np.concatenate([seen, uniq[new]]))
+    return np.concatenate(rows).astype(float)
 
 
 def sample_n_passive(
@@ -187,41 +167,32 @@ def sample_n_passive(
     else:
         energies = s.energies
     V = _difference_vectors(energies, N, cap)
-    A = V[:, 1:]
     eps_free = np.array(energies[1:])
     n_free = len(eps_free)
     # lower box bound: ground-level slots may out-populate slot 0, others not
     lower = np.where(eps_free > 0, 0.0, -b_max)
     upper = np.full(n_free, b_max)
+    # the passivity cuts V[:, 1:] @ x >= 0 and the box, as one system G x + h >= 0
+    G = np.vstack([V[:, 1:], np.eye(n_free), -np.eye(n_free)])
+    h = np.concatenate([np.zeros(len(V)), -lower, upper])
 
     rng = np.random.default_rng(seed)
     beta0 = b_max / (2.0 * s.eps_max)
     x = beta0 * eps_free  # thermal point: strictly inside the cone
     samples: list[DiagonalState] = []
-    steps = burn_in + count * thin
-    done = 0
-    for step in range(steps):
+    for step in range(burn_in + count * thin):
         u = rng.standard_normal(n_free)
-        u /= np.linalg.norm(u)
-        t_lo, t_hi = -math.inf, math.inf
-        au = A @ u
-        ax = A @ x
-        pos = au > 1e-14
-        neg = au < -1e-14
-        if pos.any():
-            t_lo = max(t_lo, np.max(-ax[pos] / au[pos]))
-        if neg.any():
-            t_hi = min(t_hi, np.min(-ax[neg] / au[neg]))
-        for k in range(n_free):
-            if u[k] > 1e-14:
-                t_lo = max(t_lo, (lower[k] - x[k]) / u[k])
-                t_hi = min(t_hi, (upper[k] - x[k]) / u[k])
-            elif u[k] < -1e-14:
-                t_lo = max(t_lo, (upper[k] - x[k]) / u[k])
-                t_hi = min(t_hi, (lower[k] - x[k]) / u[k])
+        u /= math.sqrt(u @ u)
+        gu = G @ u
+        # chord ends t = -(G x + h)/(G u), taken over the rows where |G u| > 1e-14
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (G @ x + h) / gu
+        t_lo = -q.min(where=gu > 1e-14, initial=math.inf)
+        t_hi = -q.max(where=gu < -1e-14, initial=-math.inf)
         if t_hi > t_lo:
             x = x + rng.uniform(t_lo, t_hi) * u
-            np.clip(x, lower, upper, out=x)
+            # np.clip's result: a bound replaces x unless x is strictly inside it
+            x = np.minimum(upper, np.maximum(lower, x))
         if step >= burn_in and (step - burn_in) % thin == thin - 1:
             b = np.concatenate([[0.0], x])
             if stable:
@@ -230,8 +201,7 @@ def sample_n_passive(
             else:
                 w = np.exp(-b)
                 samples.append(DiagonalState(tuple(w / np.sum(w))))
-            done += 1
-            if done == count:
+            if len(samples) == count:
                 break
     return samples
 
@@ -245,7 +215,7 @@ def _entropy_on_chord(s: Spectrum, b1, b2):
     b[..., 1] = b1
     b[..., 2] = b2
     lnp = _log_populations(s.log_multiplicities, b)
-    return _entropy(s, lnp), lnp
+    return _entropy(s.log_multiplicities, lnp), lnp
 
 
 @lru_cache(maxsize=8)
@@ -332,7 +302,7 @@ def max_alpha_scan(
         if cuts is not None:
             S_target = level_entropy(s, gibbs_ls)
             lnp = _chord_roots(s, cuts, beta, S_target, resolution)
-            for E, lnp_k in zip(_energy(s, lnp).tolist(), lnp):
+            for E, lnp_k in zip(_energy(eps, s.log_multiplicities, lnp).tolist(), lnp):
                 if E > best_E:
                     ls = LevelState(tuple(lnp_k))
                     if verify_level_passive(s, ls, N, cap=cap):
@@ -362,8 +332,6 @@ def saturation_construct(
     N: int,
     m: int,
     alpha_target_frac: float,
-    eta: float = 1.0,
-    k0: float = 10.0,
     delta_r: float = 1e-3,
     max_attempts: int = 14,
 ) -> SaturationResult:
@@ -375,6 +343,8 @@ def saturation_construct(
     degeneracy grows with the inverse temperature so that a cold state can
     park weight there while keeping the first excited population large; the
     measured ratio converges to the target as the temperature scale grows.
+    A measured ratio above the ceiling N/(N-r) would falsify the theorem and
+    raises ``BoundViolationError``, as in ``bounds.check_bound``.
     """
     if not (1 <= m < N):
         raise ValueError("need 1 <= m < N")
@@ -428,10 +398,10 @@ def saturation_construct(
         beta = solve_beta_for_entropy(spectrum, S)
         E_beta = gibbs_point(spectrum, beta).energy
         alpha_meas = E / E_beta
-        params = SaturationParams(
-            N=N, m=m, r=r, beta_eps1=beta, g1=g1, g2=g2,
-            xi=math.exp(ln_xi), eta=eta, k0=k0,
-        )
+        if alpha_meas > a_max:
+            raise BoundViolationError(f"measured ratio {alpha_meas} exceeds N/(N-r) = {a_max}")
+        params = SaturationParams(N=N, m=m, r=r, beta_eps1=beta, g1=g1, g2=g2,
+                                  xi=math.exp(ln_xi))
         alpha_pred = _alpha_fixed_point(r, lng_ratio, beta, alpha_t)
         last = SaturationResult(
             params=params, state=ls, spectrum=spectrum,

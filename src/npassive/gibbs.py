@@ -37,46 +37,59 @@ class GibbsPoint:
     entropy: float
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not math.isfinite(m):
-        return float(m)
-    return float(m + math.log(np.sum(np.exp(a - m))))
+def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-slot log-populations of level weights b (population ~ exp(-b)).
+
+    Levels run along the last axis of ``b``; leading axes are a batch.  The
+    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
+    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
+    """
+    terms = logg - b
+    m = terms.max(axis=-1, keepdims=True)
+    top = terms == m
+    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
+    rest = np.where(top, 0.0, np.exp(terms - m)).sum(axis=-1, keepdims=True)
+    rest += top.sum(axis=-1, keepdims=True) - 1
+    return -b - (m + np.log1p(rest))
+
+
+def _energy(eps: np.ndarray, logg: np.ndarray, lnp: np.ndarray) -> np.ndarray:
+    return (np.exp(logg + lnp) * eps).sum(axis=-1)
+
+
+def _entropy(logg: np.ndarray, lnp: np.ndarray) -> np.ndarray:
+    return -(np.exp(logg + lnp) * lnp).sum(axis=-1)
 
 
 def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
-    """(logZ, E, S) for populations proportional to g*exp(-beta*eps)."""
+    """(logZ, E, S - ln g0, Var E) for populations proportional to g*exp(-beta*eps).
+
+    The ground multiplicity g0 is divided out of the level weights, so the
+    entropy gap above ln g0 is a sum of non-negative terms and stays exact
+    far below 1e-16; logZ = ln g0 - lnp[0] because eps[0] = 0.
+    """
     if math.isinf(beta):
-        return float(logg[0]), 0.0, float(logg[0])
-    terms = logg - beta * eps
-    logZ = _logsumexp(terms)
-    # log of each level's total population, guaranteed <= 0
-    logp = terms - logZ
-    p = np.exp(logp)
-    energy = float(np.dot(p, eps))
-    # S = -sum over individual slots of (p/g) ln(p/g) = sum p*(logZ + beta*eps - ...)
-    # expressed per level: level population p at per-slot log (logp - logg)
-    entropy = float(-np.dot(p, logp - logg))
-    return logZ, energy, entropy
+        return float(logg[0]), 0.0, 0.0, 0.0
+    rel = logg - logg[0]
+    lnp = _log_populations(rel, beta * eps)
+    energy = float(_energy(eps, rel, lnp))
+    var = float(_energy((eps - energy) ** 2, rel, lnp))
+    return float(logg[0] - lnp[0]), energy, float(_entropy(rel, lnp)), var
 
 
 def gibbs_point(s: Spectrum, beta: float) -> GibbsPoint:
     """Thermal functionals (logZ, energy, entropy) at inverse temperature beta."""
     if beta < 0:
         raise ValueError("beta must be >= 0 (or +inf)")
-    logZ, energy, entropy = _thermal_functionals(
-        s.level_energies, s.log_multiplicities, beta
-    )
-    return GibbsPoint(beta=beta, logZ=logZ, energy=energy, entropy=entropy)
+    logg = s.log_multiplicities
+    logZ, energy, gap, _ = _thermal_functionals(s.level_energies, logg, beta)
+    return GibbsPoint(beta=beta, logZ=logZ, energy=energy, entropy=float(logg[0]) + gap)
 
 
 def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
     """Dense thermal state exp(-beta*eps_j)/Z, index-aligned to the spectrum."""
     if math.isinf(beta):
-        pops = [0.0] * s.d
-        for j in range(s.d0):
-            pops[j] = 1.0 / s.d0
-        return DiagonalState(tuple(pops))
+        return DiagonalState(tuple(1.0 / s.d0 if j < s.d0 else 0.0 for j in range(s.d)))
     logZ = gibbs_point(s, beta).logZ
     pops = tuple(math.exp(-beta * e - logZ) for e in s.energies)
     total = sum(pops)
@@ -84,9 +97,17 @@ def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
 
 
 def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> float:
-    """Invert the strictly decreasing map beta -> S_beta by bisection.
+    """Invert the strictly decreasing map beta -> S_beta by safeguarded Newton.
 
-    Returns +inf when the target is the minimum-entropy limit ln(d0).
+    Newton runs on the log of the distance from S_beta to the nearer end of
+    [ln d0, ln d]: ln(S - ln d0) is near-linear in beta at low temperature,
+    ln(ln d - S) near-linear in ln beta at high temperature, and both have
+    slopes from dS/dbeta = -beta*Var_beta(E).  A step that leaves the bracket
+    known to hold the root is replaced by bisection.  A beta is accepted once
+    |S_beta - S_target| <= tol*(S_target - ln d0), a tolerance that stays
+    relative at S << 1.  Returns +inf when the target is the minimum-entropy
+    limit ln(d0), or when even beta = BETA_INF_FACTOR/eps_max leaves more
+    entropy than the target.
     """
     ln_d = math.log(s.d)
     ln_d0 = math.log(s.d0)
@@ -98,31 +119,37 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
         )
     if S_target >= ln_d - tol:
         return 0.0
-    gap = S_target - ln_d0
+    eps, logg = s.level_energies, s.log_multiplicities
+    gap, span = S_target - float(logg[0]), ln_d - float(logg[0])
     if gap <= 0:
         return math.inf
-    # never accept a beta whose entropy is indistinguishable from the floor
-    accept = min(tol, gap / 8.0)
-
-    beta_cap = BETA_INF_FACTOR / s.eps_max
-    lo, hi = 0.0, 1.0 / s.eps_max
-    while gibbs_point(s, hi).entropy > S_target:
-        lo = hi
-        hi *= 2.0
-        if hi > beta_cap:
+    low = gap <= 0.5 * span
+    if low:  # two-level law gap = G1*exp(-x)*(1 + x), x = beta*eps_1, as S -> ln d0
+        x = max(float(logg[1] - logg[0]) - math.log(gap), 1.0)
+        beta = (x + math.log1p(x)) / float(eps[1])
+    else:  # ln d - S = beta^2 Var_0(E)/2 as beta -> 0
+        beta = math.sqrt(2.0 * (span - gap) / _thermal_functionals(eps, logg, 0.0)[3])
+    sign, ln_dist = (1.0, math.log(gap)) if low else (-1.0, math.log(span - gap))
+    cap = BETA_INF_FACTOR / s.eps_max
+    lo, hi, beta = 0.0, math.inf, min(beta, cap)
+    for _ in range(100):
+        _, _, gap_b, var = _thermal_functionals(eps, logg, beta)
+        if abs(gap_b - gap) <= tol * gap:
+            return beta
+        if gap_b > gap and beta == cap:
             return math.inf
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        S_mid = gibbs_point(s, mid).entropy
-        if abs(S_mid - S_target) <= accept:
-            return mid
-        if S_mid > S_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+        lo, hi = (beta, hi) if gap_b > gap else (lo, beta)
+        dist = gap_b if low else span - gap_b
+        nxt = math.inf
+        if dist > 0 and var > 0:
+            nxt = beta + sign * (math.log(dist) - ln_dist) * dist / (beta * var)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        nxt = min(nxt, cap)
+        if not lo < nxt < hi:  # the bracket has shrunk to adjacent floats
+            return beta
+        beta = nxt
+    return beta
 
 
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:

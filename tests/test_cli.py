@@ -142,6 +142,18 @@ class TestOtherCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["alpha_measured"] >= 0.9 * out["alpha_max"]
 
+    def test_saturate_ratio_above_ceiling_is_one_line_error(self, monkeypatch, capsys):
+        import npassive.extremal as X
+
+        # a too-cold isentropic temperature understates E_beta, so the ratio overshoots
+        real = X.solve_beta_for_entropy
+        monkeypatch.setattr(X, "solve_beta_for_entropy", lambda s, S: 2.0 * real(s, S))
+        assert main(["saturate", "--n", "3", "--m", "2", "--frac", "0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: measured ratio")
+        assert captured.err.count("\n") == 1
+
     def test_nstar_rational(self, capsys):
         assert main(["nstar", "--rational", "0 1 2"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -1,15 +1,20 @@
 import csv
 import importlib.util
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from npassive.bounds import alpha_max, exponential_factor, inverse_factor, spectral_ratio
+from npassive.bounds import (
+    BoundViolationError,
+    alpha_max,
+    exponential_factor,
+    inverse_factor,
+    spectral_ratio,
+)
 from npassive.extremal import (
-    DEFAULT_CAP,
     InfeasibleSaturationError,
     LevelState,
     _difference_vectors,
@@ -23,8 +28,15 @@ from npassive.extremal import (
     verify_level_passive,
 )
 from npassive.gibbs import gibbs_point
-from npassive.passivity import is_k_structurally_stable, is_n_passive
-from npassive.spectra import Spectrum, normalize_spectrum
+from npassive.passivity import (
+    DEFAULT_CAP,
+    default_energy_tol,
+    is_k_structurally_stable,
+    is_n_passive,
+)
+from npassive.spectra import Spectrum, compositions, normalize_spectrum
+
+from conftest import decimal_gibbs
 
 
 class TestSampler:
@@ -57,6 +69,78 @@ class TestSampler:
     def test_single_level_rejected(self):
         with pytest.raises(ValueError):
             sample_n_passive(normalize_spectrum([0, 0, 0]), 2, 5, seed=1)
+
+    @pytest.mark.parametrize(
+        "energies, N, count, seed, stable, expected",
+        [
+            ([0, 1, 1.9], 3, 3, 5, False, [
+                (0.9999999885212268, 1.147789161742113e-08, 8.814978342822171e-13),
+                (0.999997976765754, 2.0231512690206393e-06, 8.297697971181788e-11),
+                (0.9999999763401496, 2.3657685134072572e-08, 2.1653212280576826e-12),
+            ]),
+            ([0, 0, 1, 2], 2, 2, 6, True, [
+                (0.4999999955177953, 0.4999999955177953, 6.865906124151124e-09,
+                 2.098503203064966e-09),
+                (0.4778378363601693, 0.4778378363601693, 0.044324327275661136,
+                 4.000302066788573e-12),
+            ]),
+            ([0, 0, 0, 1, 2], 4, 2, 11, False, [
+                (0.4307435388158541, 0.33632241452200656, 0.2329206882163416,
+                 1.3357830756602688e-05, 6.15041177490809e-10),
+                (0.5468265748042148, 0.21217220347516, 0.24100118139163484,
+                 4.032309044047127e-08, 5.899964439444616e-12),
+            ]),
+        ],
+    )
+    def test_pinned_output(self, energies, N, count, seed, stable, expected):
+        s = normalize_spectrum(energies)
+        got = sample_n_passive(s, N, count, seed=seed, stable=stable)
+        assert [tuple(map(float, r.populations)) for r in got] == expected
+
+
+def _difference_vectors_reference(energies, N):
+    """The pairwise scan: every (I, J) pair, I outer, deduplicated in a set."""
+    vectors = list(compositions(len(energies), N))
+    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
+    etol = default_energy_tol(max(energies), N)
+    seen, rows = set(), []
+    for vi, ei in zip(vectors, evals):
+        for vj, ej in zip(vectors, evals):
+            if ei > ej + etol:
+                diff = tuple(a - b for a, b in zip(vi, vj))
+                if diff not in seen:
+                    seen.add(diff)
+                    rows.append(diff)
+    return np.array(rows, dtype=float)
+
+
+class TestDifferenceVectors:
+    SPECTRA = [
+        Spectrum.from_levels([(0, 1), (1, 1), (1.9, 1)]),
+        Spectrum.from_levels([(0, 1), (1, 1), (2, 1), (3.5, 1)]),
+        Spectrum.from_levels([(0, 2), (1, 1), (2, 1)]),
+        Spectrum.from_levels([(0, 3), (1, 1), (2, 1)]),
+        # near-ties: 1 vs 1 + 4e-10 sits inside the tie tolerance, 2.3 vs
+        # 2.3 + 3e-9 outside it at N = 1 and inside it from N = 2 on
+        Spectrum.from_levels([(0, 1), (1, 2), (1 + 4e-10, 1), (2.3, 1)]),
+        Spectrum.from_levels([(0, 1), (1, 1), (2.3, 1), (2.3 + 3e-9, 1)]),
+    ]
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("mode", ["dense", "level"])
+    @pytest.mark.parametrize("k", range(len(SPECTRA)))
+    def test_matches_pairwise_scan(self, k, mode, N):
+        s = self.SPECTRA[k]
+        energies = s.energies if mode == "dense" else tuple(s.level_energies)
+        ref = _difference_vectors_reference(energies, N)
+        got = _difference_vectors(energies, N, DEFAULT_CAP)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_keys_beyond_int64(self):
+        # (2N+1)**d = 5**28 exceeds 2**62, so keys fall back to Python ints
+        energies = tuple(float(x) for x in np.round(np.linspace(0.0, 3.0, 28) ** 1.5, 3))
+        ref = _difference_vectors_reference(energies, 2)
+        assert np.array_equal(_difference_vectors(energies, 2, DEFAULT_CAP), ref)
 
 
 class TestLevelState:
@@ -125,17 +209,6 @@ class TestAlphaScan:
             max_alpha_scan(s, 3, [1.0])
 
 
-def _decimal_gibbs_entropy(levels, beta: float, prec: int = 200) -> Decimal:
-    """S_beta = beta*E + ln Z in stdlib decimal arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        b = Decimal(beta)
-        weights = [(Decimal(g), Decimal(e), (-b * Decimal(e)).exp()) for e, g in levels]
-        Z = sum(g * w for g, _, w in weights)
-        E = sum(g * e * w for g, e, w in weights) / Z
-        return b * E + Z.ln()
-
-
 def _scalar_alpha_scan(s, N, beta, resolution):
     """Reference chord search, one point at a time, with the scan's stopping rule."""
     eps = s.level_energies
@@ -187,7 +260,7 @@ class TestAlphaScanAccuracy:
         s = Spectrum.from_levels(levels)
         amax = alpha_max(5, spectral_ratio(s))
         for row in max_alpha_scan(s, 5, [33.8, 45.0, 77.0, 120.0, 165.0], resolution=40):
-            ref = _decimal_gibbs_entropy(levels, row.beta_rho)
+            ref = decimal_gibbs(levels, row.beta_rho)[2]
             S = Decimal(level_entropy(s, row.state))
             assert abs(S - ref) <= Decimal("1e-9") * ref, (row.beta_rho, float(S), float(ref))
             assert row.alpha <= amax + 1e-9
@@ -234,6 +307,19 @@ class TestSaturation:
         assert res.alpha_max == pytest.approx(1.25031, abs=1e-5)
         assert res.alpha_measured >= 0.85 * res.alpha_max
         assert abs(res.alpha_pred - res.alpha_measured) <= 0.1 * res.alpha_measured
+
+    @pytest.mark.parametrize("N, m", [(2, 1), (3, 2), (5, 4)])
+    def test_demo_cases_stay_below_ceiling(self, N, m):
+        res = saturation_construct(N, m, 0.9)
+        assert 0.9 * res.alpha_max <= res.alpha_measured <= res.alpha_max
+
+    def test_ratio_above_ceiling_raises(self, monkeypatch):
+        import npassive.extremal as X
+
+        real = X.solve_beta_for_entropy
+        monkeypatch.setattr(X, "solve_beta_for_entropy", lambda s, S: 2.0 * real(s, S))
+        with pytest.raises(BoundViolationError):
+            saturation_construct(3, 2, 0.9)
 
     def test_zero_fraction_trivial(self):
         res = saturation_construct(3, 2, 0.0)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,9 +12,28 @@ from npassive.gibbs import (
     isoentropic_energy,
     solve_beta_for_entropy,
 )
-from npassive.spectra import DiagonalState, normalize_spectrum, state_energy, state_entropy
+from npassive.spectra import (
+    DiagonalState,
+    Spectrum,
+    normalize_spectrum,
+    state_energy,
+    state_entropy,
+)
 
-from conftest import random_state
+from conftest import decimal_gibbs, random_state
+
+# non-degenerate ground levels, so every target below sits above ln d0 = 0
+ORACLE_LEVELS = [
+    [(0.0, 1), (1.0, 1), (1.9, 1)],
+    [(0.0, 1), (1.0, 3), (2.5, 2), (4.0, 1)],
+    [(0.0, 1), (1.0, 1), (1.001, 10**12)],
+    [(0.0, 1), (0.5, 10**12)],
+]
+
+
+def _oracle_targets(levels):
+    """Entropies from deep low temperature up to just below ln d."""
+    return [1e-24, 1e-13, 1e-6, math.log(sum(g for _, g in levels)) - 1e-9]
 
 
 class TestGibbsPoint:
@@ -125,3 +145,25 @@ class TestIsoentropicEnergy:
         beta, E_beta = isoentropic_energy(s, rho)
         assert gibbs_point(s, beta).entropy == pytest.approx(state_entropy(rho), abs=1e-11)
         assert E_beta <= state_energy(s, rho)
+
+
+class TestDecimalOracle:
+    """Against a 200-digit stdlib-decimal Gibbs state."""
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    def test_solve_is_isentropic(self, levels, which):
+        S = _oracle_targets(levels)[which]
+        beta = solve_beta_for_entropy(Spectrum.from_levels(levels), S)
+        assert math.isfinite(beta)
+        ref = decimal_gibbs(levels, beta)[2]
+        assert abs(ref - Decimal(S)) <= Decimal("1e-12") * Decimal(S), (beta, float(ref))
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    def test_gibbs_point_matches(self, levels, which):
+        s = Spectrum.from_levels(levels)
+        beta = solve_beta_for_entropy(s, _oracle_targets(levels)[which])
+        gp = gibbs_point(s, beta)
+        for got, ref in zip((gp.logZ, gp.energy, gp.entropy), decimal_gibbs(levels, beta)):
+            assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref, (beta, got, float(ref))
