@@ -36,9 +36,9 @@ from .spectra import (
     DiagonalState,
     OccupationVector,
     Spectrum,
-    enumerate_occupations,
     level_extrema,
     normalize_spectrum,
+    occupations,
     state_energy,
     state_entropy,
 )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .gibbs import gibbs_point, solve_beta_for_entropy
-from .passivity import DEFAULT_CAP, is_n_passive
+from .passivity import is_k_structurally_stable, is_n_passive
 from .spectra import DiagonalState, Spectrum, _check_aligned, state_energy, state_entropy
 
 SLACK_TOL = 1e-9
@@ -83,9 +83,13 @@ def alpha_max(N: int, R: float) -> float:
 
 
 def exponential_factor(beta: float, eps_max: float, R: float, N: int) -> float:
+    """exp(beta*eps_max*R/N); +inf where that overflows a float."""
     if math.isinf(beta):
         return math.inf if R > 0 else 1.0
-    return math.exp(beta * eps_max * R / N)
+    try:
+        return math.exp(beta * eps_max * R / N)
+    except OverflowError:
+        return math.inf
 
 
 def inverse_factor(R: float, N: int) -> float | None:
@@ -93,16 +97,6 @@ def inverse_factor(R: float, N: int) -> float | None:
     if R >= N:
         return None
     return 1.0 / (1.0 - R / N)
-
-
-def is_one_structurally_stable(s: Spectrum, rho: DiagonalState, tol: float = 1e-9) -> bool:
-    """Equal populations within every degenerate level (order-1 stability)."""
-    _check_aligned(s, rho)
-    for lo, hi in s.level_slices:
-        chunk = rho.populations[lo:hi]
-        if max(chunk) - min(chunk) > tol:
-            return False
-    return True
 
 
 def low_entropy_bound(s: Spectrum, S: float, N: int) -> float:
@@ -156,7 +150,7 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     E_beta = gp.energy
     R = spectral_ratio(s)
     u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
-    one_ss = is_one_structurally_stable(s, rho)
+    one_ss = is_k_structurally_stable(s, rho, 1)
     two_level = s.is_two_level()
 
     def report(regime, bound, asymptotic=False, b_exp=None, b_inv=None):
@@ -203,13 +197,13 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     return report(ASYMPTOTIC_GENERAL, lead + tail, asymptotic=True)
 
 
-def check_bound(s: Spectrum, rho: DiagonalState, N: int, cap: int = DEFAULT_CAP) -> float:
+def check_bound(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """Verify the hypothesis class, evaluate the bound, and return the slack.
 
     Raises if the state is not order-N passive, or if a non-asymptotic bound
     comes out negative beyond tolerance (which would falsify the theory).
     """
-    verdict = is_n_passive(s, rho, N, cap=cap)
+    verdict = is_n_passive(s, rho, N)
     if not verdict.passive:
         raise HypothesisError(
             f"state is not order-{N} passive; witness {verdict.witness}"

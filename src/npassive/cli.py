@@ -1,7 +1,8 @@
 """Command-line front end: JSON verdicts in, JSON/CSV reports out.
 
 Exit codes: 0 = success / property holds, 1 = property fails (not passive,
-bound violated), 2 = input error.
+bound violated), 2 = input error.  Every input error, whichever layer
+raises it, leaves ``main`` as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from . import extremal as extremal_mod
 from . import flattening as flat_mod
 from . import gibbs as gibbs_mod
 from . import passivity as pass_mod
-from .spectra import DiagonalState, Spectrum, SpectrumError, StateError, normalize_spectrum
+from .spectra import DiagonalState, EnumerationCapError, Spectrum, SpectrumError, normalize_spectrum
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Malformed command-line or state-file input."""
 
 
 def _load_state_file(path, need_populations=True):
@@ -38,7 +39,7 @@ def _load_state_file(path, need_populations=True):
     if "rational_energies" in data:
         try:
             fracs = [Fraction(int(p), int(q)) for p, q in data["rational_energies"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{path}: bad rational_energies: {exc}") from exc
         if sorted(fracs) != fracs:
             raise InputError(f"{path}: rational_energies must be non-decreasing")
@@ -65,7 +66,7 @@ def _load_state_file(path, need_populations=True):
     if "populations" in data:
         try:
             rho = DiagonalState(tuple(float(x) for x in data["populations"]))
-        except (TypeError, ValueError, StateError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: bad populations: {exc}") from exc
         if rho.d != spectrum.d:
             raise InputError(
@@ -77,18 +78,23 @@ def _load_state_file(path, need_populations=True):
 
 
 def _emit(obj, output=None):
-    text = json.dumps(obj, indent=2, allow_nan=True)
+    """Write obj as strict JSON, every non-finite float as "inf", "-inf" or "nan"."""
+
+    def strict(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return repr(float(x))
+        if isinstance(x, dict):
+            return {k: strict(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v) for v in x]
+        return x
+
+    text = json.dumps(strict(obj), indent=2, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _jsonable(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
 
 
 def cmd_check(args) -> int:
@@ -127,17 +133,14 @@ def cmd_gibbs(args) -> int:
     s, rho = _load_state_file(args.state, need_populations=False)
     if (args.beta is None) == (args.entropy is None):
         raise InputError("give exactly one of --beta / --entropy")
-    try:
-        if args.beta is not None:
-            beta = math.inf if args.beta == "inf" else float(args.beta)
-        else:
-            beta = gibbs_mod.solve_beta_for_entropy(s, args.entropy)
-    except (ValueError, gibbs_mod.NoGibbsCounterpartError) as exc:
-        raise InputError(str(exc)) from exc
+    if args.beta is not None:
+        beta = math.inf if args.beta == "inf" else float(args.beta)
+    else:
+        beta = gibbs_mod.solve_beta_for_entropy(s, args.entropy)
     gp = gibbs_mod.gibbs_point(s, beta)
     _emit(
         {
-            "beta": _jsonable(gp.beta),
+            "beta": gp.beta,
             "logZ": gp.logZ,
             "energy": gp.energy,
             "entropy": gp.entropy,
@@ -150,28 +153,25 @@ def cmd_gibbs(args) -> int:
 def _report_dict(rep):
     return {
         "regime": rep.regime,
-        "bound_value": _jsonable(rep.bound_value),
-        "slack": _jsonable(rep.slack),
+        "bound_value": rep.bound_value,
+        "slack": rep.slack,
         "energy": rep.energy,
         "entropy": rep.entropy,
         "N": rep.N,
-        "beta_rho": _jsonable(rep.beta_rho),
+        "beta_rho": rep.beta_rho,
         "R": rep.R,
         "eps_max": rep.eps_max,
         "d0": rep.d0,
         "u_rho": rep.u_rho,
         "asymptotic": rep.asymptotic,
-        "bound_exponential": _jsonable(rep.bound_exponential),
-        "bound_inverse": _jsonable(rep.bound_inverse),
+        "bound_exponential": rep.bound_exponential,
+        "bound_inverse": rep.bound_inverse,
     }
 
 
 def cmd_bounds(args) -> int:
     s, rho = _load_state_file(args.state)
-    try:
-        rep = bounds_mod.bound_report(s, rho, args.n)
-    except bounds_mod.HypothesisError as exc:
-        raise InputError(str(exc)) from exc
+    rep = bounds_mod.bound_report(s, rho, args.n)
     out = _report_dict(rep)
     if args.table:
         rows = [out]
@@ -218,10 +218,7 @@ def emit_scan_csv(rows, factor_rows, stream):
 def cmd_scan_alpha(args) -> int:
     if len(args.energies) != len(args.degeneracies):
         raise InputError("--energies and --degeneracies need equal length")
-    try:
-        s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
-    except SpectrumError as exc:
-        raise InputError(str(exc)) from exc
+    s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
     if args.beta_min <= 0 or args.beta_max < args.beta_min:
         raise InputError("need 0 < beta-min <= beta-max")
     import numpy as np
@@ -249,9 +246,7 @@ def cmd_scan_alpha(args) -> int:
 def cmd_saturate(args) -> int:
     try:
         res = extremal_mod.saturation_construct(args.n, args.m, args.frac)
-    except (
-        ValueError, extremal_mod.InfeasibleSaturationError, bounds_mod.BoundViolationError
-    ) as exc:
+    except (extremal_mod.InfeasibleSaturationError, bounds_mod.BoundViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     p = res.params
@@ -276,15 +271,15 @@ def cmd_saturate(args) -> int:
 def cmd_nstar(args) -> int:
     if (args.energies is None) == (args.rational is None):
         raise InputError("give exactly one of --energies / --rational")
-    try:
-        if args.rational is not None:
+    if args.rational is not None:
+        try:
             fracs = [Fraction(tok) for tok in args.rational.split()]
-            s = Spectrum.from_rationals(fracs)
-        else:
-            s = normalize_spectrum(args.energies)
-        res = comm_mod.n_star(s, max_den=args.max_den, tol=args.tol)
-    except (ValueError, SpectrumError) as exc:
-        raise InputError(str(exc)) from exc
+        except ZeroDivisionError as exc:
+            raise InputError(f"--rational: {exc}") from exc
+        s = Spectrum.from_rationals(fracs)
+    else:
+        s = normalize_spectrum(args.energies)
+    res = comm_mod.n_star(s, max_den=args.max_den, tol=args.tol)
     _emit(
         {
             "n_star": res.n_star,
@@ -305,8 +300,8 @@ def cmd_classify_cp(args) -> int:
     _emit(
         {
             "tag": cls.tag,
-            "beta": _jsonable(cls.beta),
-            "fit_residual": _jsonable(cls.fit_residual),
+            "beta": cls.beta,
+            "fit_residual": cls.fit_residual,
         },
         args.output,
     )
@@ -399,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, EnumerationCapError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,12 +129,7 @@ def triple_forces_gibbs(
     a, b, c = triple
     if not (0 <= a < b < c < s.num_levels):
         raise ValueError("triple must hold increasing distinct-level indices")
-    ((ratio, exact),) = _level_ratios(s, [triple])
-    if exact:
-        frac = Fraction(ratio)
-        rr = RationalRatio(p=frac.numerator, q=frac.denominator, exact=True)
-    else:
-        rr = rational_ratio_detect(ratio, max_den, ratio_tol)
+    (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol)
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")
     means = []

@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import BoundViolationError
 from .gibbs import _energy, _entropy, _log_populations, gibbs_point, solve_beta_for_entropy
-from .passivity import DEFAULT_CAP, _scan_passive, default_energy_tol
-from .spectra import (
-    DiagonalState,
-    EnumerationCapError,
-    Spectrum,
-    composition_count,
-    compositions,
-)
+from .passivity import _cuts
+from .spectra import DiagonalState, Spectrum
 
 DEFAULT_B_MAX = 30.0
 
@@ -94,51 +87,22 @@ def level_state_from_b(s: Spectrum, b) -> LevelState:
     return LevelState(tuple(_log_populations(s.log_multiplicities, b)))
 
 
-def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None = None,
-                         cap: int = DEFAULT_CAP) -> bool:
+def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None = None) -> bool:
     """Order-N passivity of a level-resolved (hence order-1 stable) state.
 
     Occupation vectors over individual slots of a level-uniform state fold to
-    occupation vectors over levels, so scanning level space is exhaustive.
+    occupation vectors over levels, so the level-space cuts are exhaustive:
+    every cut v needs v . ln(lambda) <= tol.  A cut with a positive count on
+    an empty level never binds, and one with a negative count there fails.
     """
     if tol is None:
         scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
         tol = 1e-8 * N * scale
-    etol = default_energy_tol(s.eps_max, N)
-    return _scan_passive(tuple(s.level_energies), ls.log_populations, N, tol, etol, cap) is None
-
-
-def _difference_vectors(energies, N, cap):
-    """Deduplicated occupation differences I-J with strictly larger energy on I,
-    in the order a scan over the pairs (I, J), I outer, first meets them.
-
-    Pairs are formed a block of I at a time; a difference is keyed by its
-    digits in the balanced base 2N+1, unique as every entry lies in [-N, N].
-    """
-    d = len(energies)
-    if composition_count(d, N) > cap:
-        raise EnumerationCapError("occupation enumeration exceeds cap")
-    C = np.array(list(compositions(d, N)), dtype=np.int64)
-    evals = np.zeros(len(C))
-    # summed left to right like passivity._scan_passive, so both see the same ties
-    for k, e in enumerate(energies):
-        evals = evals + C[:, k] * e
-    etol = default_energy_tol(max(energies), N)
-    base = 2 * N + 1
-    # Python-int keys once base**d leaves int64
-    keys = C @ np.array([base**k for k in range(d)], object if base**d > 2**62 else np.int64)
-    seen = np.array([base**d], keys.dtype)  # sorted, with a sentinel above every key
-    rows = []
-    block = max(1, 8192 // len(C))
-    for start in range(0, len(C), block):
-        i, j = np.nonzero(evals[start:start + block, None] > evals + etol)
-        i += start
-        uniq, first = np.unique(keys[i] - keys[j], return_index=True)
-        new = seen[np.searchsorted(seen, uniq)] != uniq
-        first = np.sort(first[new])
-        rows.append(C[i[first]] - C[j[first]])
-        seen = np.sort(np.concatenate([seen, uniq[new]]))
-    return np.concatenate(rows).astype(float)
+    V = _cuts(tuple(s.level_energies.tolist()), N)
+    lnp = np.asarray(ls.log_populations, dtype=float)
+    # zero entries skip lnp = -inf; a +inf, -inf mix is NaN and never fails
+    x = np.multiply(V, lnp, out=np.zeros(V.shape), where=V != 0).sum(axis=1)
+    return not np.any(x > tol)
 
 
 def sample_n_passive(
@@ -150,7 +114,6 @@ def sample_n_passive(
     b_max: float = DEFAULT_B_MAX,
     burn_in: int = 200,
     thin: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> list[DiagonalState]:
     """Hit-and-run sampler over log-populations inside the order-N passive cone.
 
@@ -162,11 +125,8 @@ def sample_n_passive(
         raise ValueError("single-level spectra have no passivity structure to sample")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if stable:
-        energies = tuple(s.level_energies)
-    else:
-        energies = s.energies
-    V = _difference_vectors(energies, N, cap)
+    energies = tuple(s.level_energies.tolist()) if stable else s.energies
+    V = _cuts(energies, N)
     eps_free = np.array(energies[1:])
     n_free = len(eps_free)
     # lower box bound: ground-level slots may out-populate slot 0, others not
@@ -218,15 +178,6 @@ def _entropy_on_chord(s: Spectrum, b1, b2):
     return _entropy(s.log_multiplicities, lnp), lnp
 
 
-@lru_cache(maxsize=8)
-def _chord_cuts(energies: tuple[float, ...], N: int, cap: int):
-    """Columns (v1, v2) of the three-level difference vectors, read-only."""
-    V = _difference_vectors(energies, N, cap).reshape(-1, len(energies))
-    v1, v2 = V[:, 1].copy(), V[:, 2].copy()
-    v1.flags.writeable = v2.flags.writeable = False
-    return v1, v2
-
-
 def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: int):
     """Log-populations of every isentropic point found on the feasible chords.
 
@@ -272,7 +223,6 @@ def max_alpha_scan(
     N: int,
     beta_grid,
     resolution: int = 200,
-    cap: int = DEFAULT_CAP,
 ) -> list[AlphaScanRow]:
     """Maximize E over order-1 stable, order-N passive states at fixed entropy.
 
@@ -291,7 +241,7 @@ def max_alpha_scan(
         raise NotImplementedError("grid scan supports at most three distinct levels")
     rows: list[AlphaScanRow] = []
     eps = s.level_energies
-    cuts = _chord_cuts(tuple(eps.tolist()), N, cap) if s.num_levels == 3 else None
+    cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None
     for beta in beta_grid:
         gp = gibbs_point(s, beta)
         if gp.energy <= 0:
@@ -305,7 +255,7 @@ def max_alpha_scan(
             for E, lnp_k in zip(_energy(eps, s.log_multiplicities, lnp).tolist(), lnp):
                 if E > best_E:
                     ls = LevelState(tuple(lnp_k))
-                    if verify_level_passive(s, ls, N, cap=cap):
+                    if verify_level_passive(s, ls, N):
                         best_E = E
                         best_ls = ls
         rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy,

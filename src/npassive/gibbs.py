@@ -79,7 +79,7 @@ def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
 
 def gibbs_point(s: Spectrum, beta: float) -> GibbsPoint:
     """Thermal functionals (logZ, energy, entropy) at inverse temperature beta."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0 (or +inf)")
     logg = s.log_multiplicities
     logZ, energy, gap, _ = _thermal_functionals(s.level_energies, logg, beta)
@@ -109,6 +109,8 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
     limit ln(d0), or when even beta = BETA_INF_FACTOR/eps_max leaves more
     entropy than the target.
     """
+    if math.isnan(S_target):
+        raise ValueError("entropy must be a number")
     ln_d = math.log(s.d)
     ln_d0 = math.log(s.d0)
     if S_target > ln_d + tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,14 +20,12 @@ from .spectra import (
     OccupationVector,
     Spectrum,
     _check_aligned,
-    composition_count,
-    compositions,
+    occupations,
     state_energy,
 )
 
 DEFAULT_LOG_TOL = 1e-12
 DEFAULT_STABILITY_TOL = 1e-9
-DEFAULT_CAP = 200_000
 DOUBLY_STOCHASTIC_TOL = 1e-10
 
 
@@ -53,34 +52,26 @@ def default_energy_tol(eps_max: float, N: int) -> float:
     return 1e-9 * max(1.0, eps_max * N)
 
 
-def _log_weights(vectors: list[tuple[int, ...]], logpops) -> np.ndarray:
-    """Sum of count*ln(lambda) per vector; zero counts contribute 0 always."""
-    out = np.empty(len(vectors))
-    for k, vec in enumerate(vectors):
-        acc = 0.0
-        for c, lp in zip(vec, logpops):
-            if c:
-                acc += c * lp  # lp may be -inf; 0 * (-inf) is skipped above
-        out[k] = acc
+def _row_sums(table: np.ndarray, values) -> np.ndarray:
+    """Per row, sum of count*value over the columns, added left to right.
+
+    A zero count contributes nothing, even where the value is -inf.
+    """
+    out = np.zeros(len(table))
+    for col, v in zip(table.T, values):
+        out += np.multiply(col, v, out=np.zeros(len(col)), where=col > 0)
     return out
 
 
-def _scan_passive(energies, logpops, N, tol, energy_tol, cap):
+def _scan_passive(energies, logpops, N, tol, energy_tol):
     """Core order-N scan over arbitrary slot arrays.
 
     Returns None if passive, else the lexicographically first violating
     (higher-energy, lower-energy) pair of raw count tuples.
     """
-    d = len(energies)
-    if composition_count(d, N) > cap:
-        from .spectra import EnumerationCapError
-
-        raise EnumerationCapError(
-            f"C({N + d - 1},{d - 1}) = {composition_count(d, N)} exceeds cap {cap}"
-        )
-    vectors = list(compositions(d, N))
-    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
-    lweights = _log_weights(vectors, logpops)
+    table = occupations(len(energies), N)
+    evals = _row_sums(table, energies)
+    lweights = _row_sums(table, logpops)
 
     order = np.argsort(evals, kind="stable")
     # walk groups of tied energy from the top down; every group's minimum
@@ -100,25 +91,18 @@ def _scan_passive(energies, logpops, N, tol, energy_tol, cap):
         running_max = max(running_max, float(np.max(lweights[grp])))
     if not violated:
         return None
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
+    for i in range(len(table)):
+        for j in range(len(table)):
             if evals[i] > evals[j] + energy_tol and lweights[i] > lweights[j] + tol:
-                return vi, vj
+                return tuple(table[i].tolist()), tuple(table[j].tolist())
     return None  # unreachable unless tie-chaining absorbed the gap
 
 
-def _scan_stable(energies, logpops, k, tol, energy_tol, cap):
+def _scan_stable(energies, logpops, k, tol, energy_tol):
     """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    d = len(energies)
-    if composition_count(d, k) > cap:
-        from .spectra import EnumerationCapError
-
-        raise EnumerationCapError(
-            f"C({k + d - 1},{d - 1}) = {composition_count(d, k)} exceeds cap {cap}"
-        )
-    vectors = list(compositions(d, k))
-    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
-    lweights = _log_weights(vectors, logpops)
+    table = occupations(len(energies), k)
+    evals = _row_sums(table, energies)
+    lweights = _row_sums(table, logpops)
     order = np.argsort(evals, kind="stable")
     start = 0
     for idx in range(1, len(order) + 1):
@@ -132,6 +116,47 @@ def _scan_stable(energies, logpops, k, tol, energy_tol, cap):
                 return False  # some zero populations tied with non-zero ones
             start = idx
     return True
+
+
+def _difference_vectors(energies, N):
+    """Deduplicated occupation differences I-J with strictly larger energy on I,
+    in the order a scan over the pairs (I, J), I outer, first meets them.
+
+    Pairs are formed a block of I at a time; a difference is keyed by its
+    digits in the balanced base 2N+1, unique as every entry lies in [-N, N].
+    """
+    d = len(energies)
+    C = occupations(d, N)
+    # summed like _scan_passive, so both see the same ties
+    evals = _row_sums(C, energies)
+    etol = default_energy_tol(max(energies), N)
+    base = 2 * N + 1
+    # Python-int keys once base**d leaves int64
+    keys = C @ np.array([base**k for k in range(d)], object if base**d > 2**62 else np.int64)
+    seen = np.array([base**d], keys.dtype)  # sorted, with a sentinel above every key
+    rows = []
+    block = max(1, 8192 // len(C))
+    for start in range(0, len(C), block):
+        i, j = np.nonzero(evals[start:start + block, None] > evals + etol)
+        i += start
+        uniq, first = np.unique(keys[i] - keys[j], return_index=True)
+        new = seen[np.searchsorted(seen, uniq)] != uniq
+        first = np.sort(first[new])
+        rows.append(C[i[first]] - C[j[first]])
+        seen = np.sort(np.concatenate([seen, uniq[new]]))
+    return np.concatenate(rows).astype(float)
+
+
+@lru_cache(maxsize=8)
+def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
+    """The rows of ``_difference_vectors(energies, N)``, read-only and shared.
+
+    A state with log-populations lnp is order-N passive over these slots
+    iff v . lnp <= tol for every row v.
+    """
+    V = _difference_vectors(energies, N)
+    V.flags.writeable = False
+    return V
 
 
 def is_passive_1(s: Spectrum, rho: DiagonalState, tol: float = 1e-12) -> PassivityVerdict:
@@ -156,7 +181,6 @@ def is_n_passive(
     rho: DiagonalState,
     N: int,
     tol: float = DEFAULT_LOG_TOL,
-    cap: int = DEFAULT_CAP,
 ) -> PassivityVerdict:
     """Order-N passivity of rho via exhaustive occupation-pair comparison."""
     _check_aligned(s, rho)
@@ -168,7 +192,6 @@ def is_n_passive(
         N,
         tol,
         default_energy_tol(s.eps_max, N),
-        cap,
     )
     if hit is None:
         return PassivityVerdict(True)
@@ -182,7 +205,6 @@ def is_k_structurally_stable(
     rho: DiagonalState,
     k: int,
     tol: float = DEFAULT_STABILITY_TOL,
-    cap: int = DEFAULT_CAP,
 ) -> bool:
     """Equal-energy occupation vectors of order k carry equal weights."""
     _check_aligned(s, rho)
@@ -194,7 +216,6 @@ def is_k_structurally_stable(
         k,
         tol,
         default_energy_tol(s.eps_max, k),
-        cap,
     )
 
 
@@ -239,9 +260,7 @@ def ergotropy_general(populations, energies, overlap) -> float:
     return e_actual - e_passive
 
 
-def n_ergotropy(
-    s: Spectrum, rho: DiagonalState, N: int, cap: int = DEFAULT_CAP
-) -> float:
+def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """Work extractable from N copies under joint unitaries, per the whole batch.
 
     Works block-wise over occupation vectors with multinomial multiplicities,
@@ -251,14 +270,10 @@ def n_ergotropy(
     _check_aligned(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if composition_count(s.d, N) > cap:
-        from .spectra import EnumerationCapError
-
-        raise EnumerationCapError("occupation enumeration exceeds cap")
-    eps = s.energies
+    table = occupations(s.d, N)
     pops = rho.populations
     blocks = []
-    for vec in compositions(s.d, N):
+    for vec, e in zip(table.tolist(), _row_sums(table, s.energies).tolist()):
         mult = math.factorial(N)
         for c in vec:
             mult //= math.factorial(c)
@@ -266,7 +281,6 @@ def n_ergotropy(
         for c, p in zip(vec, pops):
             if c:
                 w *= p**c
-        e = sum(c * x for c, x in zip(vec, eps))
         blocks.append((w, e, mult))
 
     by_weight = sorted(blocks, key=lambda t: -t[0])
@@ -341,25 +355,13 @@ def prep1_envelope(
         raise ValueError("need lam_a >= lam_c > 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    etol = 1e-9 * max(1.0, (eps_c - eps_a) * N)
     la, lc = math.log(lam_a), math.log(lam_c)
-    vecs = [
-        (i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)
-    ]
-    lo, hi = -math.inf, math.inf
-    # shifted energies keep the comparison translation invariant
-    eb, ec = eps_b - eps_a, eps_c - eps_a
-    for a1, b1, c1 in vecs:
-        e1 = b1 * eb + c1 * ec
-        for a2, b2, c2 in vecs:
-            e2 = b2 * eb + c2 * ec
-            if e1 <= e2 + etol:
-                continue
-            # weight(v1) <= weight(v2)
-            coeff = b1 - b2
-            rhs = (a2 - a1) * la + (c2 - c1) * lc
-            if coeff > 0:
-                hi = min(hi, rhs / coeff)
-            elif coeff < 0:
-                lo = max(lo, rhs / coeff)
+    # cuts of the shifted triple, so the comparison is translation invariant;
+    # a cut (da, db, dc) demands db*ln(lam_b) <= -da*la - dc*lc
+    V = _cuts((0.0, eps_b - eps_a, eps_c - eps_a), N)
+    coeff = V[:, 1]
+    rhs = -V[:, 0] * la - V[:, 2] * lc
+    up, down = coeff > 0, coeff < 0
+    hi = np.min(rhs[up] / coeff[up], initial=math.inf)
+    lo = np.max(rhs[down] / coeff[down], initial=-math.inf)
     return math.exp(lo), math.exp(hi)

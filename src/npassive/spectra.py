@@ -2,16 +2,16 @@
 
 Energies are stored zero-shifted (ground level at 0) and grouped into
 distinct levels; populations are index-aligned to the dense energy list.
-Occupation-vector enumeration lives here because every other module
-consumes it.
+The occupation table lives here because every other module consumes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,9 @@ STATE_SUM_TOL = 1e-12
 # dense expansion refuses above this dimension; level-resolved code paths
 # (gibbs functionals, extremal module) have no such limit
 DENSE_DIM_CAP = 2_000_000
+
+# the one size guard on occupation tables, shared by every enumerating caller
+DEFAULT_CAP = 200_000
 
 
 class SpectrumError(ValueError):
@@ -53,6 +56,8 @@ class Spectrum:
             raise SpectrumError("spectrum needs at least one level")
         energies = [e for e, _ in self.distinct_levels]
         mults = [g for _, g in self.distinct_levels]
+        if not all(math.isfinite(e) for e in energies):
+            raise SpectrumError("energies must be finite")
         if energies[0] != 0.0:
             raise SpectrumError("ground level must sit at energy 0")
         if any(e2 <= e1 for e1, e2 in zip(energies, energies[1:])):
@@ -182,6 +187,8 @@ class DiagonalState:
         pops = self.populations
         if not pops:
             raise StateError("empty population list")
+        if not all(math.isfinite(p) for p in pops):
+            raise StateError("populations must be finite")
         if any(p < 0 for p in pops):
             raise StateError("populations must be non-negative")
         if abs(sum(pops) - 1.0) > STATE_SUM_TOL:
@@ -190,11 +197,6 @@ class DiagonalState:
     @property
     def d(self) -> int:
         return len(self.populations)
-
-    @cached_property
-    def log_populations(self) -> tuple[float, ...]:
-        """b_j = -ln(lambda_j); +inf for zero populations."""
-        return tuple(-math.log(p) if p > 0 else math.inf for p in self.populations)
 
     @cached_property
     def ln_populations(self) -> tuple[float, ...]:
@@ -241,30 +243,34 @@ def state_entropy(rho: DiagonalState) -> float:
     return float(sum(-p * math.log(p) for p in rho.populations if p > 0))
 
 
-def compositions(d: int, total: int):
-    """Yield all tuples of d non-negative ints summing to total, lexicographic."""
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(d - 1, total - first):
-            yield (first,) + rest
-
-
 def composition_count(d: int, total: int) -> int:
     return math.comb(total + d - 1, d - 1)
 
 
-def enumerate_occupations(d: int, N: int, cap: int = 200_000) -> list[OccupationVector]:
-    """All occupation vectors of order N over d slots, lexicographic order."""
+@lru_cache(maxsize=16)
+def occupations(d: int, N: int) -> np.ndarray:
+    """All occupation vectors of order N over d slots, one per row.
+
+    Rows run in lexicographic order, first entry ascending from 0.  The
+    integer table is read-only and shared between callers; above
+    ``DEFAULT_CAP`` rows it is refused with ``EnumerationCapError``.
+    """
     if d < 1 or N < 1:
         raise ValueError("need d >= 1 and N >= 1")
     count = composition_count(d, N)
-    if count > cap:
+    if count > DEFAULT_CAP:
         raise EnumerationCapError(
-            f"C({N + d - 1},{d - 1}) = {count} occupation vectors exceeds cap {cap}"
+            f"C({N + d - 1},{d - 1}) = {count} occupation vectors exceeds cap {DEFAULT_CAP}"
         )
-    return [OccupationVector(c) for c in compositions(d, N)]
+    # stars and bars: lexicographic bar positions give lexicographic counts
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(N + d - 1), d - 1)),
+        dtype=np.int64,
+        count=count * (d - 1),
+    ).reshape(count, d - 1)
+    table = np.diff(bars, axis=1, prepend=-1, append=N + d - 1) - 1
+    table.flags.writeable = False
+    return table
 
 
 def level_extrema(s: Spectrum, rho: DiagonalState):

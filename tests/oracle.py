@@ -1,0 +1,165 @@
+"""Reference enumerators kept as exact oracles for the occupation table.
+
+These are the pairwise Python loops the library ran before every enumerator
+read from ``spectra.occupations``: a recursive generator of occupation
+vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
+ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
+reproduce them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from npassive.passivity import default_energy_tol
+from npassive.spectra import state_energy
+
+
+def compositions(d, total):
+    """Yield all tuples of d non-negative ints summing to total, lexicographic."""
+    if d == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(d - 1, total - first):
+            yield (first,) + rest
+
+
+def log_weights(vectors, logpops):
+    """Sum of count*ln(lambda) per vector; zero counts contribute 0 always."""
+    out = np.empty(len(vectors))
+    for k, vec in enumerate(vectors):
+        acc = 0.0
+        for c, lp in zip(vec, logpops):
+            if c:
+                acc += c * lp
+        out[k] = acc
+    return out
+
+
+def scan_passive(energies, logpops, N, tol, energy_tol):
+    """None if passive, else the lexicographically first violating pair."""
+    vectors = list(compositions(len(energies), N))
+    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
+    lweights = log_weights(vectors, logpops)
+    order = np.argsort(evals, kind="stable")
+    groups = []
+    start = 0
+    for k in range(1, len(order) + 1):
+        if k == len(order) or evals[order[k]] - evals[order[k - 1]] > energy_tol:
+            groups.append(order[start:k])
+            start = k
+    running_max = -math.inf
+    violated = False
+    for grp in reversed(groups):
+        if running_max > np.min(lweights[grp]) + tol:
+            violated = True
+            break
+        running_max = max(running_max, float(np.max(lweights[grp])))
+    if not violated:
+        return None
+    for i, vi in enumerate(vectors):
+        for j, vj in enumerate(vectors):
+            if evals[i] > evals[j] + energy_tol and lweights[i] > lweights[j] + tol:
+                return vi, vj
+    return None
+
+
+def scan_stable(energies, logpops, k, tol, energy_tol):
+    """True iff equal-energy order-k occupation pairs carry equal log-weights."""
+    vectors = list(compositions(len(energies), k))
+    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
+    lweights = log_weights(vectors, logpops)
+    order = np.argsort(evals, kind="stable")
+    start = 0
+    for idx in range(1, len(order) + 1):
+        if idx == len(order) or evals[order[idx]] - evals[order[idx - 1]] > energy_tol:
+            grp = lweights[order[start:idx]]
+            finite = np.isfinite(grp)
+            if finite.all():
+                if np.max(grp) - np.min(grp) > tol:
+                    return False
+            elif finite.any():
+                return False
+            start = idx
+    return True
+
+
+def n_ergotropy(s, rho, N):
+    """Block-wise N-copy ergotropy over compositions with multinomial counts."""
+    eps = s.energies
+    pops = rho.populations
+    blocks = []
+    for vec in compositions(s.d, N):
+        mult = math.factorial(N)
+        for c in vec:
+            mult //= math.factorial(c)
+        w = 1.0
+        for c, p in zip(vec, pops):
+            if c:
+                w *= p**c
+        e = sum(c * x for c, x in zip(vec, eps))
+        blocks.append((w, e, mult))
+    by_weight = sorted(blocks, key=lambda t: -t[0])
+    by_energy = sorted(blocks, key=lambda t: t[1])
+    e_passive = 0.0
+    j = 0
+    remaining = by_energy[0][2]
+    for w, _, mult in by_weight:
+        need = mult
+        while need:
+            take = min(need, remaining)
+            e_passive += take * w * by_energy[j][1]
+            need -= take
+            remaining -= take
+            if remaining == 0 and j + 1 < len(by_energy):
+                j += 1
+                remaining = by_energy[j][2]
+    return N * state_energy(s, rho) - e_passive
+
+
+def prep1_envelope(N, eps_a, eps_b, eps_c, lam_a, lam_c):
+    """Middle-population interval from every ordered pair of triple vectors."""
+    etol = 1e-9 * max(1.0, (eps_c - eps_a) * N)
+    la, lc = math.log(lam_a), math.log(lam_c)
+    vecs = [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)]
+    lo, hi = -math.inf, math.inf
+    eb, ec = eps_b - eps_a, eps_c - eps_a
+    for a1, b1, c1 in vecs:
+        e1 = b1 * eb + c1 * ec
+        for a2, b2, c2 in vecs:
+            e2 = b2 * eb + c2 * ec
+            if e1 <= e2 + etol:
+                continue
+            coeff = b1 - b2
+            rhs = (a2 - a1) * la + (c2 - c1) * lc
+            if coeff > 0:
+                hi = min(hi, rhs / coeff)
+            elif coeff < 0:
+                lo = max(lo, rhs / coeff)
+    return math.exp(lo), math.exp(hi)
+
+
+def verify_level_passive(s, ls, N):
+    """Order-N scan of a level state over the level energies."""
+    scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
+    tol = 1e-8 * N * scale
+    etol = default_energy_tol(s.eps_max, N)
+    return scan_passive(tuple(s.level_energies), ls.log_populations, N, tol, etol) is None
+
+
+def difference_vectors(energies, N):
+    """The pairwise scan: every (I, J) pair, I outer, deduplicated in a set."""
+    vectors = list(compositions(len(energies), N))
+    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
+    etol = default_energy_tol(max(energies), N)
+    seen, rows = set(), []
+    for vi, ei in zip(vectors, evals):
+        for vj, ej in zip(vectors, evals):
+            if ei > ej + etol:
+                diff = tuple(a - b for a, b in zip(vi, vj))
+                if diff not in seen:
+                    seen.add(diff)
+                    rows.append(diff)
+    return np.array(rows, dtype=float)
+

@@ -116,6 +116,15 @@ class TestBoundReport:
         rep = bound_report(s, rho, 4)
         assert rep.regime == ASYMPTOTIC_TWO_LEVEL
 
+    def test_tiny_unequal_populations_are_not_order_one_stable(self):
+        # 1e-15 against 2e-15 inside one level: equal to an absolute 1e-9,
+        # a factor 2 apart in log space, so not order-1 stable
+        s = normalize_spectrum([0, 1, 1, 2])
+        rho = DiagonalState((1 - 3.5e-15, 1e-15, 2e-15, 5e-16))
+        rep = bound_report(s, rho, 5)
+        assert rep.regime != MIN_OF_BOTH
+        assert rep.bound_inverse is None
+
 
 class TestCheckBound:
     def test_gibbs_nonnegative_slack(self):
@@ -133,6 +142,10 @@ class TestCheckBound:
         for N in (2, 4):
             for rho in sample_n_passive(s, N, 30, seed=42 + N, stable=True):
                 assert check_bound(s, rho, N) >= -1e-9
+
+
+def test_exponential_factor_overflows_to_inf():
+    assert exponential_factor(1.0, 2.0, 1e6, 5) == math.inf
 
 
 class TestCrossover:

@@ -1,11 +1,34 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from npassive.cli import main
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of main, argparse usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_state(tmp_path, name, energies, populations, rational=None):
@@ -178,3 +201,147 @@ class TestRoundTrip:
         main(["flatten", "--state", again])
         out2 = json.loads(capsys.readouterr().out)
         assert out2["flattened"] == pops
+
+
+class TestErrorBoundary:
+    """Input errors from every layer exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--n", "0"],
+            ["check", "--n", "1", "--stability", "0"],
+            ["check", "--n", "700"],  # C(702, 2) occupation vectors exceeds the cap
+            ["ergotropy", "--n", "0"],
+            ["bounds", "--n", "0"],
+            ["gibbs", "--beta", "-1"],
+            ["gibbs", "--beta", "nan"],
+            ["gibbs", "--beta", "x"],
+            ["gibbs", "--entropy", "nan"],
+            ["gibbs", "--entropy", "5"],
+        ],
+    )
+    def test_state_commands(self, fixture_state, argv):
+        code, out, err = run([argv[0], "--state", fixture_state, *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-alpha", "--energies", "0", "1", "2", "3", "--degeneracies", "1", "1", "1",
+             "1", "--n", "3", "--beta-min", "1", "--beta-max", "2", "--points", "1"],
+            ["scan-alpha", "--energies", "0", "1", "nan", "--degeneracies", "1", "1", "1",
+             "--n", "3", "--beta-min", "1", "--beta-max", "2", "--points", "1"],
+            ["saturate", "--n", "2", "--m", "2", "--frac", "0.5"],
+            ["nstar", "--rational", "0 1 3/0"],
+        ],
+    )
+    def test_other_commands(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_population_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"energies": [0, 1, 1.9], "populations": [0.5, NaN, 0.5]}')
+        code, out, err = run(["check", "--state", str(path), "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_bound_is_strict_json(self, tmp_path):
+        from npassive.gibbs import gibbs_populations
+        from npassive.spectra import normalize_spectrum
+
+        energies = [0, 1, 1.000001, 2]
+        pops = list(gibbs_populations(normalize_spectrum(energies), 1.0).populations)
+        path = write_state(tmp_path, "g.json", energies, pops)
+        code, out, _ = run(["bounds", "--state", path, "--n", "5"])
+        assert code == 0
+        assert strict_json(out)["bound_value"] == "inf"
+        code, out, _ = run(["bounds", "--state", path, "--n", "5", "--table"])
+        assert code == 0
+        assert strict_json(out)["rows"][1]["bound_value"] == "inf"
+
+    def test_tiny_unequal_level_is_unstable(self, tmp_path):
+        path = write_state(tmp_path, "t.json", [0, 1, 1, 2], [1 - 3.5e-15, 1e-15, 2e-15, 5e-16])
+        code, out, _ = run(["check", "--state", path, "--n", "1", "--stability", "1"])
+        assert code == 0
+        assert strict_json(out)["stability"]["stable"] is False
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.5, 0.0, 1e-300, 1e-15, 1e6]
+
+
+@st.composite
+def state_data(draw):
+    """A valid state file, or one with a single flaw."""
+    d = draw(st.integers(1, 4))
+    energies = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+    total = sum(weights)
+    pops = [w / total for w in weights] if total > 0 else weights
+    flaw = draw(st.sampled_from([None] * 5 + ["energy", "population", "length", "order", "key"]))
+    if flaw == "energy":
+        energies[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
+    elif flaw == "population":
+        pops[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
+    elif flaw == "length":
+        pops.append(0.0)
+    elif flaw == "order":
+        energies.reverse()
+    data = {"energies": energies, "populations": pops}
+    if flaw == "key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+ORDER = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
+# (flag, values, required): a required flag is left out one time in ten
+OPTIONS = {
+    "check": [
+        ("--n", ORDER, True),
+        ("--stability", ORDER, False),
+        ("--tol", st.sampled_from(["0", "1e-9", "nan"]), False),
+    ],
+    "ergotropy": [("--n", ORDER, False)],
+    "gibbs": [
+        ("--beta", st.sampled_from(["-1", "0", "0.5", "3", "1e3", "inf", "-inf", "nan", "x"]), False),
+        ("--entropy", st.sampled_from(["-1", "0", "1e-20", "0.3", "1", "5", "inf", "nan"]), False),
+    ],
+    "bounds": [("--n", ORDER, True), ("--table", st.just(None), False)],
+    "flatten": [],
+    "classify-cp": [("--tol", st.sampled_from(["0", "1e-8", "nan"]), False)],
+}
+
+
+@st.composite
+def state_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, values, required in OPTIONS[command]:
+        if draw(st.integers(0, 9)) > 0 if required else draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=state_data(), argv=state_argv())
+def test_fuzz_state_commands(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert out == ""
+        if lines[0].startswith("usage:"):  # argparse
+            assert ": error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err == ""
+        strict_json(out)

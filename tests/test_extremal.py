@@ -17,7 +17,6 @@ from npassive.bounds import (
 from npassive.extremal import (
     InfeasibleSaturationError,
     LevelState,
-    _difference_vectors,
     _entropy_on_chord,
     level_energy,
     level_entropy,
@@ -29,14 +28,14 @@ from npassive.extremal import (
 )
 from npassive.gibbs import gibbs_point
 from npassive.passivity import (
-    DEFAULT_CAP,
-    default_energy_tol,
+    _difference_vectors,
     is_k_structurally_stable,
     is_n_passive,
 )
-from npassive.spectra import Spectrum, compositions, normalize_spectrum
+from npassive.spectra import Spectrum, normalize_spectrum
 
 from conftest import decimal_gibbs
+from oracle import difference_vectors as _difference_vectors_reference
 
 
 class TestSampler:
@@ -98,22 +97,6 @@ class TestSampler:
         assert [tuple(map(float, r.populations)) for r in got] == expected
 
 
-def _difference_vectors_reference(energies, N):
-    """The pairwise scan: every (I, J) pair, I outer, deduplicated in a set."""
-    vectors = list(compositions(len(energies), N))
-    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
-    etol = default_energy_tol(max(energies), N)
-    seen, rows = set(), []
-    for vi, ei in zip(vectors, evals):
-        for vj, ej in zip(vectors, evals):
-            if ei > ej + etol:
-                diff = tuple(a - b for a, b in zip(vi, vj))
-                if diff not in seen:
-                    seen.add(diff)
-                    rows.append(diff)
-    return np.array(rows, dtype=float)
-
-
 class TestDifferenceVectors:
     SPECTRA = [
         Spectrum.from_levels([(0, 1), (1, 1), (1.9, 1)]),
@@ -133,14 +116,14 @@ class TestDifferenceVectors:
         s = self.SPECTRA[k]
         energies = s.energies if mode == "dense" else tuple(s.level_energies)
         ref = _difference_vectors_reference(energies, N)
-        got = _difference_vectors(energies, N, DEFAULT_CAP)
+        got = _difference_vectors(energies, N)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_keys_beyond_int64(self):
         # (2N+1)**d = 5**28 exceeds 2**62, so keys fall back to Python ints
         energies = tuple(float(x) for x in np.round(np.linspace(0.0, 3.0, 28) ** 1.5, 3))
         ref = _difference_vectors_reference(energies, 2)
-        assert np.array_equal(_difference_vectors(energies, 2, DEFAULT_CAP), ref)
+        assert np.array_equal(_difference_vectors(energies, 2), ref)
 
 
 class TestLevelState:
@@ -215,7 +198,7 @@ def _scalar_alpha_scan(s, N, beta, resolution):
     gibbs_ls = level_state_from_b(s, beta * eps)
     target = level_entropy(s, gibbs_ls)
     best_E, best_ls = level_energy(s, gibbs_ls), gibbs_ls
-    V = _difference_vectors(tuple(eps), N, DEFAULT_CAP)
+    V = _difference_vectors(tuple(eps), N)
 
     def excess(b1, t):
         return _entropy_on_chord(s, b1, t)[0] - target

@@ -44,6 +44,11 @@ class TestGibbsPoint:
         assert gp.energy == pytest.approx(0.5)
         assert gp.entropy == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError):
+            gibbs_point(normalize_spectrum([0, 1]), beta)
+
     def test_zero_temperature_degenerate_ground(self):
         s = normalize_spectrum([0, 0, 1])
         gp = gibbs_point(s, math.inf)
@@ -104,6 +109,10 @@ class TestSolveBeta:
         s = normalize_spectrum([0, 0, 1])
         with pytest.raises(NoGibbsCounterpartError):
             solve_beta_for_entropy(s, 0.5 * math.log(2))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            solve_beta_for_entropy(normalize_spectrum([0, 1, 2]), math.nan)
 
     def test_above_ceiling_rejected(self):
         s = normalize_spectrum([0, 1])

@@ -1,0 +1,175 @@
+"""Every enumerator reads the one occupation table, ``spectra.occupations``.
+
+The reference loops in ``oracle.py`` are reproduced exactly: verdicts,
+witnesses, stability, N-copy ergotropy, the ``prep1_envelope`` interval and
+the level-space passivity check, on seeded grids that include near-ties
+and zero populations.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import oracle
+from npassive.extremal import (
+    LevelState,
+    level_state_from_b,
+    max_alpha_scan,
+    sample_n_passive,
+    verify_level_passive,
+)
+from npassive.gibbs import gibbs_populations
+from npassive.passivity import (
+    DEFAULT_LOG_TOL,
+    DEFAULT_STABILITY_TOL,
+    default_energy_tol,
+    is_k_structurally_stable,
+    is_n_passive,
+    n_ergotropy,
+    passive_rearrangement,
+    prep1_envelope,
+)
+from npassive.spectra import (
+    DiagonalState,
+    EnumerationCapError,
+    Spectrum,
+    normalize_spectrum,
+)
+
+
+def _spectra(rng, d):
+    """A generic spectrum, one with near-ties and commensurate gaps, and one
+    with a degenerate ground level."""
+    generic = [0.0] + sorted(rng.uniform(0.2, 3.0, d - 1).tolist())
+    gap = float(rng.uniform(0.5, 1.5))
+    # 4e-10 sits inside every tie tolerance, 3e-9 outside it at N = 1 only
+    ladder = [0.0, gap, gap + 4e-10] + [gap * (k + 2) + 3e-9 * (k % 2) for k in range(d - 3)]
+    degenerate = [0.0, 0.0] + sorted(rng.uniform(0.3, 2.5, d - 2).tolist())
+    return [
+        Spectrum.from_levels([(e, 1) for e in generic]),
+        Spectrum.from_levels([(e, 1) for e in ladder[:d]]),
+        normalize_spectrum(degenerate),
+    ]
+
+
+def _states(rng, s):
+    """Gibbs, passive and non-passive states, a near-tie perturbation of a
+    Gibbs state, and states holding exact zeros."""
+    d = s.d
+    beta = float(rng.uniform(0.3, 4.0))
+    gibbs = np.array(gibbs_populations(s, beta).populations)
+    late = gibbs.copy()
+    late[1] = 1.01 * late[0]
+    # log-weight differences across the 1e-12 tolerance
+    nudged = [gibbs * np.exp(scale * rng.standard_normal(d)) for scale in (1e-13, 1e-12)]
+    top_zero = gibbs.copy()
+    top_zero[-1] = 0.0
+    inverted_zero = rng.dirichlet(np.ones(d))
+    inverted_zero[0] = 0.0
+    weights = [gibbs, late, *nudged, top_zero, inverted_zero, rng.dirichlet(np.ones(d))]
+    states = [DiagonalState.from_weights(w) for w in weights]
+    states.append(passive_rearrangement(s, rng.dirichlet(np.ones(d))))
+    return states
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+@pytest.mark.parametrize("d", range(2, 9))
+def test_scans_and_ergotropy_match_reference(d, N):
+    rng = np.random.default_rng(1000 * d + N)
+    for s in _spectra(rng, d):
+        for rho in _states(rng, s):
+            lnp = rho.ln_populations
+            etol = default_energy_tol(s.eps_max, N)
+            ref = oracle.scan_passive(s.energies, lnp, N, DEFAULT_LOG_TOL, etol)
+            got = is_n_passive(s, rho, N)
+            assert got.passive == (ref is None)
+            if ref is not None:
+                assert (got.witness[0].counts, got.witness[1].counts) == ref
+            ref_stable = oracle.scan_stable(s.energies, lnp, N, DEFAULT_STABILITY_TOL, etol)
+            assert is_k_structurally_stable(s, rho, N) == ref_stable
+            assert n_ergotropy(s, rho, N) == oracle.n_ergotropy(s, rho, N)
+
+
+def test_envelope_matches_reference_on_random_triples():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        eps = np.sort(rng.uniform(-2.0, 5.0, 3))
+        lam_c, lam_a = np.sort(rng.uniform(1e-6, 1.0, 2))
+        args = (int(rng.integers(1, 9)), *eps.tolist(), float(lam_a), float(lam_c))
+        assert prep1_envelope(*args) == oracle.prep1_envelope(*args)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(7, 2)])
+def test_envelope_matches_reference_on_commensurate_triples(ratio):
+    rng = np.random.default_rng(ratio.numerator * 10 + ratio.denominator)
+    for _ in range(25):
+        shift, gap = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)
+        eps = (shift, shift + gap, shift + gap * float(ratio))
+        lam_c, lam_a = np.sort(rng.uniform(1e-4, 1.0, 2))
+        for N in (ratio.numerator, 2 * ratio.numerator, 7):
+            args = (N, *eps, float(lam_a), float(lam_c))
+            assert prep1_envelope(*args) == oracle.prep1_envelope(*args)
+
+
+def _level_states(rng, s):
+    L = s.num_levels
+    for _ in range(40):
+        b = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 8.0, L - 1))])
+        if rng.random() < 0.5:
+            b[1:] = b[1:][rng.permutation(L - 1)]  # often not passive
+        yield level_state_from_b(s, b)
+    yield LevelState((0.0,) * (L - 1) + (-math.inf,))  # an empty top level
+    yield LevelState((-math.inf,) + (math.log(0.5),) * (L - 1))  # an empty ground level
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [(0, 1), (1, 1), (1.001, 10**3)],
+        [(0, 1), (1, 1), (1.001, 10**12)],
+        [(0, 2), (0.7, 3), (1.9, 1)],
+        [(0, 1), (1, 1), (2, 1)],
+        [(0, 1), (0.4, 2), (1.3, 1), (2.2, 5)],
+    ],
+)
+def test_level_passivity_matches_reference(levels, N):
+    s = Spectrum.from_levels(levels)
+    rng = np.random.default_rng(len(levels) * 100 + N)
+    for ls in _level_states(rng, s):
+        assert verify_level_passive(s, ls, N) == oracle.verify_level_passive(s, ls, N)
+
+
+def test_level_passivity_matches_reference_on_scan_candidates():
+    s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 10**6)])
+    for beta in (2.0, 20.0, 90.0):
+        (row,) = max_alpha_scan(s, 5, [beta], resolution=40)
+        for shift in (0.0, 1e-3, -1e-3, 0.05, -0.05):
+            lnp = np.array(row.state.log_populations) + np.array([0.0, shift, -shift])
+            ls = LevelState(tuple(lnp.tolist()))
+            assert verify_level_passive(s, ls, 5) == oracle.verify_level_passive(s, ls, 5)
+
+
+class TestCap:
+    """Above ``spectra.DEFAULT_CAP`` rows every enumerating entry point refuses."""
+
+    S = normalize_spectrum(np.linspace(0.0, 2.0, 10))
+    RHO = gibbs_populations(S, 1.0)
+
+    def test_is_n_passive(self):
+        with pytest.raises(EnumerationCapError):
+            is_n_passive(self.S, self.RHO, 30)
+
+    def test_is_k_structurally_stable(self):
+        with pytest.raises(EnumerationCapError):
+            is_k_structurally_stable(self.S, self.RHO, 30)
+
+    def test_n_ergotropy(self):
+        with pytest.raises(EnumerationCapError):
+            n_ergotropy(self.S, self.RHO, 30)
+
+    def test_sample_n_passive(self):
+        with pytest.raises(EnumerationCapError):
+            sample_n_passive(self.S, 30, 1, seed=1)

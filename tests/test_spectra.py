@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,14 @@ from npassive.spectra import (
     SpectrumError,
     StateError,
     composition_count,
-    enumerate_occupations,
     level_extrema,
     normalize_spectrum,
+    occupations,
     state_energy,
     state_entropy,
 )
+
+from oracle import compositions
 
 
 class TestNormalizeSpectrum:
@@ -50,6 +53,11 @@ class TestNormalizeSpectrum:
         with pytest.raises(SpectrumError):
             normalize_spectrum([0.0, math.inf])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, bad):
+        with pytest.raises(SpectrumError):
+            Spectrum.from_levels([(0.0, 1), (1.0, 1), (bad, 1)])
+
     def test_rational_input(self):
         s = Spectrum.from_rationals([Fraction(0), Fraction(1), Fraction(3)])
         assert s.rational_levels == ((Fraction(0), 1), (Fraction(1), 1), (Fraction(3), 1))
@@ -66,9 +74,13 @@ class TestDiagonalState:
 
     def test_log_populations(self):
         rho = DiagonalState((0.5, 0.5, 0.0))
-        assert rho.log_populations[0] == pytest.approx(math.log(2))
-        assert rho.log_populations[2] == math.inf
+        assert rho.ln_populations[0] == math.log(0.5)
         assert rho.ln_populations[2] == -math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(StateError):
+            DiagonalState((0.5, bad, 0.5))
 
 
 class TestEnergyEntropy:
@@ -104,27 +116,35 @@ class TestEnergyEntropy:
 
 class TestEnumerateOccupations:
     def test_d2_n2(self):
-        vecs = [v.counts for v in enumerate_occupations(2, 2)]
-        assert sorted(vecs) == [(0, 2), (1, 1), (2, 0)]
+        assert occupations(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
 
     def test_unit_vectors(self):
-        vecs = [v.counts for v in enumerate_occupations(3, 1)]
-        assert sorted(vecs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert occupations(3, 1).tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
     def test_count_d3_n4(self):
-        assert len(enumerate_occupations(3, 4)) == 15
+        assert len(occupations(3, 4)) == 15
 
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
-            enumerate_occupations(10, 30, cap=100)
+            occupations(10, 30)
+
+    def test_read_only(self):
+        table = occupations(3, 2)
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValueError):
+            occupations(3, 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(d=st.integers(1, 5), N=st.integers(1, 6))
+    @given(d=st.integers(1, 8), N=st.integers(1, 6))
     def test_count_and_sums(self, d, N):
-        vecs = enumerate_occupations(d, N)
-        assert len(vecs) == composition_count(d, N)
-        assert all(v.order == N for v in vecs)
-        assert len({v.counts for v in vecs}) == len(vecs)
+        table = occupations(d, N)
+        assert len(table) == composition_count(d, N)
+        assert (table.sum(axis=1) == N).all() and (table >= 0).all()
+        assert table.tolist() == [list(c) for c in compositions(d, N)]
 
 
 class TestLevelExtrema:
