@@ -36,7 +36,6 @@ from .spectra import (
     DiagonalState,
     OccupationVector,
     Spectrum,
-    level_extrema,
     normalize_spectrum,
     occupations,
     state_energy,

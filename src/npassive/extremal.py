@@ -139,30 +139,32 @@ def sample_n_passive(
     rng = np.random.default_rng(seed)
     beta0 = b_max / (2.0 * s.eps_max)
     x = beta0 * eps_free  # thermal point: strictly inside the cone
-    samples: list[DiagonalState] = []
-    for step in range(burn_in + count * thin):
-        u = rng.standard_normal(n_free)
-        u /= math.sqrt(u @ u)
-        gu = G @ u
-        # chord ends t = -(G x + h)/(G u), taken over the rows where |G u| > 1e-14
-        with np.errstate(divide="ignore", invalid="ignore"):
+    kept = []
+    # rows with G u = 0 divide by zero; the masks below drop them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(burn_in + count * thin):
+            u = rng.standard_normal(n_free)
+            u /= math.sqrt(u @ u)
+            gu = G @ u
+            # chord ends t = -(G x + h)/(G u), taken over the rows where |G u| > 1e-14
             q = (G @ x + h) / gu
-        t_lo = -q.min(where=gu > 1e-14, initial=math.inf)
-        t_hi = -q.max(where=gu < -1e-14, initial=-math.inf)
-        if t_hi > t_lo:
-            x = x + rng.uniform(t_lo, t_hi) * u
-            # np.clip's result: a bound replaces x unless x is strictly inside it
-            x = np.minimum(upper, np.maximum(lower, x))
-        if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            b = np.concatenate([[0.0], x])
-            if stable:
-                ls = level_state_from_b(s, b)
-                samples.append(ls.to_dense(s))
-            else:
-                w = np.exp(-b)
-                samples.append(DiagonalState(tuple(w / np.sum(w))))
-            if len(samples) == count:
-                break
+            t_lo = -q.min(where=gu > 1e-14, initial=math.inf)
+            t_hi = -q.max(where=gu < -1e-14, initial=-math.inf)
+            if t_hi > t_lo:
+                # numpy's own uniform(t_lo, t_hi), without its argument handling
+                x = x + (t_lo + (t_hi - t_lo) * rng.random()) * u
+                # np.clip's result: a bound replaces x unless x is strictly inside it
+                x = np.minimum(upper, np.maximum(lower, x))
+            if step >= burn_in and (step - burn_in) % thin == thin - 1:
+                kept.append(x)
+    samples: list[DiagonalState] = []
+    for x in kept:
+        b = np.concatenate([[0.0], x])
+        if stable:
+            samples.append(level_state_from_b(s, b).to_dense(s))
+        else:
+            w = np.exp(-b)
+            samples.append(DiagonalState(tuple(w / np.sum(w))))
     return samples
 
 

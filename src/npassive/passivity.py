@@ -5,6 +5,13 @@ occupation vectors: whenever one vector carries strictly more energy than
 another, its product of populations must not exceed the other's.  All such
 comparisons run in log-space with the convention that a zero count
 contributes nothing even when the population is zero.
+
+Two rules decide which energy sums tie.  The passivity verdict and the
+stability check use chained groups from ``_energy_groups``: sorted sums whose
+consecutive gaps are all within the energy tolerance form one group, so a
+chain of small gaps can tie sums further apart than the tolerance.  The
+violation witness and the cuts of ``_difference_vectors`` use the pairwise
+rule: e_i is higher than e_j iff e_i > e_j + etol.
 """
 
 from __future__ import annotations
@@ -59,8 +66,31 @@ def _row_sums(table: np.ndarray, values) -> np.ndarray:
     """
     out = np.zeros(len(table))
     for col, v in zip(table.T, values):
-        out += np.multiply(col, v, out=np.zeros(len(col)), where=col > 0)
+        if math.isfinite(v):
+            # a zero count adds +-0.0, which leaves a sum begun at +0.0 as it is
+            out += col * v
+        else:
+            out += np.multiply(col, v, out=np.zeros(len(col)), where=col > 0)
     return out
+
+
+@lru_cache(maxsize=8)
+def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
+    """The order-N occupation table, its row energies, their stable ascending
+    order, and the starts (in that order) of the chained tie groups.
+
+    A new group starts wherever consecutive sorted energies differ by more
+    than ``energy_tol``.  The passivity verdict and the stability check read
+    these groups; the witness search and the cuts compare pairs instead.
+    The arrays are read-only and shared.
+    """
+    table = occupations(len(energies), N)
+    evals = _row_sums(table, energies)
+    order = np.argsort(evals, kind="stable")
+    starts = np.flatnonzero(np.diff(evals[order], prepend=-math.inf) > energy_tol)
+    for a in (evals, order, starts):
+        a.flags.writeable = False
+    return table, evals, order, starts
 
 
 def _scan_passive(energies, logpops, N, tol, energy_tol):
@@ -69,27 +99,13 @@ def _scan_passive(energies, logpops, N, tol, energy_tol):
     Returns None if passive, else the lexicographically first violating
     (higher-energy, lower-energy) pair of raw count tuples.
     """
-    table = occupations(len(energies), N)
-    evals = _row_sums(table, energies)
+    table, evals, order, starts = _energy_groups(energies, N, energy_tol)
     lweights = _row_sums(table, logpops)
-
-    order = np.argsort(evals, kind="stable")
-    # walk groups of tied energy from the top down; every group's minimum
-    # log-weight must dominate the running maximum of strictly higher groups
-    groups = []
-    start = 0
-    for k in range(1, len(order) + 1):
-        if k == len(order) or evals[order[k]] - evals[order[k - 1]] > energy_tol:
-            groups.append(order[start:k])
-            start = k
-    running_max = -math.inf
-    violated = False
-    for grp in reversed(groups):
-        if running_max > np.min(lweights[grp]) + tol:
-            violated = True
-            break
-        running_max = max(running_max, float(np.max(lweights[grp])))
-    if not violated:
+    w = lweights[order]
+    # every group's minimum log-weight must dominate the maximum over all
+    # strictly higher groups
+    above = np.maximum.accumulate(np.maximum.reduceat(w, starts)[::-1])[::-1]
+    if not np.any(above[1:] > np.minimum.reduceat(w, starts)[:-1] + tol):
         return None
     for i in range(len(table)):
         for j in range(len(table)):
@@ -100,22 +116,13 @@ def _scan_passive(energies, logpops, N, tol, energy_tol):
 
 def _scan_stable(energies, logpops, k, tol, energy_tol):
     """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    table = occupations(len(energies), k)
-    evals = _row_sums(table, energies)
-    lweights = _row_sums(table, logpops)
-    order = np.argsort(evals, kind="stable")
-    start = 0
-    for idx in range(1, len(order) + 1):
-        if idx == len(order) or evals[order[idx]] - evals[order[idx - 1]] > energy_tol:
-            grp = lweights[order[start:idx]]
-            finite = np.isfinite(grp)
-            if finite.all():
-                if np.max(grp) - np.min(grp) > tol:
-                    return False
-            elif finite.any():
-                return False  # some zero populations tied with non-zero ones
-            start = idx
-    return True
+    table, _, order, starts = _energy_groups(energies, k, energy_tol)
+    w = _row_sums(table, logpops)[order]
+    lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+    full = lo > -math.inf  # log-weights are finite or -inf
+    spread = np.subtract(hi, lo, out=np.zeros(len(starts)), where=full)
+    # a group of zero populations tied with non-zero ones is unstable too
+    return not np.any(full & (spread > tol) | ~full & (hi > -math.inf))
 
 
 def _difference_vectors(energies, N):
@@ -126,10 +133,9 @@ def _difference_vectors(energies, N):
     digits in the balanced base 2N+1, unique as every entry lies in [-N, N].
     """
     d = len(energies)
-    C = occupations(d, N)
-    # summed like _scan_passive, so both see the same ties
-    evals = _row_sums(C, energies)
     etol = default_energy_tol(max(energies), N)
+    # the row energies _scan_passive sees, so both see the same ties
+    C, evals, _, _ = _energy_groups(tuple(energies), N, etol)
     base = 2 * N + 1
     # Python-int keys once base**d leaves int64
     keys = C @ np.array([base**k for k in range(d)], object if base**d > 2**62 else np.int64)
@@ -270,10 +276,10 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     _check_aligned(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    table = occupations(s.d, N)
+    table, evals, order, _ = _energy_groups(s.energies, N, default_energy_tol(s.eps_max, N))
     pops = rho.populations
     blocks = []
-    for vec, e in zip(table.tolist(), _row_sums(table, s.energies).tolist()):
+    for vec, e in zip(table.tolist(), evals.tolist()):
         mult = math.factorial(N)
         for c in vec:
             mult //= math.factorial(c)
@@ -284,7 +290,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
         blocks.append((w, e, mult))
 
     by_weight = sorted(blocks, key=lambda t: -t[0])
-    by_energy = sorted(blocks, key=lambda t: t[1])
+    by_energy = [blocks[k] for k in order.tolist()]
     e_passive = 0.0
     j = 0
     remaining = by_energy[0][2]

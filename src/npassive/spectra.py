@@ -272,13 +272,3 @@ def occupations(d: int, N: int) -> np.ndarray:
     table.flags.writeable = False
     return table
 
-
-def level_extrema(s: Spectrum, rho: DiagonalState):
-    """Per-level (min, max, mean) of populations within each distinct level."""
-    _check_aligned(s, rho)
-    out = []
-    for lo, hi in s.level_slices:
-        chunk = rho.populations[lo:hi]
-        out.append((min(chunk), max(chunk), sum(chunk) / len(chunk)))
-    return out
-

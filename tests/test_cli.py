@@ -219,6 +219,14 @@ class TestErrorBoundary:
             ["gibbs", "--beta", "x"],
             ["gibbs", "--entropy", "nan"],
             ["gibbs", "--entropy", "5"],
+            # a NaN tolerance made every comparison False, so check called
+            # this non-passive state passive with exit 0
+            ["check", "--n", "2", "--tol=nan"],
+            ["check", "--n", "2", "--tol=inf"],
+            ["check", "--n", "2", "--tol=-inf"],
+            ["classify-cp", "--tol=nan"],
+            ["classify-cp", "--tol=inf"],
+            ["classify-cp", "--tol=-inf"],
         ],
     )
     def test_state_commands(self, fixture_state, argv):
@@ -235,6 +243,9 @@ class TestErrorBoundary:
              "--n", "3", "--beta-min", "1", "--beta-max", "2", "--points", "1"],
             ["saturate", "--n", "2", "--m", "2", "--frac", "0.5"],
             ["nstar", "--rational", "0 1 3/0"],
+            ["nstar", "--energies", "0", "1", "2", "--tol=nan"],  # printed "n_star": null
+            ["nstar", "--energies", "0", "1", "2", "--tol=inf"],
+            ["nstar", "--energies", "0", "1", "2", "--tol=-inf"],
         ],
     )
     def test_other_commands(self, argv):
@@ -302,7 +313,7 @@ OPTIONS = {
     "check": [
         ("--n", ORDER, True),
         ("--stability", ORDER, False),
-        ("--tol", st.sampled_from(["0", "1e-9", "nan"]), False),
+        ("--tol", st.sampled_from(["0", "1e-9", "nan", "inf", "-inf"]), False),
     ],
     "ergotropy": [("--n", ORDER, False)],
     "gibbs": [
@@ -311,7 +322,7 @@ OPTIONS = {
     ],
     "bounds": [("--n", ORDER, True), ("--table", st.just(None), False)],
     "flatten": [],
-    "classify-cp": [("--tol", st.sampled_from(["0", "1e-8", "nan"]), False)],
+    "classify-cp": [("--tol", st.sampled_from(["0", "1e-8", "nan", "inf", "-inf"]), False)],
 }
 
 
@@ -335,6 +346,8 @@ def test_fuzz_state_commands(data, argv):
         code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if any(flag == "--tol" and value in ("nan", "inf", "-inf") for flag, value in zip(argv, argv[1:])):
+        assert code == 2
     if code == 2:
         lines = err.splitlines()
         assert out == ""

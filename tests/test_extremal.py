@@ -89,6 +89,19 @@ class TestSampler:
                 (0.5468265748042148, 0.21217220347516, 0.24100118139163484,
                  4.032309044047127e-08, 5.899964439444616e-12),
             ]),
+            # the heaviest bench cells: 7,304 dense cuts, and the stable walk at N = 8
+            ([0, 0, 0, 1, 2], 8, 2, 3, False, [
+                (0.44940213946966795, 0.24376002865649685, 0.30683537893460894,
+                 2.4529384666584722e-06, 7.596409617558242e-13),
+                (0.4340503322018187, 0.3599335149946785, 0.20601436421518812,
+                 1.7885877801890265e-06, 5.344336753013997e-13),
+            ]),
+            ([0, 0, 1, 2], 8, 2, 4, True, [
+                (0.4939641777073514, 0.4939641777073514, 0.011681908507451638,
+                 0.0003897360778455695),
+                (0.4999999104981977, 0.4999999104981977, 1.7900342388763913e-07,
+                 1.8074119871921513e-13),
+            ]),
         ],
     )
     def test_pinned_output(self, energies, N, count, seed, stable, expected):

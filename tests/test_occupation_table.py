@@ -40,17 +40,20 @@ from npassive.spectra import (
 
 
 def _spectra(rng, d):
-    """A generic spectrum, one with near-ties and commensurate gaps, and one
-    with a degenerate ground level."""
+    """A generic spectrum, one with near-ties and commensurate gaps, one with
+    a degenerate ground level, and a chain of near-ties."""
     generic = [0.0] + sorted(rng.uniform(0.2, 3.0, d - 1).tolist())
     gap = float(rng.uniform(0.5, 1.5))
     # 4e-10 sits inside every tie tolerance, 3e-9 outside it at N = 1 only
     ladder = [0.0, gap, gap + 4e-10] + [gap * (k + 2) + 3e-9 * (k % 2) for k in range(d - 3)]
     degenerate = [0.0, 0.0] + sorted(rng.uniform(0.3, 2.5, d - 2).tolist())
+    # gaps of 0.8e-9 chain into tie groups wider than the tolerance at N = 1
+    chain = [0.0] + [1.0 + 0.8e-9 * k for k in range(d - 1)]
     return [
         Spectrum.from_levels([(e, 1) for e in generic]),
         Spectrum.from_levels([(e, 1) for e in ladder[:d]]),
         normalize_spectrum(degenerate),
+        Spectrum.from_levels([(e, 1) for e in chain]),
     ]
 
 

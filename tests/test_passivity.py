@@ -17,7 +17,7 @@ from npassive.passivity import (
     passive_rearrangement,
     prep1_envelope,
 )
-from npassive.spectra import DiagonalState, normalize_spectrum
+from npassive.spectra import DiagonalState, Spectrum, normalize_spectrum
 
 from conftest import random_state
 
@@ -73,6 +73,25 @@ class TestNPassive:
         if is_n_passive(s, rho, N).passive:
             for n_prime in range(1, N):
                 assert is_n_passive(s, rho, n_prime).passive
+
+
+class TestChainedTies:
+    """Gaps of 0.8e-9 chain 1, 1 + 0.8e-9 and 1 + 1.6e-9 into one tie group at
+    N = 1 (tolerance 1e-9), though the outer two differ by more than it."""
+
+    S = Spectrum.from_levels([(0, 1), (1, 1), (1 + 0.8e-9, 1), (1 + 1.6e-9, 1)])
+    RHO = DiagonalState((0.4, 0.18, 0.2, 0.22))
+
+    def test_verdict_follows_the_chain(self):
+        assert is_n_passive(self.S, self.RHO, 1).passive
+
+    def test_order_one_check_compares_pairs(self):
+        v = is_passive_1(self.S, self.RHO)
+        assert not v.passive
+        assert (v.witness[0].counts, v.witness[1].counts) == ((0, 0, 0, 1), (0, 1, 0, 0))
+
+    def test_stability_follows_the_chain(self):
+        assert not is_k_structurally_stable(self.S, self.RHO, 1)
 
 
 class TestStructuralStability:

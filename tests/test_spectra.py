@@ -13,7 +13,6 @@ from npassive.spectra import (
     SpectrumError,
     StateError,
     composition_count,
-    level_extrema,
     normalize_spectrum,
     occupations,
     state_energy,
@@ -145,16 +144,3 @@ class TestEnumerateOccupations:
         assert len(table) == composition_count(d, N)
         assert (table.sum(axis=1) == N).all() and (table >= 0).all()
         assert table.tolist() == [list(c) for c in compositions(d, N)]
-
-
-class TestLevelExtrema:
-    def test_degenerate_ground(self):
-        s = normalize_spectrum([0, 0, 1])
-        out = level_extrema(s, DiagonalState((0.5, 0.3, 0.2)))
-        assert out[0] == pytest.approx((0.3, 0.5, 0.4))
-        assert out[1] == pytest.approx((0.2, 0.2, 0.2))
-
-    def test_single_level(self):
-        s = normalize_spectrum([0, 0, 0])
-        out = level_extrema(s, DiagonalState((0.6, 0.3, 0.1)))
-        assert out[0] == pytest.approx((0.1, 0.6, 1 / 3))
