@@ -219,8 +219,8 @@ def cmd_scan_alpha(args) -> int:
     if len(args.energies) != len(args.degeneracies):
         raise InputError("--energies and --degeneracies need equal length")
     s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
-    if args.beta_min <= 0 or args.beta_max < args.beta_min:
-        raise InputError("need 0 < beta-min <= beta-max")
+    if not 0 < args.beta_min <= args.beta_max < math.inf:
+        raise InputError("need finite 0 < beta-min <= beta-max")
     import numpy as np
 
     grid = np.linspace(args.beta_min, args.beta_max, args.points)

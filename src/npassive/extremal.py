@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundViolationError
 from .gibbs import _energy, _entropy, _log_populations, gibbs_point, solve_beta_for_entropy
-from .passivity import _cuts
+from .passivity import _adjacent_cuts, _cuts
 from .spectra import DiagonalState, Spectrum
 
 DEFAULT_B_MAX = 30.0
@@ -120,46 +120,51 @@ def sample_n_passive(
     Coordinates are b_j = -ln(population) up to a common shift; slot 0 is
     gauge-fixed to b=0.  With ``stable`` the walk runs over one coordinate per
     distinct level, so every sample is order-1 structurally stable.
+
+    A step draws a Gaussian u and moves to a uniform point x + t u of the chord
+    in G x + h >= 0 (the generators ``_adjacent_cuts`` and the box), which is
+    -1/max(w) < t < -1/min(w) for w = G u / (G x + h), then clips x to the box.
+    Samples match a walk over every row of ``_cuts`` within |d ln p| <= 1e-10.
     """
     if s.num_levels < 2:
         raise ValueError("single-level spectra have no passivity structure to sample")
     if count < 1:
         raise ValueError("count must be >= 1")
     energies = tuple(s.level_energies.tolist()) if stable else s.energies
-    V = _cuts(energies, N)
+    V = _adjacent_cuts(energies, N)
     eps_free = np.array(energies[1:])
     n_free = len(eps_free)
     # lower box bound: ground-level slots may out-populate slot 0, others not
     lower = np.where(eps_free > 0, 0.0, -b_max)
     upper = np.full(n_free, b_max)
-    # the passivity cuts V[:, 1:] @ x >= 0 and the box, as one system G x + h >= 0
-    G = np.vstack([V[:, 1:], np.eye(n_free), -np.eye(n_free)])
-    h = np.concatenate([np.zeros(len(V)), -lower, upper])
+    # the passivity cuts V[:, 1:] @ x >= 0 and the box, as one system G x + h >= 0,
+    # stored as (G | h) transposed
+    GhT = np.block([[V[:, 1:].T, np.eye(n_free), -np.eye(n_free)],
+                    [np.zeros(len(V)), -lower, upper]])
 
     rng = np.random.default_rng(seed)
-    beta0 = b_max / (2.0 * s.eps_max)
-    x = beta0 * eps_free  # thermal point: strictly inside the cone
+    # rows (x, 1) and (u, 0); x starts at a thermal point, strictly inside the cone
+    xu = np.array([[*(b_max / (2.0 * s.eps_max) * eps_free), 1.0], [0.0] * (n_free + 1)])
+    x, u = xu[0, :-1], xu[1, :-1]
     kept = []
-    # rows with G u = 0 divide by zero; the masks below drop them
+    # a row with G x + h = 0 gives w = +-inf, which puts that chord end at t = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(burn_in + count * thin):
-            u = rng.standard_normal(n_free)
-            u /= math.sqrt(u @ u)
-            gu = G @ u
-            # chord ends t = -(G x + h)/(G u), taken over the rows where |G u| > 1e-14
-            q = (G @ x + h) / gu
-            t_lo = -q.min(where=gu > 1e-14, initial=math.inf)
-            t_hi = -q.max(where=gu < -1e-14, initial=-math.inf)
+            rng.standard_normal(out=u)
+            r_gu = np.dot(xu, GhT)
+            w = r_gu[1] / r_gu[0]
+            # the box rows give w both signs, so t_lo <= 0 <= t_hi
+            t_lo = -1.0 / np.maximum.reduce(w)
+            t_hi = -1.0 / np.minimum.reduce(w)
             if t_hi > t_lo:
                 # numpy's own uniform(t_lo, t_hi), without its argument handling
-                x = x + (t_lo + (t_hi - t_lo) * rng.random()) * u
+                t = t_lo + (t_hi - t_lo) * rng.random()
                 # np.clip's result: a bound replaces x unless x is strictly inside it
-                x = np.minimum(upper, np.maximum(lower, x))
+                np.minimum(upper, np.maximum(lower, x + t * u), out=x)
             if step >= burn_in and (step - burn_in) % thin == thin - 1:
-                kept.append(x)
+                kept.append(np.concatenate([[0.0], x]))  # b, slot 0 gauge-fixed
     samples: list[DiagonalState] = []
-    for x in kept:
-        b = np.concatenate([[0.0], x])
+    for b in kept:
         if stable:
             samples.append(level_state_from_b(s, b).to_dense(s))
         else:

@@ -10,8 +10,10 @@ Two rules decide which energy sums tie.  The passivity verdict and the
 stability check use chained groups from ``_energy_groups``: sorted sums whose
 consecutive gaps are all within the energy tolerance form one group, so a
 chain of small gaps can tie sums further apart than the tolerance.  The
-violation witness and the cuts of ``_difference_vectors`` use the pairwise
-rule: e_i is higher than e_j iff e_i > e_j + etol.
+violation witness and the cuts use the pairwise rule: e_i is higher than e_j
+iff e_i > e_j + etol.  ``verify_level_passive``, ``prep1_envelope`` and
+``max_alpha_scan`` read every cut, ``_cuts``; the sampler reads the
+energy-adjacent cuts that generate the same cone, ``_adjacent_cuts``.
 """
 
 from __future__ import annotations
@@ -125,6 +127,12 @@ def _scan_stable(energies, logpops, k, tol, energy_tol):
     return not np.any(full & (spread > tol) | ~full & (hi > -math.inf))
 
 
+def _keys(C, N):
+    """Each row's digits in base 2N+1 as one key; Python ints once base**d leaves int64."""
+    powers = [(2 * N + 1) ** k for k in range(C.shape[1] + 1)]
+    return C @ np.array(powers[:-1], object if powers[-1] > 2**62 else np.int64)
+
+
 def _difference_vectors(energies, N):
     """Deduplicated occupation differences I-J with strictly larger energy on I,
     in the order a scan over the pairs (I, J), I outer, first meets them.
@@ -137,8 +145,7 @@ def _difference_vectors(energies, N):
     # the row energies _scan_passive sees, so both see the same ties
     C, evals, _, _ = _energy_groups(tuple(energies), N, etol)
     base = 2 * N + 1
-    # Python-int keys once base**d leaves int64
-    keys = C @ np.array([base**k for k in range(d)], object if base**d > 2**62 else np.int64)
+    keys = _keys(C, N)
     seen = np.array([base**d], keys.dtype)  # sorted, with a sentinel above every key
     rows = []
     block = max(1, 8192 // len(C))
@@ -161,6 +168,28 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     iff v . lnp <= tol for every row v.
     """
     V = _difference_vectors(energies, N)
+    V.flags.writeable = False
+    return V
+
+
+@lru_cache(maxsize=64)
+def _adjacent_cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
+    """Generators of the cone of ``_cuts(energies, N)``, read-only and shared: the
+    differences I-J with e_I in (e_J + etol, e_K + etol], e_K the least row energy
+    above e_J + etol.  Any other cut I-J is the sum of the cuts I-K and K-J, each
+    with a smaller gap, so by induction these rows span the same cone."""
+    etol = default_energy_tol(max(energies), N)
+    C, evals, order, _ = _energy_groups(energies, N, etol)
+    e = evals[order]
+    j = np.flatnonzero(e[-1] > e + etol)
+    lo = np.searchsorted(e, e[j] + etol, side="right")
+    width = np.searchsorted(e, e[lo] + etol, side="right") - lo
+    # sorted positions lo .. lo + width - 1 against each j
+    i = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
+    higher, lower = order[i], order[np.repeat(j, width)]
+    keys = _keys(C, N)
+    _, first = np.unique(keys[higher] - keys[lower], return_index=True)
+    V = (C[higher[first]] - C[lower[first]]).astype(float)
     V.flags.writeable = False
     return V
 
@@ -298,7 +327,10 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
         need = mult
         while need:
             take = min(need, remaining)
-            e_passive += take * w * by_energy[j][1]
+            try:
+                e_passive += take * w * by_energy[j][1]
+            except OverflowError:
+                raise ValueError(f"N = {N}: block multiplicities overflow a float") from None
             need -= take
             remaining -= take
             if remaining == 0 and j + 1 < len(by_energy):

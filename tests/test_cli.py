@@ -246,12 +246,23 @@ class TestErrorBoundary:
             ["nstar", "--energies", "0", "1", "2", "--tol=nan"],  # printed "n_star": null
             ["nstar", "--energies", "0", "1", "2", "--tol=inf"],
             ["nstar", "--energies", "0", "1", "2", "--tol=-inf"],
+            # inf printed numpy's RuntimeWarning, and nan was blamed on "beta must be >= 0"
+            *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "10",
+               "--n", "3", f"--beta-min={lo}", f"--beta-max={hi}", "--points", "2"]
+              for lo, hi in [("nan", "2"), ("1", "nan"), ("1", "inf"), ("-inf", "2")]),
         ],
     )
     def test_other_commands(self, argv):
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ergotropy_multiplicity_overflow(self, tmp_path):
+        # C(1100, 550) leaves the float range; this was an OverflowError traceback
+        path = write_state(tmp_path, "q.json", [0, 1], [0.7, 0.3])
+        code, out, err = run(["ergotropy", "--state", path, "--n", "1100"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: N = 1100") and err.count("\n") == 1
 
     def test_nan_population_file(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -337,17 +348,10 @@ def state_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=state_data(), argv=state_argv())
-def test_fuzz_state_commands(data, argv):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
+def assert_one_outcome(command, code, out, err):
+    """Exit 0 or 1 with a report on stdout, or exit 2 with one error and no stdout."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if any(flag == "--tol" and value in ("nan", "inf", "-inf") for flag, value in zip(argv, argv[1:])):
-        assert code == 2
     if code == 2:
         lines = err.splitlines()
         assert out == ""
@@ -355,6 +359,90 @@ def test_fuzz_state_commands(data, argv):
             assert ": error: " in lines[-1]
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+    elif command == "saturate" and code == 1:  # an unreachable target, reported on stderr
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
-        strict_json(out)
+        if command == "scan-alpha":
+            assert out.startswith("beta,alpha,bound_inverse,bound_exponential\n")
+            assert all(len(row) == 4 for row in csv.reader(io.StringIO(out)))
+        else:
+            strict_json(out)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=state_data(), argv=state_argv())
+def test_fuzz_state_commands(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
+    assert_one_outcome(argv[0], code, out, err)
+    if any(flag == "--tol" and value in ("nan", "inf", "-inf") for flag, value in zip(argv, argv[1:])):
+        assert code == 2
+
+
+def option(flag, values):
+    # flag=value keeps a value such as -inf from reading as a flag
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+BETA = st.sampled_from(["0.5", "1", "3", "40"] * 3 + ["-1", "0", "nan", "inf", "-inf", "x"])
+LEVELS = st.sampled_from([
+    (["0", "1", "1.001"], ["1", "1", "1000"]),
+    (["0", "1", "1.9"], ["1", "2", "1"]),
+    (["0", "1"], ["1", "4"]),
+    (["0", "1", "nan"], ["1", "1", "1"]),
+    (["0", "1", "1.001"], ["1", "1"]),
+    (["0", "1", "2", "3"], ["1", "1", "1", "1"]),
+    (["1", "0", "2"], ["1", "1", "1"]),
+    (["0", "1", "2"], ["1", "0", "1"]),
+])
+# (N, m) pairs: saturate works for m = N - 1 only, and stays at N <= 8, as its
+# order-N cuts grow as N**4
+ORDERS = st.sampled_from([("2", "1"), ("3", "2"), ("5", "4"), ("8", "7"), ("3", "1"),
+                          ("2", "2"), ("0", "1"), ("x", "1"), ("8", "-1")])
+OTHER_OPTIONS = {
+    "scan-alpha": [
+        (LEVELS.map(lambda lv: ["--energies", *lv[0], "--degeneracies", *lv[1]]), True),
+        (option("--n", ORDER), True),
+        (option("--beta-min", BETA), True),
+        (option("--beta-max", BETA), True),
+        (option("--points", st.sampled_from(["1", "3", "3", "0", "-1"])), True),
+        (option("--resolution", st.sampled_from(["8", "20", "20", "0", "2"])), True),
+    ],
+    "saturate": [
+        (ORDERS.map(lambda nm: [f"--n={nm[0]}", f"--m={nm[1]}"]), True),
+        (option("--frac", st.sampled_from(["0", "0.5", "0.9", "0.9", "1", "1.5", "-0.5", "nan"])),
+         True),
+    ],
+    "nstar": [
+        (st.sampled_from([["0", "1", "3"], ["0", "1", "1.9"], ["0", "1"], ["0", "nan", "1"]])
+         .map(lambda e: ["--energies", *e]), False),
+        (option("--rational", st.sampled_from(["0 1 3", "0 1/2 1", "0 1 3/0", "0 x"])), False),
+        (option("--max-den", st.sampled_from(["-1", "0", "1", "1000"])), False),
+        (option("--tol", st.sampled_from(["0", "1e-9", "nan", "inf", "-inf"])), False),
+    ],
+}
+NON_FINITE_REJECTED = ("--beta-min=", "--beta-max=", "--tol=")
+
+
+@st.composite
+def other_argv(draw):
+    command = draw(st.sampled_from(sorted(OTHER_OPTIONS)))
+    argv = [command]
+    for fragments, required in OTHER_OPTIONS[command]:
+        if draw(st.integers(0, 9)) > 0 if required else draw(st.booleans()):
+            argv += draw(fragments)
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=other_argv())
+def test_fuzz_other_commands(argv):
+    code, out, err = run(argv)
+    assert_one_outcome(argv[0], code, out, err)
+    if any(arg.partition("=")[2] in ("nan", "inf", "-inf") and arg.startswith(NON_FINITE_REJECTED)
+           for arg in argv):
+        assert code == 2

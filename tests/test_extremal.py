@@ -15,6 +15,7 @@ from npassive.bounds import (
     spectral_ratio,
 )
 from npassive.extremal import (
+    DEFAULT_B_MAX,
     InfeasibleSaturationError,
     LevelState,
     _entropy_on_chord,
@@ -28,11 +29,13 @@ from npassive.extremal import (
 )
 from npassive.gibbs import gibbs_point
 from npassive.passivity import (
+    _adjacent_cuts,
+    _cuts,
     _difference_vectors,
     is_k_structurally_stable,
     is_n_passive,
 )
-from npassive.spectra import Spectrum, normalize_spectrum
+from npassive.spectra import EnumerationCapError, Spectrum, normalize_spectrum
 
 from conftest import decimal_gibbs
 from oracle import difference_vectors as _difference_vectors_reference
@@ -105,9 +108,13 @@ class TestSampler:
         ],
     )
     def test_pinned_output(self, energies, N, count, seed, stable, expected):
+        # the values come from a walk over every cut, so the chord ends, and
+        # with them the samples, differ from the generators' in the last bits
         s = normalize_spectrum(energies)
         got = sample_n_passive(s, N, count, seed=seed, stable=stable)
-        assert [tuple(map(float, r.populations)) for r in got] == expected
+        assert len(got) == len(expected)
+        for rho, pops in zip(got, expected):
+            assert np.max(np.abs(np.log(rho.populations) - np.log(pops))) <= 1e-10
 
 
 class TestDifferenceVectors:
@@ -137,6 +144,63 @@ class TestDifferenceVectors:
         energies = tuple(float(x) for x in np.round(np.linspace(0.0, 3.0, 28) ** 1.5, 3))
         ref = _difference_vectors_reference(energies, 2)
         assert np.array_equal(_difference_vectors(energies, 2), ref)
+
+
+class TestAdjacentCuts:
+    """The sampler's generators span the cone of the full cuts."""
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("mode", ["dense", "level"])
+    @pytest.mark.parametrize("k", range(len(TestDifferenceVectors.SPECTRA)))
+    def test_every_other_cut_splits(self, k, mode, N):
+        s = TestDifferenceVectors.SPECTRA[k]
+        energies = s.energies if mode == "dense" else tuple(s.level_energies)
+        full = _difference_vectors(energies, N).astype(np.int64)
+        gens = _adjacent_cuts(energies, N).astype(np.int64)
+        powers = (2 * N + 1) ** np.arange(len(energies))
+        keys = full @ powers  # unique while entries lie in [-N, N]
+        by_key = np.argsort(keys)
+        gap = full @ np.asarray(energies)
+
+        def find(rows):
+            """Positions of rows in full, or -1."""
+            k = rows @ powers
+            pos = by_key[np.searchsorted(keys, k, sorter=by_key).clip(max=len(full) - 1)]
+            return np.where(np.all(np.abs(rows) <= N, axis=1) & (keys[pos] == k), pos, -1)
+
+        at = find(gens)
+        assert np.all(at >= 0) and len(np.unique(at)) == len(gens)
+        is_gen = np.zeros(len(full), bool)
+        is_gen[at] = True
+        # every other row is g + b, g a generator and b a full row, each with a smaller gap
+        split = np.zeros(len(full), bool)
+        for g, g_gap in zip(gens, gens @ np.asarray(energies)):
+            pos = find(full + g)
+            hit = (pos >= 0) & (gap < gap[pos]) & (g_gap < gap[pos])
+            split[pos[hit]] = True
+        assert np.all(split | is_gen)
+
+    def test_all_ties_leave_the_box(self):
+        s = normalize_spectrum([0, 3e-10])
+        assert _adjacent_cuts(s.energies, 3).shape == (0, 2)
+        for rho in sample_n_passive(s, 3, 20, seed=2):
+            gap = math.log(rho.populations[0]) - math.log(rho.populations[1])
+            assert -1e-12 <= gap <= DEFAULT_B_MAX + 1e-12
+
+    def test_cap_still_raises(self):
+        with pytest.raises(EnumerationCapError):
+            sample_n_passive(normalize_spectrum([0, 1, 2, 3]), 200, 1, seed=1)
+
+    def test_three_level_walk_at_large_order(self):
+        s = normalize_spectrum([0, 1, 1.9])
+        for rho in sample_n_passive(s, 200, 8, seed=9, stable=True):
+            assert is_n_passive(s, rho, 200).passive
+
+    def test_heavy_cell_samples_are_passive(self):
+        s = normalize_spectrum([0, 0, 0, 1, 2])
+        assert len(_cuts(s.energies, 8)) == 7304
+        for rho in sample_n_passive(s, 8, 16, seed=13):
+            assert is_n_passive(s, rho, 8).passive
 
 
 class TestLevelState:
