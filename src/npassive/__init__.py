@@ -16,6 +16,7 @@ from .gibbs import (
     NoGibbsCounterpartError,
     gibbs_point,
     gibbs_populations,
+    isentropic_point,
     isoentropic_energy,
     solve_beta_for_entropy,
 )

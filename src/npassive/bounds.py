@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import gibbs_point, solve_beta_for_entropy
+from .gibbs import isentropic_point
 from .passivity import is_k_structurally_stable, is_n_passive
 from .spectra import DiagonalState, Spectrum, _check_aligned, state_energy, state_entropy
 
@@ -145,9 +145,8 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
             asymptotic=False, energy=E, entropy=S,
         )
 
-    beta = solve_beta_for_entropy(s, min(S, math.log(s.d)))
-    gp = gibbs_point(s, beta)
-    E_beta = gp.energy
+    gp = isentropic_point(s, min(S, math.log(s.d)))
+    beta, E_beta = gp.beta, gp.energy
     R = spectral_ratio(s)
     u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
     one_ss = is_k_structurally_stable(s, rho, 1)

@@ -134,10 +134,9 @@ def cmd_gibbs(args) -> int:
     if (args.beta is None) == (args.entropy is None):
         raise InputError("give exactly one of --beta / --entropy")
     if args.beta is not None:
-        beta = math.inf if args.beta == "inf" else float(args.beta)
+        gp = gibbs_mod.gibbs_point(s, math.inf if args.beta == "inf" else float(args.beta))
     else:
-        beta = gibbs_mod.solve_beta_for_entropy(s, args.entropy)
-    gp = gibbs_mod.gibbs_point(s, beta)
+        gp = gibbs_mod.isentropic_point(s, args.entropy)
     _emit(
         {
             "beta": gp.beta,
@@ -221,6 +220,8 @@ def cmd_scan_alpha(args) -> int:
     s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
     if not 0 < args.beta_min <= args.beta_max < math.inf:
         raise InputError("need finite 0 < beta-min <= beta-max")
+    if args.n < 1 or args.points < 1:
+        raise InputError("need --n >= 1 and --points >= 1")
     import numpy as np
 
     grid = np.linspace(args.beta_min, args.beta_max, args.points)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundViolationError
-from .gibbs import _energy, _entropy, _log_populations, gibbs_point, solve_beta_for_entropy
+from .gibbs import _energy, _entropy, _log_populations, gibbs_point, isentropic_point
 from .passivity import _adjacent_cuts, _cuts
 from .spectra import DiagonalState, Spectrum
 
@@ -352,9 +352,8 @@ def saturation_construct(
             )
         S = level_entropy(spectrum, ls)
         E = level_energy(spectrum, ls)
-        beta = solve_beta_for_entropy(spectrum, S)
-        E_beta = gibbs_point(spectrum, beta).energy
-        alpha_meas = E / E_beta
+        gp = isentropic_point(spectrum, S)
+        beta, alpha_meas = gp.beta, E / gp.energy
         if alpha_meas > a_max:
             raise BoundViolationError(f"measured ratio {alpha_meas} exceeds N/(N-r) = {a_max}")
         params = SaturationParams(N=N, m=m, r=r, beta_eps1=beta, g1=g1, g2=g2,

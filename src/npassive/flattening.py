@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import gibbs_point, isoentropic_energy, solve_beta_for_entropy
+from .gibbs import isentropic_point, solve_beta_for_entropy
 from .spectra import (
     DiagonalState,
     Spectrum,
@@ -78,10 +78,10 @@ def delta_S_bound(
     S = state_entropy(rho)
     if S < math.log(s.d0) - 1e-12:
         raise RegimeError("entropy below ln d0: no isoentropic thermal state")
-    beta, E_beta = isoentropic_energy(s, rho)
+    gp = isentropic_point(s, S)
+    beta, E_beta = gp.beta, gp.energy
     if not math.isfinite(beta):
         raise RegimeError("isoentropic temperature is zero (S == ln d0 limit)")
-    gp = gibbs_point(s, beta)
     z_inv = math.exp(-gp.logZ)
     # equality within roundoff (an exactly thermal state) is rejected too
     if min(rho.populations[: s.d0]) >= z_inv * (1.0 - 1e-12):
@@ -134,10 +134,10 @@ def gibbs_crossing_witness(
     level under-populated; this returns the first such pair.
     """
     _check_aligned(s, rho)
-    beta = solve_beta_for_entropy(s, state_entropy(rho))
+    gp = isentropic_point(s, state_entropy(rho))
+    beta, logZ = gp.beta, gp.logZ
     if not math.isfinite(beta):
         raise RegimeError("state entropy at the ln d0 limit: no finite temperature")
-    logZ = gibbs_point(s, beta).logZ
     if rho.populations[0] >= math.exp(-logZ) - tol:
         raise RegimeError("leading population not below 1/Z: hypothesis fails")
     eps = s.energies
@@ -159,8 +159,7 @@ def same_level_log_gap_ok(
     _check_aligned(s, rho)
     if N < 2:
         raise ValueError("needs N >= 2")
-    beta = solve_beta_for_entropy(s, state_entropy(rho))
-    logZ = gibbs_point(s, beta).logZ
+    logZ = isentropic_point(s, state_entropy(rho)).logZ
     for (e, g), (lo, hi) in zip(s.distinct_levels, s.level_slices):
         if e <= 0 or g < 2:
             continue

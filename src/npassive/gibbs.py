@@ -1,14 +1,16 @@
 """Thermal-state functionals and the inverse problem beta(entropy).
 
 All functionals are evaluated level-wise from (energy, log-multiplicity)
-pairs, so astronomically degenerate spectra cost nothing extra.  The
-entropy-to-beta inversion exploits strict monotonicity of S_beta.
+pairs, so astronomically degenerate spectra cost nothing extra.  The one
+entropy-to-beta solve, ``isentropic_point``, exploits the strict monotonicity
+of S_beta and returns the Gibbs point at the beta it accepts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,15 +68,22 @@ def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
 
     The ground multiplicity g0 is divided out of the level weights, so the
     entropy gap above ln g0 is a sum of non-negative terms and stays exact
-    far below 1e-16; logZ = ln g0 - lnp[0] because eps[0] = 0.
+    far below 1e-16; logZ = ln g0 - lnp[0] because eps[0] = 0.  The level
+    populations are exponentiated once and E, Var E and S read from them.
     """
     if math.isinf(beta):
         return float(logg[0]), 0.0, 0.0, 0.0
     rel = logg - logg[0]
     lnp = _log_populations(rel, beta * eps)
-    energy = float(_energy(eps, rel, lnp))
-    var = float(_energy((eps - energy) ** 2, rel, lnp))
-    return float(logg[0] - lnp[0]), energy, float(_entropy(rel, lnp)), var
+    p = np.exp(rel + lnp)
+    energy = float((p * eps).sum(axis=-1))
+    var = float((p * (eps - energy) ** 2).sum(axis=-1))
+    return float(logg[0] - lnp[0]), energy, float(-(p * lnp).sum(axis=-1)), var
+
+
+def _point(beta: float, logg: np.ndarray, functionals) -> GibbsPoint:
+    logZ, energy, gap, _ = functionals
+    return GibbsPoint(beta=beta, logZ=logZ, energy=energy, entropy=float(logg[0]) + gap)
 
 
 def gibbs_point(s: Spectrum, beta: float) -> GibbsPoint:
@@ -82,8 +91,7 @@ def gibbs_point(s: Spectrum, beta: float) -> GibbsPoint:
     if not beta >= 0:
         raise ValueError("beta must be >= 0 (or +inf)")
     logg = s.log_multiplicities
-    logZ, energy, gap, _ = _thermal_functionals(s.level_energies, logg, beta)
-    return GibbsPoint(beta=beta, logZ=logZ, energy=energy, entropy=float(logg[0]) + gap)
+    return _point(beta, logg, _thermal_functionals(s.level_energies, logg, beta))
 
 
 def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
@@ -96,8 +104,8 @@ def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
     return DiagonalState(tuple(p / total for p in pops))
 
 
-def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> float:
-    """Invert the strictly decreasing map beta -> S_beta by safeguarded Newton.
+def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> GibbsPoint:
+    """The Gibbs point whose entropy is S_target, found by safeguarded Newton.
 
     Newton runs on the log of the distance from S_beta to the nearer end of
     [ln d0, ln d]: ln(S - ln d0) is near-linear in beta at low temperature,
@@ -105,10 +113,16 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
     slopes from dS/dbeta = -beta*Var_beta(E).  A step that leaves the bracket
     known to hold the root is replaced by bisection.  A beta is accepted once
     |S_beta - S_target| <= tol*(S_target - ln d0), a tolerance that stays
-    relative at S << 1.  Returns +inf when the target is the minimum-entropy
-    limit ln(d0), or when even beta = BETA_INF_FACTOR/eps_max leaves more
-    entropy than the target.
+    relative at S << 1; the point is built from the functionals evaluated there.
+    beta is +inf when the target is the minimum-entropy limit ln(d0), or when
+    even beta = BETA_INF_FACTOR/eps_max leaves more entropy than the target.
+    The last 64 (spectrum, S_target, tol) are memoized.
     """
+    return _isentropic_point(s, S_target, tol)
+
+
+@lru_cache(maxsize=64)
+def _isentropic_point(s: Spectrum, S_target: float, tol: float) -> GibbsPoint:
     if math.isnan(S_target):
         raise ValueError("entropy must be a number")
     ln_d = math.log(s.d)
@@ -120,11 +134,11 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
             f"entropy {S_target} below ln d0 = {ln_d0}: no thermal state matches"
         )
     if S_target >= ln_d - tol:
-        return 0.0
+        return gibbs_point(s, 0.0)
     eps, logg = s.level_energies, s.log_multiplicities
     gap, span = S_target - float(logg[0]), ln_d - float(logg[0])
     if gap <= 0:
-        return math.inf
+        return gibbs_point(s, math.inf)
     low = gap <= 0.5 * span
     if low:  # two-level law gap = G1*exp(-x)*(1 + x), x = beta*eps_1, as S -> ln d0
         x = max(float(logg[1] - logg[0]) - math.log(gap), 1.0)
@@ -135,11 +149,12 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
     cap = BETA_INF_FACTOR / s.eps_max
     lo, hi, beta = 0.0, math.inf, min(beta, cap)
     for _ in range(100):
-        _, _, gap_b, var = _thermal_functionals(eps, logg, beta)
+        f = _thermal_functionals(eps, logg, beta)
+        _, _, gap_b, var = f
         if abs(gap_b - gap) <= tol * gap:
-            return beta
+            return _point(beta, logg, f)
         if gap_b > gap and beta == cap:
-            return math.inf
+            return gibbs_point(s, math.inf)
         lo, hi = (beta, hi) if gap_b > gap else (lo, beta)
         dist = gap_b if low else span - gap_b
         nxt = math.inf
@@ -149,13 +164,18 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
             nxt = 0.5 * (lo + hi)
         nxt = min(nxt, cap)
         if not lo < nxt < hi:  # the bracket has shrunk to adjacent floats
-            return beta
+            return _point(beta, logg, f)
         beta = nxt
-    return beta
+    return gibbs_point(s, beta)
+
+
+def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> float:
+    """Inverse temperature of the Gibbs state with entropy S_target (see isentropic_point)."""
+    return isentropic_point(s, S_target, tol).beta
 
 
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:
     """(beta_rho, E_beta) of the thermal state sharing the entropy of rho."""
     _check_aligned(s, rho)
-    beta = solve_beta_for_entropy(s, state_entropy(rho))
-    return beta, gibbs_point(s, beta).energy
+    gp = isentropic_point(s, state_entropy(rho))
+    return gp.beta, gp.energy

@@ -4,13 +4,15 @@ These are the pairwise Python loops the library ran before every enumerator
 read from ``spectra.occupations``: a recursive generator of occupation
 vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
 ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
-reproduce them bit for bit.
+reproduce them bit for bit.  ``thermal_functionals`` is the Gibbs level
+functional as it was before it exponentiated the populations once.
 """
 
 import math
 
 import numpy as np
 
+from npassive.gibbs import _log_populations
 from npassive.passivity import default_energy_tol
 from npassive.spectra import state_energy
 
@@ -163,3 +165,15 @@ def difference_vectors(energies, N):
                     rows.append(diff)
     return np.array(rows, dtype=float)
 
+
+
+def thermal_functionals(eps, logg, beta):
+    """(logZ, E, S - ln g0, Var E) with one exp of the populations per sum."""
+    if math.isinf(beta):
+        return float(logg[0]), 0.0, 0.0, 0.0
+    rel = logg - logg[0]
+    lnp = _log_populations(rel, beta * eps)
+    energy = float((np.exp(rel + lnp) * eps).sum(axis=-1))
+    var = float((np.exp(rel + lnp) * (eps - energy) ** 2).sum(axis=-1))
+    entropy = float(-(np.exp(rel + lnp) * lnp).sum(axis=-1))
+    return float(logg[0] - lnp[0]), energy, entropy, var

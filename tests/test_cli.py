@@ -169,8 +169,8 @@ class TestOtherCommands:
         import npassive.extremal as X
 
         # a too-cold isentropic temperature understates E_beta, so the ratio overshoots
-        real = X.solve_beta_for_entropy
-        monkeypatch.setattr(X, "solve_beta_for_entropy", lambda s, S: 2.0 * real(s, S))
+        real = X.isentropic_point
+        monkeypatch.setattr(X, "isentropic_point", lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
         assert main(["saturate", "--n", "3", "--m", "2", "--frac", "0.9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -250,6 +250,13 @@ class TestErrorBoundary:
             *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "10",
                "--n", "3", f"--beta-min={lo}", f"--beta-max={hi}", "--points", "2"]
               for lo, hi in [("nan", "2"), ("1", "nan"), ("1", "inf"), ("-inf", "2")]),
+            # --points 0 printed a bare CSV header with exit 0, -1 numpy's ValueError
+            *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "10",
+               "--n", "3", "--beta-min=1", "--beta-max=2", f"--points={points}"]
+              for points in ("0", "-1")),
+            # on two levels --n 0 divided by zero in a traceback, and -1 printed a CSV
+            *(["scan-alpha", "--energies", "0", "1", "--degeneracies", "1", "4", f"--n={n}",
+               "--beta-min=1", "--beta-max=2", "--points", "1"] for n in ("0", "-1")),
         ],
     )
     def test_other_commands(self, argv):
@@ -445,4 +452,6 @@ def test_fuzz_other_commands(argv):
     assert_one_outcome(argv[0], code, out, err)
     if any(arg.partition("=")[2] in ("nan", "inf", "-inf") and arg.startswith(NON_FINITE_REJECTED)
            for arg in argv):
+        assert code == 2
+    if "--points=0" in argv or "--points=-1" in argv:
         assert code == 2

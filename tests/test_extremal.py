@@ -353,6 +353,24 @@ def test_alpha_scan_curves_script(tmp_path):
         assert max(float(r["alpha"]) for r in rows) <= alpha_max(cfg.N, spectral_ratio(s)) + 1e-9
 
 
+DEMO_STDOUT = """\
+  N   m   ceiling  measured  predicted      beta           g2
+  2   1   2.00200   1.83546    1.90146    62.446 4025284853486
+  3   2   1.50075   1.38586    1.42535    54.818      9418545
+  5   4   1.25031   1.13982    1.18820    33.454          174
+"""
+
+
+def test_saturation_demo_script(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "saturation_demo.py"
+    spec = importlib.util.spec_from_file_location("saturation_demo", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", [str(path)])
+    script.main()
+    assert capsys.readouterr().out == DEMO_STDOUT
+
+
 class TestSaturation:
     def test_n2_reaches_ninety_percent(self):
         res = saturation_construct(2, 1, 0.9)
@@ -376,8 +394,8 @@ class TestSaturation:
     def test_ratio_above_ceiling_raises(self, monkeypatch):
         import npassive.extremal as X
 
-        real = X.solve_beta_for_entropy
-        monkeypatch.setattr(X, "solve_beta_for_entropy", lambda s, S: 2.0 * real(s, S))
+        real = X.isentropic_point
+        monkeypatch.setattr(X, "isentropic_point", lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
         with pytest.raises(BoundViolationError):
             saturation_construct(3, 2, 0.9)
 

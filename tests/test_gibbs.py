@@ -1,14 +1,22 @@
 import math
+from dataclasses import astuple
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import npassive.gibbs as G
+import oracle
+from npassive.bounds import bound_report
+from npassive.flattening import delta_S_bound
 from npassive.gibbs import (
+    BETA_INF_FACTOR,
     EntropyRangeError,
     NoGibbsCounterpartError,
+    _thermal_functionals,
     gibbs_point,
     gibbs_populations,
+    isentropic_point,
     isoentropic_energy,
     solve_beta_for_entropy,
 )
@@ -176,3 +184,73 @@ class TestDecimalOracle:
         gp = gibbs_point(s, beta)
         for got, ref in zip((gp.logZ, gp.energy, gp.entropy), decimal_gibbs(levels, beta)):
             assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref, (beta, got, float(ref))
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestOneSolve:
+    """The solver's Gibbs point is the one gibbs_point gives at its beta."""
+
+    @pytest.mark.parametrize("beta", ["0", "1e-8", "1", "50/eps_max", "inf"])
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    def test_functional_matches_three_exp_reference(self, levels, beta):
+        s = Spectrum.from_levels(levels)
+        b = 50.0 / s.eps_max if beta == "50/eps_max" else float(beta)
+        args = (s.level_energies, s.log_multiplicities, b)
+        assert _bits(_thermal_functionals(*args)) == _bits(oracle.thermal_functionals(*args))
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    def test_point_equals_gibbs_point(self, levels, which):
+        s = Spectrum.from_levels(levels)
+        S = _oracle_targets(levels)[which]
+        point = astuple(isentropic_point(s, S))
+        assert _bits(point) == _bits(astuple(gibbs_point(s, solve_beta_for_entropy(s, S))))
+
+    @pytest.mark.parametrize(
+        "energies, S, beta",
+        [
+            ([0, 1, 2], math.log(3) - 1e-13, 0.0),  # within tol of ln d
+            ([0, 0, 1], math.log(2), math.inf),  # S = ln d0
+            ([0, 1], 1e-310, math.inf),  # more entropy than the target even at the cap
+        ],
+    )
+    def test_end_points(self, energies, S, beta):
+        s = normalize_spectrum(energies)
+        point = isentropic_point(s, S)
+        assert point.beta == beta
+        assert _bits(astuple(point)) == _bits(astuple(gibbs_point(s, beta)))
+        if S == 1e-310:
+            assert gibbs_point(s, BETA_INF_FACTOR / s.eps_max).entropy > S
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        G._isentropic_point.cache_clear()
+        calls = [0]
+        real = G._thermal_functionals
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(G, "_thermal_functionals", counted)
+        return calls
+
+    def test_delta_S_bound_reuses_the_solve(self, evaluations):
+        s, rho = normalize_spectrum([0, 0, 1]), DiagonalState((0.42, 0.38, 0.2))
+        bound_report(s, rho, 3)
+        alone = evaluations[0]
+        delta_S_bound(s, rho, 3)
+        assert alone > 0
+        assert evaluations[0] == alone
+
+    def test_other_tol_misses_the_memo(self, evaluations):
+        s, S = normalize_spectrum([0, 0, 1]), 0.9
+        isentropic_point(s, S)
+        first = evaluations[0]
+        isentropic_point(s, S)
+        assert evaluations[0] == first
+        isentropic_point(s, S, tol=1e-9)
+        assert evaluations[0] > first
