@@ -166,7 +166,6 @@ def difference_vectors(energies, N):
     return np.array(rows, dtype=float)
 
 
-
 def thermal_functionals(eps, logg, beta):
     """(logZ, E, S - ln g0, Var E) with one exp of the populations per sum."""
     if math.isinf(beta):

@@ -170,7 +170,8 @@ class TestOtherCommands:
 
         # a too-cold isentropic temperature understates E_beta, so the ratio overshoots
         real = X.isentropic_point
-        monkeypatch.setattr(X, "isentropic_point", lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
+        monkeypatch.setattr(X, "isentropic_point",
+                            lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
         assert main(["saturate", "--n", "3", "--m", "2", "--frac", "0.9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -395,7 +395,8 @@ class TestSaturation:
         import npassive.extremal as X
 
         real = X.isentropic_point
-        monkeypatch.setattr(X, "isentropic_point", lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
+        monkeypatch.setattr(X, "isentropic_point",
+                            lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
         with pytest.raises(BoundViolationError):
             saturation_construct(3, 2, 0.9)
 

@@ -214,7 +214,7 @@ class TestOneSolve:
         [
             ([0, 1, 2], math.log(3) - 1e-13, 0.0),  # within tol of ln d
             ([0, 0, 1], math.log(2), math.inf),  # S = ln d0
-            ([0, 1], 1e-310, math.inf),  # more entropy than the target even at the cap
+            ([0, 1], 1e-310, math.inf),  # the beta cap, see test_cap_leaves_more_entropy
         ],
     )
     def test_end_points(self, energies, S, beta):
@@ -222,8 +222,10 @@ class TestOneSolve:
         point = isentropic_point(s, S)
         assert point.beta == beta
         assert _bits(astuple(point)) == _bits(astuple(gibbs_point(s, beta)))
-        if S == 1e-310:
-            assert gibbs_point(s, BETA_INF_FACTOR / s.eps_max).entropy > S
+
+    def test_cap_leaves_more_entropy(self):
+        s = normalize_spectrum([0, 1])
+        assert gibbs_point(s, BETA_INF_FACTOR / s.eps_max).entropy > 1e-310 > math.log(s.d0)
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
