@@ -84,6 +84,8 @@ def alpha_max(N: int, R: float) -> float:
 
 def exponential_factor(beta: float, eps_max: float, R: float, N: int) -> float:
     """exp(beta*eps_max*R/N); +inf where that overflows a float."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if math.isinf(beta):
         return math.inf if R > 0 else 1.0
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundViolationError
 from .gibbs import _energy, _entropy, _log_populations, gibbs_point, isentropic_point
-from .passivity import _adjacent_cuts, _cuts
+from .passivity import _cuts
 from .spectra import DiagonalState, Spectrum
 
 DEFAULT_B_MAX = 30.0
@@ -92,7 +92,8 @@ def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None 
 
     Occupation vectors over individual slots of a level-uniform state fold to
     occupation vectors over levels, so the level-space cuts are exhaustive:
-    every cut v needs v . ln(lambda) <= tol.  A cut with a positive count on
+    every generator v of ``_cuts`` needs v . ln(lambda) <= tol, so a cut that
+    is a sum of k generators is held to k*tol.  A cut with a positive count on
     an empty level never binds, and one with a negative count there fails.
     """
     if tol is None:
@@ -122,16 +123,15 @@ def sample_n_passive(
     distinct level, so every sample is order-1 structurally stable.
 
     A step draws a Gaussian u and moves to a uniform point x + t u of the chord
-    in G x + h >= 0 (the generators ``_adjacent_cuts`` and the box), which is
+    in G x + h >= 0 (the generators ``_cuts`` and the box), which is
     -1/max(w) < t < -1/min(w) for w = G u / (G x + h), then clips x to the box.
-    Samples match a walk over every row of ``_cuts`` within |d ln p| <= 1e-10.
     """
     if s.num_levels < 2:
         raise ValueError("single-level spectra have no passivity structure to sample")
     if count < 1:
         raise ValueError("count must be >= 1")
     energies = tuple(s.level_energies.tolist()) if stable else s.energies
-    V = _adjacent_cuts(energies, N)
+    V = _cuts(energies, N)
     eps_free = np.array(energies[1:])
     n_free = len(eps_free)
     # lower box bound: ground-level slots may out-populate slot 0, others not
@@ -195,11 +195,11 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
     """
     v1, v2 = cuts
     b1 = np.linspace(0.0, 1.2 * beta * s.level_energies[1] + 2.0, resolution)
-    up, down, flat = v2 > 0, v2 < 0, v2 == 0
+    # a cut with v2 = 0 is (-k, k, 0), k > 0, which b1 >= 0 always meets
+    up, down = v2 > 0, v2 < 0
     lo = np.max(-v1[up] * b1[:, None] / v2[up], axis=1, initial=0.0)
     hi = np.min(-v1[down] * b1[:, None] / v2[down], axis=1, initial=2000.0)
-    blocked = np.any(v1[flat] * b1[:, None] < 0, axis=1)
-    keep = ~blocked & (hi > lo)
+    keep = hi > lo
     b1 = b1[keep]
     ts = np.linspace(lo[keep], hi[keep], max(resolution, 64), axis=-1)
     vals = _entropy_on_chord(s, b1[:, None], ts)[0] - S_target
@@ -246,6 +246,8 @@ def max_alpha_scan(
     """
     if s.num_levels > 3:
         raise NotImplementedError("grid scan supports at most three distinct levels")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     rows: list[AlphaScanRow] = []
     eps = s.level_energies
     cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None

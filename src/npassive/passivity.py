@@ -11,9 +11,11 @@ stability check use chained groups from ``_energy_groups``: sorted sums whose
 consecutive gaps are all within the energy tolerance form one group, so a
 chain of small gaps can tie sums further apart than the tolerance.  The
 violation witness and the cuts use the pairwise rule: e_i is higher than e_j
-iff e_i > e_j + etol.  ``verify_level_passive``, ``prep1_envelope`` and
-``max_alpha_scan`` read every cut, ``_cuts``; the sampler reads the
-energy-adjacent cuts that generate the same cone, ``_adjacent_cuts``.
+iff e_i > e_j + etol.  One cut set serves every reader (the sampler,
+``verify_level_passive``, ``prep1_envelope`` and ``max_alpha_scan``): the
+energy-adjacent differences of ``_cuts``, which generate the cone of all the
+pairwise differences.  Each generator is held to the reader's tolerance tol,
+so a cut that is a sum of k generators is held to k*tol.
 """
 
 from __future__ import annotations
@@ -127,57 +129,14 @@ def _scan_stable(energies, logpops, k, tol, energy_tol):
     return not np.any(full & (spread > tol) | ~full & (hi > -math.inf))
 
 
-def _keys(C, N):
-    """Each row's digits in base 2N+1 as one key; Python ints once base**d leaves int64."""
-    powers = [(2 * N + 1) ** k for k in range(C.shape[1] + 1)]
-    return C @ np.array(powers[:-1], object if powers[-1] > 2**62 else np.int64)
-
-
-def _difference_vectors(energies, N):
-    """Deduplicated occupation differences I-J with strictly larger energy on I,
-    in the order a scan over the pairs (I, J), I outer, first meets them.
-
-    Pairs are formed a block of I at a time; a difference is keyed by its
-    digits in the balanced base 2N+1, unique as every entry lies in [-N, N].
-    """
-    d = len(energies)
-    etol = default_energy_tol(max(energies), N)
-    # the row energies _scan_passive sees, so both see the same ties
-    C, evals, _, _ = _energy_groups(tuple(energies), N, etol)
-    base = 2 * N + 1
-    keys = _keys(C, N)
-    seen = np.array([base**d], keys.dtype)  # sorted, with a sentinel above every key
-    rows = []
-    block = max(1, 8192 // len(C))
-    for start in range(0, len(C), block):
-        i, j = np.nonzero(evals[start:start + block, None] > evals + etol)
-        i += start
-        uniq, first = np.unique(keys[i] - keys[j], return_index=True)
-        new = seen[np.searchsorted(seen, uniq)] != uniq
-        first = np.sort(first[new])
-        rows.append(C[i[first]] - C[j[first]])
-        seen = np.sort(np.concatenate([seen, uniq[new]]))
-    return np.concatenate(rows).astype(float)
-
-
-@lru_cache(maxsize=8)
-def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
-    """The rows of ``_difference_vectors(energies, N)``, read-only and shared.
-
-    A state with log-populations lnp is order-N passive over these slots
-    iff v . lnp <= tol for every row v.
-    """
-    V = _difference_vectors(energies, N)
-    V.flags.writeable = False
-    return V
-
-
 @lru_cache(maxsize=64)
-def _adjacent_cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
-    """Generators of the cone of ``_cuts(energies, N)``, read-only and shared: the
-    differences I-J with e_I in (e_J + etol, e_K + etol], e_K the least row energy
-    above e_J + etol.  Any other cut I-J is the sum of the cuts I-K and K-J, each
-    with a smaller gap, so by induction these rows span the same cone."""
+def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
+    """Generators of the order-N passive cone over these slots, read-only and
+    shared: the differences I-J with e_I in (e_J + etol, e_K + etol], e_K the
+    least row energy above e_J + etol.  Any other cut I-J is the sum of the
+    cuts I-K and K-J, each with a smaller gap, so by induction these rows span
+    every cut.  Built in O(M*w) for M rows and windows of w partners.
+    """
     etol = default_energy_tol(max(energies), N)
     C, evals, order, _ = _energy_groups(energies, N, etol)
     e = evals[order]
@@ -187,7 +146,10 @@ def _adjacent_cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     # sorted positions lo .. lo + width - 1 against each j
     i = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
     higher, lower = order[i], order[np.repeat(j, width)]
-    keys = _keys(C, N)
+    # each row's digits in balanced base 2N+1 as one key, unique as every
+    # entry lies in [-N, N]; Python ints once base**d leaves int64
+    powers = [(2 * N + 1) ** k for k in range(C.shape[1] + 1)]
+    keys = C @ np.array(powers[:-1], object if powers[-1] > 2**62 else np.int64)
     _, first = np.unique(keys[higher] - keys[lower], return_index=True)
     V = (C[higher[first]] - C[lower[first]]).astype(float)
     V.flags.writeable = False
@@ -384,8 +346,11 @@ def prep1_envelope(
     Given outer populations lam_a (low energy) and lam_c (high energy),
     every occupation-vector comparison among the three levels at order N
     yields a geometric inequality on the middle population; the returned
-    interval is the intersection of all of them, so it matches brute-force
-    order-N passivity checks exactly.
+    interval is the intersection of all of them.  Only the generators of
+    ``_cuts`` are evaluated, each held exactly (tol = 0); a cut that is a sum
+    of k generators is then held to k*tol = 0 too, so in exact arithmetic the
+    interval is the brute-force one, and in floats each end lies a few ulp
+    from it.
     """
     if not (eps_a < eps_b < eps_c):
         raise ValueError("need eps_a < eps_b < eps_c")

@@ -4,11 +4,17 @@ These are the pairwise Python loops the library ran before every enumerator
 read from ``spectra.occupations``: a recursive generator of occupation
 vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
 ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
-reproduce them bit for bit.  ``thermal_functionals`` is the Gibbs level
-functional as it was before it exponentiated the populations once.
+reproduce them bit for bit, except ``prep1_envelope``, whose ends both it and
+the library keep within a few ulp of ``prep1_envelope_exact``.
+``difference_vectors`` is every cut and ``adjacent_cuts`` the pairwise
+definition of the generators the library reads.  ``thermal_functionals`` is
+the Gibbs level functional as it was before it exponentiated the populations
+once.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,6 +170,50 @@ def difference_vectors(energies, N):
                     seen.add(diff)
                     rows.append(diff)
     return np.array(rows, dtype=float)
+
+
+def adjacent_cuts(energies, N):
+    """The set of differences I-J with e_I > e_J + etol that no row energy e_K
+    splits, i.e. none has e_K > e_J + etol and e_I > e_K + etol."""
+    vectors = list(compositions(len(energies), N))
+    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
+    etol = default_energy_tol(max(energies), N)
+    rows = set()
+    for vj, ej in zip(vectors, evals):
+        above = [e for e in evals if e > ej + etol]
+        if not above:
+            continue
+        # some e_K splits I-J iff the least e_K above e_J + etol does
+        top = min(above)
+        for vi, ei in zip(vectors, evals):
+            if ei > ej + etol and not ei > top + etol:
+                rows.add(tuple(a - b for a, b in zip(vi, vj)))
+    return rows
+
+
+def prep1_envelope_exact(N, eps_a, eps_b, eps_c, lam_a, lam_c):
+    """The ``prep1_envelope`` interval, correctly rounded.
+
+    The cuts and the logs ln(lam_a), ln(lam_c) are the float ones; each bound
+    within 1e-9 of the float extreme is redone in ``Fraction``, and the exact
+    extreme is exponentiated in 40-digit ``decimal``.
+    """
+    V = difference_vectors((0.0, eps_b - eps_a, eps_c - eps_a), N).astype(int).tolist()
+    la, lc = math.log(lam_a), math.log(lam_c)
+    ends = []
+    for sign, pick in ((-1, max), (1, min)):
+        rows = [(v0, v1, v2) for v0, v1, v2 in V if v1 * sign > 0]
+        floats = [(-v0 * la - v2 * lc) / v1 for v0, v1, v2 in rows]
+        near = pick(floats)
+        exact = pick(
+            (-v0 * Fraction(la) - v2 * Fraction(lc)) / v1
+            for (v0, v1, v2), x in zip(rows, floats)
+            if abs(x - near) <= 1e-9
+        )
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ends.append(float((Decimal(exact.numerator) / Decimal(exact.denominator)).exp()))
+    return tuple(ends)
 
 
 def thermal_functionals(eps, logg, beta):

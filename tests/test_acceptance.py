@@ -278,9 +278,9 @@ def test_10_commensurability_grid():
     # order-2 stability on the ladder: the energy tie (0,2,0) ~ (1,0,1)
     stable = np.abs(2 * ln1 - ln0 - ln2) <= 1e-6
     # order-2 passivity: every deduplicated occupation-difference constraint
-    from npassive.passivity import _difference_vectors
+    from oracle import difference_vectors
 
-    V = _difference_vectors(s.energies, 2)
+    V = difference_vectors(s.energies, 2)
     passive = np.ones_like(ln0, dtype=bool)
     for v0, v1, v2 in V:
         passive &= v0 * ln0 + v1 * ln1 + v2 * ln2 <= 1e-9

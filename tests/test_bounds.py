@@ -148,6 +148,12 @@ def test_exponential_factor_overflows_to_inf():
     assert exponential_factor(1.0, 2.0, 1e6, 5) == math.inf
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_exponential_factor_rejects_order_below_one(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        exponential_factor(1.0, 1.0, 0.0, N)
+
+
 class TestCrossover:
     def test_factor_comparison_matches_analytic(self):
         # e^x <= 1/(1-x) on [0,1), so the exponential factor always wins when

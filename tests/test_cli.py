@@ -165,6 +165,12 @@ class TestOtherCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["alpha_measured"] >= 0.9 * out["alpha_max"]
 
+    def test_saturate_large_order(self):
+        code, out, err = run(["saturate", "--n", "400", "--m", "399", "--frac", "0.5"])
+        assert code == 0 and err == ""
+        result = strict_json(out)
+        assert result["alpha_measured"] <= result["alpha_max"]
+
     def test_saturate_ratio_above_ceiling_is_one_line_error(self, monkeypatch, capsys):
         import npassive.extremal as X
 
@@ -407,10 +413,10 @@ LEVELS = st.sampled_from([
     (["1", "0", "2"], ["1", "1", "1"]),
     (["0", "1", "2"], ["1", "0", "1"]),
 ])
-# (N, m) pairs: saturate works for m = N - 1 only, and stays at N <= 8, as its
-# order-N cuts grow as N**4
-ORDERS = st.sampled_from([("2", "1"), ("3", "2"), ("5", "4"), ("8", "7"), ("3", "1"),
-                          ("2", "2"), ("0", "1"), ("x", "1"), ("8", "-1")])
+# (N, m) pairs: saturate works for m = N - 1 only
+ORDERS = st.sampled_from([("2", "1"), ("3", "2"), ("5", "4"), ("8", "7"), ("100", "99"),
+                          ("400", "399"), ("3", "1"), ("2", "2"), ("0", "1"), ("x", "1"),
+                          ("8", "-1")])
 OTHER_OPTIONS = {
     "scan-alpha": [
         (LEVELS.map(lambda lv: ["--energies", *lv[0], "--degeneracies", *lv[1]]), True),

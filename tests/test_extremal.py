@@ -29,16 +29,14 @@ from npassive.extremal import (
 )
 from npassive.gibbs import gibbs_point
 from npassive.passivity import (
-    _adjacent_cuts,
     _cuts,
-    _difference_vectors,
     is_k_structurally_stable,
     is_n_passive,
 )
 from npassive.spectra import EnumerationCapError, Spectrum, normalize_spectrum
 
 from conftest import decimal_gibbs
-from oracle import difference_vectors as _difference_vectors_reference
+import oracle
 
 
 class TestSampler:
@@ -118,6 +116,8 @@ class TestSampler:
 
 
 class TestDifferenceVectors:
+    """``_cuts`` holds exactly the generators of the pairwise definition."""
+
     SPECTRA = [
         Spectrum.from_levels([(0, 1), (1, 1), (1.9, 1)]),
         Spectrum.from_levels([(0, 1), (1, 1), (2, 1), (3.5, 1)]),
@@ -135,19 +135,22 @@ class TestDifferenceVectors:
     def test_matches_pairwise_scan(self, k, mode, N):
         s = self.SPECTRA[k]
         energies = s.energies if mode == "dense" else tuple(s.level_energies)
-        ref = _difference_vectors_reference(energies, N)
-        got = _difference_vectors(energies, N)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        got = _cuts(energies, N)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        rows = set(map(tuple, got.astype(int).tolist()))
+        assert len(rows) == len(got) and rows == oracle.adjacent_cuts(energies, N)
 
     def test_keys_beyond_int64(self):
-        # (2N+1)**d = 5**28 exceeds 2**62, so keys fall back to Python ints
+        # (2N+1)**d = 5**28 exceeds 2**62, so keys fall back to Python ints;
+        # rows compare as tuples, as int64 keys of them would overflow
         energies = tuple(float(x) for x in np.round(np.linspace(0.0, 3.0, 28) ** 1.5, 3))
-        ref = _difference_vectors_reference(energies, 2)
-        assert np.array_equal(_difference_vectors(energies, 2), ref)
+        got = _cuts(energies, 2)
+        rows = set(map(tuple, got.astype(int).tolist()))
+        assert len(rows) == len(got) and rows == oracle.adjacent_cuts(energies, 2)
 
 
 class TestAdjacentCuts:
-    """The sampler's generators span the cone of the full cuts."""
+    """The generators of ``_cuts`` span the cone of every cut."""
 
     @pytest.mark.parametrize("N", range(1, 9))
     @pytest.mark.parametrize("mode", ["dense", "level"])
@@ -155,8 +158,8 @@ class TestAdjacentCuts:
     def test_every_other_cut_splits(self, k, mode, N):
         s = TestDifferenceVectors.SPECTRA[k]
         energies = s.energies if mode == "dense" else tuple(s.level_energies)
-        full = _difference_vectors(energies, N).astype(np.int64)
-        gens = _adjacent_cuts(energies, N).astype(np.int64)
+        full = oracle.difference_vectors(energies, N).astype(np.int64)
+        gens = _cuts(energies, N).astype(np.int64)
         powers = (2 * N + 1) ** np.arange(len(energies))
         keys = full @ powers  # unique while entries lie in [-N, N]
         by_key = np.argsort(keys)
@@ -182,7 +185,7 @@ class TestAdjacentCuts:
 
     def test_all_ties_leave_the_box(self):
         s = normalize_spectrum([0, 3e-10])
-        assert _adjacent_cuts(s.energies, 3).shape == (0, 2)
+        assert _cuts(s.energies, 3).shape == (0, 2)
         for rho in sample_n_passive(s, 3, 20, seed=2):
             gap = math.log(rho.populations[0]) - math.log(rho.populations[1])
             assert -1e-12 <= gap <= DEFAULT_B_MAX + 1e-12
@@ -198,7 +201,8 @@ class TestAdjacentCuts:
 
     def test_heavy_cell_samples_are_passive(self):
         s = normalize_spectrum([0, 0, 0, 1, 2])
-        assert len(_cuts(s.energies, 8)) == 7304
+        assert len(oracle.difference_vectors(s.energies, 8)) == 7304
+        assert len(_cuts(s.energies, 8)) == 786
         for rho in sample_n_passive(s, 8, 16, seed=13):
             assert is_n_passive(s, rho, 8).passive
 
@@ -224,6 +228,20 @@ class TestLevelState:
         assert math.isfinite(level_energy(s, ls))
         assert math.isfinite(level_entropy(s, ls))
         assert verify_level_passive(s, ls, 5)
+
+
+def test_tolerance_holds_each_generator():
+    # at N = 2 on (0, 1, 1.9) the full cut (-2, 2, 0) = 2 (-1, 1, 0) is redundant
+    s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)])
+    t = 1e-8 * 2  # the default tol at N = 2 with |ln lambda| <= 1
+    ls = LevelState((0.0, 0.75 * t, 0.6 * t))
+    lnp, levels = np.array(ls.log_populations), tuple(s.level_energies)
+    assert np.max(_cuts(levels, 2) @ lnp) <= t
+    assert np.max(oracle.difference_vectors(levels, 2) @ lnp) == pytest.approx(1.5 * t)
+    assert verify_level_passive(s, ls, 2)
+    assert not oracle.verify_level_passive(s, ls, 2)
+    # one generator past t fails the state
+    assert not verify_level_passive(s, LevelState((0.0, 1.1 * t, 0.6 * t)), 2)
 
 
 class TestAlphaScan:
@@ -268,6 +286,12 @@ class TestAlphaScan:
         with pytest.raises(NotImplementedError):
             max_alpha_scan(s, 3, [1.0])
 
+    @pytest.mark.parametrize("energies", [[0, 1], [0, 1, 1.9]])
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_order_below_one_rejected(self, energies, N):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            max_alpha_scan(normalize_spectrum(energies), N, [1.0])
+
 
 def _scalar_alpha_scan(s, N, beta, resolution):
     """Reference chord search, one point at a time, with the scan's stopping rule."""
@@ -275,7 +299,7 @@ def _scalar_alpha_scan(s, N, beta, resolution):
     gibbs_ls = level_state_from_b(s, beta * eps)
     target = level_entropy(s, gibbs_ls)
     best_E, best_ls = level_energy(s, gibbs_ls), gibbs_ls
-    V = _difference_vectors(tuple(eps), N)
+    V = oracle.difference_vectors(tuple(eps), N)
 
     def excess(b1, t):
         return _entropy_on_chord(s, b1, t)[0] - target

@@ -1,9 +1,10 @@
 """Every enumerator reads the one occupation table, ``spectra.occupations``.
 
 The reference loops in ``oracle.py`` are reproduced exactly: verdicts,
-witnesses, stability, N-copy ergotropy, the ``prep1_envelope`` interval and
-the level-space passivity check, on seeded grids that include near-ties
-and zero populations.
+witnesses, stability, N-copy ergotropy and the level-space passivity check,
+on seeded grids that include near-ties and zero populations.  The
+``prep1_envelope`` interval, like the reference loop's, lies within 4 ulp of
+the exact one.
 """
 
 import math
@@ -95,13 +96,21 @@ def test_scans_and_ergotropy_match_reference(d, N):
             assert n_ergotropy(s, rho, N) == oracle.n_ergotropy(s, rho, N)
 
 
+def assert_envelope_exact(args):
+    """Both ends of the library's and of the reference loop's interval lie
+    within 4 ulp of the correctly rounded exact interval."""
+    exact = oracle.prep1_envelope_exact(*args)
+    for got in (prep1_envelope(*args), oracle.prep1_envelope(*args)):
+        for x, ref in zip(got, exact):
+            assert abs(x - ref) <= 4 * math.ulp(ref), (args, got, exact)
+
+
 def test_envelope_matches_reference_on_random_triples():
     rng = np.random.default_rng(77)
     for _ in range(300):
         eps = np.sort(rng.uniform(-2.0, 5.0, 3))
         lam_c, lam_a = np.sort(rng.uniform(1e-6, 1.0, 2))
-        args = (int(rng.integers(1, 9)), *eps.tolist(), float(lam_a), float(lam_c))
-        assert prep1_envelope(*args) == oracle.prep1_envelope(*args)
+        assert_envelope_exact((int(rng.integers(1, 9)), *eps.tolist(), float(lam_a), float(lam_c)))
 
 
 @pytest.mark.parametrize("ratio", [Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(7, 2)])
@@ -112,8 +121,7 @@ def test_envelope_matches_reference_on_commensurate_triples(ratio):
         eps = (shift, shift + gap, shift + gap * float(ratio))
         lam_c, lam_a = np.sort(rng.uniform(1e-4, 1.0, 2))
         for N in (ratio.numerator, 2 * ratio.numerator, 7):
-            args = (N, *eps, float(lam_a), float(lam_c))
-            assert prep1_envelope(*args) == oracle.prep1_envelope(*args)
+            assert_envelope_exact((N, *eps, float(lam_a), float(lam_c)))
 
 
 def _level_states(rng, s):

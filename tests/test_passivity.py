@@ -257,6 +257,11 @@ class TestEnvelope:
             if abs(lam_b - lower) > 1e-6 and abs(lam_b - upper) > 1e-6:
                 assert feasible == inside
 
+    def test_large_order(self):
+        # the generators keep the three-level table at N = 150 (11,476 rows) cheap
+        assert prep1_envelope(150, 0, 1, 1.9, 0.5, 0.1) == (
+            0.21421298945182957, 0.21446852137559583)
+
     def test_degenerate_triple_rejected(self):
         with pytest.raises(ValueError):
             prep1_envelope(3, 0.0, 0.0, 1.0, 0.5, 0.2)
