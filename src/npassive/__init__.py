@@ -28,7 +28,6 @@ from .passivity import (
     ergotropy_general,
     is_k_structurally_stable,
     is_n_passive,
-    is_passive_1,
     n_ergotropy,
     passive_rearrangement,
     prep1_envelope,

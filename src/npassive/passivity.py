@@ -6,16 +6,18 @@ another, its product of populations must not exceed the other's.  All such
 comparisons run in log-space with the convention that a zero count
 contributes nothing even when the population is zero.
 
-Two rules decide which energy sums tie.  The passivity verdict and the
-stability check use chained groups from ``_energy_groups``: sorted sums whose
-consecutive gaps are all within the energy tolerance form one group, so a
-chain of small gaps can tie sums further apart than the tolerance.  The
-violation witness and the cuts use the pairwise rule: e_i is higher than e_j
-iff e_i > e_j + etol.  One cut set serves every reader (the sampler,
-``verify_level_passive``, ``prep1_envelope`` and ``max_alpha_scan``): the
-energy-adjacent differences of ``_cuts``, which generate the cone of all the
-pairwise differences.  Each generator is held to the reader's tolerance tol,
-so a cut that is a sum of k generators is held to k*tol.
+One rule decides which energy sums tie: sorted sums whose consecutive gaps
+are all within ``spectra.default_energy_tol`` form one chained group, so a
+chain of small gaps can tie sums further apart than the tolerance.
+``_energy_groups`` builds the groups and ranks them by energy; a vector is
+higher than another iff its group ranks higher.  The verdict, the stability
+check, the violation witness and the cuts all read those ranks, and
+``normalize_spectrum`` merges raw levels by the same rule at order 1.  One cut
+set serves every reader (the sampler, ``verify_level_passive``,
+``prep1_envelope`` and ``max_alpha_scan``): the differences of ``_cuts``
+between adjacent groups, which generate the cone of every cut.  Each
+generator is held to the reader's tolerance tol, so a cut that is a sum of k
+generators is held to k*tol.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .spectra import (
     OccupationVector,
     Spectrum,
     _check_aligned,
+    default_energy_tol,
     occupations,
     state_energy,
 )
@@ -58,11 +61,6 @@ class CPClass:
     fit_residual: float
 
 
-def default_energy_tol(eps_max: float, N: int) -> float:
-    """Energy sums within this tolerance are treated as ties, not ordered."""
-    return 1e-9 * max(1.0, eps_max * N)
-
-
 def _row_sums(table: np.ndarray, values) -> np.ndarray:
     """Per row, sum of count*value over the columns, added left to right.
 
@@ -81,20 +79,23 @@ def _row_sums(table: np.ndarray, values) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
     """The order-N occupation table, its row energies, their stable ascending
-    order, and the starts (in that order) of the chained tie groups.
+    order, the starts (in that order) of the chained tie groups, and each
+    row's group rank.
 
     A new group starts wherever consecutive sorted energies differ by more
-    than ``energy_tol``.  The passivity verdict and the stability check read
-    these groups; the witness search and the cuts compare pairs instead.
+    than ``energy_tol``; these groups are the one tie rule of the module.
     The arrays are read-only and shared.
     """
     table = occupations(len(energies), N)
     evals = _row_sums(table, energies)
     order = np.argsort(evals, kind="stable")
-    starts = np.flatnonzero(np.diff(evals[order], prepend=-math.inf) > energy_tol)
-    for a in (evals, order, starts):
+    new = np.diff(evals[order], prepend=-math.inf) > energy_tol
+    starts = np.flatnonzero(new)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.cumsum(new) - 1
+    for a in (evals, order, starts, rank):
         a.flags.writeable = False
-    return table, evals, order, starts
+    return table, evals, order, starts, rank
 
 
 def _scan_passive(energies, logpops, N, tol, energy_tol):
@@ -103,7 +104,7 @@ def _scan_passive(energies, logpops, N, tol, energy_tol):
     Returns None if passive, else the lexicographically first violating
     (higher-energy, lower-energy) pair of raw count tuples.
     """
-    table, evals, order, starts = _energy_groups(energies, N, energy_tol)
+    table, _, order, starts, rank = _energy_groups(energies, N, energy_tol)
     lweights = _row_sums(table, logpops)
     w = lweights[order]
     # every group's minimum log-weight must dominate the maximum over all
@@ -113,14 +114,13 @@ def _scan_passive(energies, logpops, N, tol, energy_tol):
         return None
     for i in range(len(table)):
         for j in range(len(table)):
-            if evals[i] > evals[j] + energy_tol and lweights[i] > lweights[j] + tol:
+            if rank[i] > rank[j] and lweights[i] > lweights[j] + tol:
                 return tuple(table[i].tolist()), tuple(table[j].tolist())
-    return None  # unreachable unless tie-chaining absorbed the gap
 
 
 def _scan_stable(energies, logpops, k, tol, energy_tol):
     """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    table, _, order, starts = _energy_groups(energies, k, energy_tol)
+    table, _, order, starts, _ = _energy_groups(energies, k, energy_tol)
     w = _row_sums(table, logpops)[order]
     lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
     full = lo > -math.inf  # log-weights are finite or -inf
@@ -132,17 +132,19 @@ def _scan_stable(energies, logpops, k, tol, energy_tol):
 @lru_cache(maxsize=64)
 def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     """Generators of the order-N passive cone over these slots, read-only and
-    shared: the differences I-J with e_I in (e_J + etol, e_K + etol], e_K the
-    least row energy above e_J + etol.  Any other cut I-J is the sum of the
-    cuts I-K and K-J, each with a smaller gap, so by induction these rows span
-    every cut.  Built in O(M*w) for M rows and windows of w partners.
+    shared: the differences I-J with I in the tie group just above J's.  Any
+    other cut I-J, with I some groups above J, is the sum of such differences
+    along a chain of one row per group in between, so these rows span every
+    cut.  Built in O(M*w) for M rows and next groups of w rows.
     """
-    etol = default_energy_tol(max(energies), N)
-    C, evals, order, _ = _energy_groups(energies, N, etol)
-    e = evals[order]
-    j = np.flatnonzero(e[-1] > e + etol)
-    lo = np.searchsorted(e, e[j] + etol, side="right")
-    width = np.searchsorted(e, e[lo] + etol, side="right") - lo
+    C, _, order, starts, rank = _energy_groups(
+        energies, N, default_energy_tol(max(energies), N)
+    )
+    size = np.diff(starts, append=len(order))
+    # every sorted position j below the top group, against the next group
+    up = rank[order[: starts[-1]]] + 1
+    lo, width = starts[up], size[up]
+    j = np.arange(starts[-1])
     # sorted positions lo .. lo + width - 1 against each j
     i = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
     higher, lower = order[i], order[np.repeat(j, width)]
@@ -154,23 +156,6 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     V = (C[higher[first]] - C[lower[first]]).astype(float)
     V.flags.writeable = False
     return V
-
-
-def is_passive_1(s: Spectrum, rho: DiagonalState, tol: float = 1e-12) -> PassivityVerdict:
-    """Order-1 passivity: no population inversion across distinct energies."""
-    _check_aligned(s, rho)
-    eps = s.energies
-    pops = rho.populations
-    etol = default_energy_tol(s.eps_max, 1)
-    for i in range(s.d):
-        for j in range(s.d):
-            if eps[i] > eps[j] + etol and pops[i] > pops[j] + tol:
-                unit_i = tuple(1 if k == i else 0 for k in range(s.d))
-                unit_j = tuple(1 if k == j else 0 for k in range(s.d))
-                return PassivityVerdict(
-                    False, (OccupationVector(unit_i), OccupationVector(unit_j))
-                )
-    return PassivityVerdict(True)
 
 
 def is_n_passive(
@@ -267,7 +252,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     _check_aligned(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    table, evals, order, _ = _energy_groups(s.energies, N, default_energy_tol(s.eps_max, N))
+    table, evals, order, *_ = _energy_groups(s.energies, N, default_energy_tol(s.eps_max, N))
     pops = rho.populations
     blocks = []
     for vec, e in zip(table.tolist(), evals.tolist()):
@@ -321,9 +306,6 @@ def classify_complete_passivity(
     if len(support) < s.d:
         return CPClass(tag="NotCP", beta=None, fit_residual=math.inf)
     b = np.array([-math.log(p) for p in pops])
-    if s.eps_max == 0:
-        # single-level spectrum: every state is ground-supported
-        return CPClass(tag="GroundState", beta=None, fit_residual=0.0)
     A = np.column_stack([eps, np.ones_like(eps)])
     (beta, logZ), *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.max(np.abs(A @ np.array([beta, logZ]) - b)))

@@ -15,7 +15,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-DEFAULT_DEGENERACY_TOL = 1e-9
 STATE_SUM_TOL = 1e-12
 
 # dense expansion refuses above this dimension; level-resolved code paths
@@ -149,14 +148,18 @@ class Spectrum:
         )
 
 
-def normalize_spectrum(
-    raw_energies, degeneracy_tolerance: float = DEFAULT_DEGENERACY_TOL
-) -> Spectrum:
-    """Shift, sort, and merge near-degenerate levels of a raw energy list.
+def default_energy_tol(eps_max: float, N: int) -> float:
+    """Order-N energy sums within this tolerance of each other tie."""
+    return 1e-9 * max(1.0, eps_max * N)
 
-    Levels separated by a gap of at most ``degeneracy_tolerance * eps_max``
-    are merged into one distinct level (energy taken as the cluster minimum,
-    so the ground level stays exactly at 0).
+
+def normalize_spectrum(raw_energies) -> Spectrum:
+    """Shift, sort, and merge tied levels of a raw energy list.
+
+    Sorted values whose consecutive gaps are all within
+    ``default_energy_tol(eps_max, 1)`` form one distinct level: the order-1
+    tie groups of the passivity checks.  Its energy is the group minimum, so
+    the ground level stays exactly at 0.
     """
     vals = [float(x) for x in raw_energies]
     if not vals:
@@ -164,13 +167,11 @@ def normalize_spectrum(
     if any(not math.isfinite(x) for x in vals):
         raise SpectrumError("energies must be finite")
     vals.sort()
-    lo = vals[0]
-    vals = [v - lo for v in vals]
-    eps_max = vals[-1]
-    gap_tol = degeneracy_tolerance * eps_max if eps_max > 0 else 0.0
+    vals = [v - vals[0] for v in vals]
+    etol = default_energy_tol(vals[-1], 1)
     levels: list[tuple[float, int]] = []
-    for v in vals:
-        if levels and v - levels[-1][0] <= gap_tol:
+    for prev, v in zip([-math.inf] + vals, vals):
+        if v - prev <= etol:
             levels[-1] = (levels[-1][0], levels[-1][1] + 1)
         else:
             levels.append((v, 1))

@@ -6,10 +6,15 @@ vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
 ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
 reproduce them bit for bit, except ``prep1_envelope``, whose ends both it and
 the library keep within a few ulp of ``prep1_envelope_exact``.
-``difference_vectors`` is every cut and ``adjacent_cuts`` the pairwise
-definition of the generators the library reads.  ``thermal_functionals`` is
-the Gibbs level functional as it was before it exponentiated the populations
-once.
+
+Every loop decides energy ties by the library's one rule, through
+``tie_ranks``: sorted energies whose consecutive gaps are all within the
+tolerance form one chained group, and a vector is higher than another iff
+its group ranks higher.  ``tie_ranks`` is plain Python and shares no code
+with the library's grouping.  ``difference_vectors`` is every cut and
+``adjacent_cuts`` the pairwise definition of the generators the library
+reads.  ``thermal_functionals`` is the Gibbs level functional as it was
+before it exponentiated the populations once.
 """
 
 import math
@@ -19,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from npassive.gibbs import _log_populations
-from npassive.passivity import default_energy_tol
-from npassive.spectra import state_energy
+from npassive.spectra import default_energy_tol, state_energy
 
 
 def compositions(d, total):
@@ -45,51 +49,56 @@ def log_weights(vectors, logpops):
     return out
 
 
+def tie_ranks(values, etol):
+    """Each value's chained tie group, ranked from 0 upward: sort, then start
+    a new group wherever the gap to the previous value exceeds etol."""
+    ranks = [0] * len(values)
+    rank, prev = -1, -math.inf
+    for k in sorted(range(len(values)), key=values.__getitem__):
+        if values[k] - prev > etol:
+            rank += 1
+        ranks[k] = rank
+        prev = values[k]
+    return ranks
+
+
+def _groups(energies, logpops, N, energy_tol):
+    """The order-N vectors, their tie ranks, and the log-weights per group."""
+    vectors = list(compositions(len(energies), N))
+    evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
+    lweights = log_weights(vectors, logpops)
+    ranks = tie_ranks(evals, energy_tol)
+    groups = [[] for _ in range(max(ranks) + 1)]
+    for r, lw in zip(ranks, lweights):
+        groups[r].append(float(lw))
+    return vectors, ranks, lweights, groups
+
+
 def scan_passive(energies, logpops, N, tol, energy_tol):
     """None if passive, else the lexicographically first violating pair."""
-    vectors = list(compositions(len(energies), N))
-    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
-    lweights = log_weights(vectors, logpops)
-    order = np.argsort(evals, kind="stable")
-    groups = []
-    start = 0
-    for k in range(1, len(order) + 1):
-        if k == len(order) or evals[order[k]] - evals[order[k - 1]] > energy_tol:
-            groups.append(order[start:k])
-            start = k
+    vectors, ranks, lweights, groups = _groups(energies, logpops, N, energy_tol)
     running_max = -math.inf
-    violated = False
     for grp in reversed(groups):
-        if running_max > np.min(lweights[grp]) + tol:
-            violated = True
+        if running_max > min(grp) + tol:
             break
-        running_max = max(running_max, float(np.max(lweights[grp])))
-    if not violated:
+        running_max = max(running_max, max(grp))
+    else:
         return None
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
-            if evals[i] > evals[j] + energy_tol and lweights[i] > lweights[j] + tol:
+            if ranks[i] > ranks[j] and lweights[i] > lweights[j] + tol:
                 return vi, vj
-    return None
 
 
 def scan_stable(energies, logpops, k, tol, energy_tol):
     """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    vectors = list(compositions(len(energies), k))
-    evals = np.array([sum(c * e for c, e in zip(v, energies)) for v in vectors])
-    lweights = log_weights(vectors, logpops)
-    order = np.argsort(evals, kind="stable")
-    start = 0
-    for idx in range(1, len(order) + 1):
-        if idx == len(order) or evals[order[idx]] - evals[order[idx - 1]] > energy_tol:
-            grp = lweights[order[start:idx]]
-            finite = np.isfinite(grp)
-            if finite.all():
-                if np.max(grp) - np.min(grp) > tol:
-                    return False
-            elif finite.any():
+    for grp in _groups(energies, logpops, k, energy_tol)[3]:
+        finite = [math.isfinite(x) for x in grp]
+        if all(finite):
+            if max(grp) - min(grp) > tol:
                 return False
-            start = idx
+        elif any(finite):
+            return False
     return True
 
 
@@ -128,16 +137,14 @@ def n_ergotropy(s, rho, N):
 
 def prep1_envelope(N, eps_a, eps_b, eps_c, lam_a, lam_c):
     """Middle-population interval from every ordered pair of triple vectors."""
-    etol = 1e-9 * max(1.0, (eps_c - eps_a) * N)
     la, lc = math.log(lam_a), math.log(lam_c)
     vecs = [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)]
     lo, hi = -math.inf, math.inf
     eb, ec = eps_b - eps_a, eps_c - eps_a
-    for a1, b1, c1 in vecs:
-        e1 = b1 * eb + c1 * ec
-        for a2, b2, c2 in vecs:
-            e2 = b2 * eb + c2 * ec
-            if e1 <= e2 + etol:
+    ranks = tie_ranks([b * eb + c * ec for _, b, c in vecs], default_energy_tol(ec, N))
+    for (a1, b1, c1), r1 in zip(vecs, ranks):
+        for (a2, b2, c2), r2 in zip(vecs, ranks):
+            if r1 <= r2:
                 continue
             coeff = b1 - b2
             rhs = (a2 - a1) * la + (c2 - c1) * lc
@@ -160,11 +167,11 @@ def difference_vectors(energies, N):
     """The pairwise scan: every (I, J) pair, I outer, deduplicated in a set."""
     vectors = list(compositions(len(energies), N))
     evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
-    etol = default_energy_tol(max(energies), N)
+    ranks = tie_ranks(evals, default_energy_tol(max(energies), N))
     seen, rows = set(), []
-    for vi, ei in zip(vectors, evals):
-        for vj, ej in zip(vectors, evals):
-            if ei > ej + etol:
+    for vi, ri in zip(vectors, ranks):
+        for vj, rj in zip(vectors, ranks):
+            if ri > rj:
                 diff = tuple(a - b for a, b in zip(vi, vj))
                 if diff not in seen:
                     seen.add(diff)
@@ -173,22 +180,16 @@ def difference_vectors(energies, N):
 
 
 def adjacent_cuts(energies, N):
-    """The set of differences I-J with e_I > e_J + etol that no row energy e_K
-    splits, i.e. none has e_K > e_J + etol and e_I > e_K + etol."""
+    """The set of differences I-J with I in the tie group just above J's."""
     vectors = list(compositions(len(energies), N))
     evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
-    etol = default_energy_tol(max(energies), N)
-    rows = set()
-    for vj, ej in zip(vectors, evals):
-        above = [e for e in evals if e > ej + etol]
-        if not above:
-            continue
-        # some e_K splits I-J iff the least e_K above e_J + etol does
-        top = min(above)
-        for vi, ei in zip(vectors, evals):
-            if ei > ej + etol and not ei > top + etol:
-                rows.add(tuple(a - b for a, b in zip(vi, vj)))
-    return rows
+    ranks = tie_ranks(evals, default_energy_tol(max(energies), N))
+    return {
+        tuple(a - b for a, b in zip(vi, vj))
+        for vi, ri in zip(vectors, ranks)
+        for vj, rj in zip(vectors, ranks)
+        if ri == rj + 1
+    }
 
 
 def prep1_envelope_exact(N, eps_a, eps_b, eps_c, lam_a, lam_c):

@@ -234,6 +234,10 @@ class TestErrorBoundary:
             ["classify-cp", "--tol=nan"],
             ["classify-cp", "--tol=inf"],
             ["classify-cp", "--tol=-inf"],
+            # a negative tolerance called the passive-at-order-1 state
+            # non-passive, with a "witness" that violated nothing
+            ["check", "--n", "1", "--tol", "-1"],
+            ["classify-cp", "--tol", "-1"],
         ],
     )
     def test_state_commands(self, fixture_state, argv):
@@ -253,6 +257,7 @@ class TestErrorBoundary:
             ["nstar", "--energies", "0", "1", "2", "--tol=nan"],  # printed "n_star": null
             ["nstar", "--energies", "0", "1", "2", "--tol=inf"],
             ["nstar", "--energies", "0", "1", "2", "--tol=-inf"],
+            ["nstar", "--energies", "0", "1", "2", "--tol", "-1"],  # printed "n_star": null
             # inf printed numpy's RuntimeWarning, and nan was blamed on "beta must be >= 0"
             *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "10",
                "--n", "3", f"--beta-min={lo}", f"--beta-max={hi}", "--points", "2"]
@@ -333,12 +338,13 @@ def state_data(draw):
 
 
 ORDER = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
+REJECTED_TOLS = ("-1", "nan", "inf", "-inf")
 # (flag, values, required): a required flag is left out one time in ten
 OPTIONS = {
     "check": [
         ("--n", ORDER, True),
         ("--stability", ORDER, False),
-        ("--tol", st.sampled_from(["0", "1e-9", "nan", "inf", "-inf"]), False),
+        ("--tol", st.sampled_from(["0", "1e-9", "-1", "nan", "inf", "-inf"]), False),
     ],
     "ergotropy": [("--n", ORDER, False)],
     "gibbs": [
@@ -347,7 +353,7 @@ OPTIONS = {
     ],
     "bounds": [("--n", ORDER, True), ("--table", st.just(None), False)],
     "flatten": [],
-    "classify-cp": [("--tol", st.sampled_from(["0", "1e-8", "nan", "inf", "-inf"]), False)],
+    "classify-cp": [("--tol", st.sampled_from(["0", "1e-8", "-1", "nan", "inf", "-inf"]), False)],
 }
 
 
@@ -393,7 +399,7 @@ def test_fuzz_state_commands(data, argv):
         path.write_text(json.dumps(data))
         code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
     assert_one_outcome(argv[0], code, out, err)
-    if any(flag == "--tol" and value in ("nan", "inf", "-inf") for flag, value in zip(argv, argv[1:])):
+    if any(flag == "--tol" and value in REJECTED_TOLS for flag, value in zip(argv, argv[1:])):
         assert code == 2
 
 
@@ -436,7 +442,7 @@ OTHER_OPTIONS = {
          .map(lambda e: ["--energies", *e]), False),
         (option("--rational", st.sampled_from(["0 1 3", "0 1/2 1", "0 1 3/0", "0 x"])), False),
         (option("--max-den", st.sampled_from(["-1", "0", "1", "1000"])), False),
-        (option("--tol", st.sampled_from(["0", "1e-9", "nan", "inf", "-inf"])), False),
+        (option("--tol", st.sampled_from(["0", "1e-9", "-1", "nan", "inf", "-inf"])), False),
     ],
 }
 NON_FINITE_REJECTED = ("--beta-min=", "--beta-max=", "--tol=")
@@ -460,5 +466,5 @@ def test_fuzz_other_commands(argv):
     if any(arg.partition("=")[2] in ("nan", "inf", "-inf") and arg.startswith(NON_FINITE_REJECTED)
            for arg in argv):
         assert code == 2
-    if "--points=0" in argv or "--points=-1" in argv:
+    if "--points=0" in argv or "--points=-1" in argv or "--tol=-1" in argv:
         assert code == 2

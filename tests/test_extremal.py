@@ -184,7 +184,10 @@ class TestAdjacentCuts:
         assert np.all(split | is_gen)
 
     def test_all_ties_leave_the_box(self):
-        s = normalize_spectrum([0, 3e-10])
+        # normalize_spectrum merges the two levels; built level by level, every
+        # occupation energy still ties
+        assert normalize_spectrum([0, 3e-10]).distinct_levels == ((0.0, 2),)
+        s = Spectrum.from_levels([(0, 1), (3e-10, 1)])
         assert _cuts(s.energies, 3).shape == (0, 2)
         for rho in sample_n_passive(s, 3, 20, seed=2):
             gap = math.log(rho.populations[0]) - math.log(rho.populations[1])

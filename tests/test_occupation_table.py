@@ -7,11 +7,14 @@ on seeded grids that include near-ties and zero populations.  The
 the exact one.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from npassive.extremal import (
@@ -25,7 +28,7 @@ from npassive.gibbs import gibbs_populations
 from npassive.passivity import (
     DEFAULT_LOG_TOL,
     DEFAULT_STABILITY_TOL,
-    default_energy_tol,
+    _cuts,
     is_k_structurally_stable,
     is_n_passive,
     n_ergotropy,
@@ -36,6 +39,7 @@ from npassive.spectra import (
     DiagonalState,
     EnumerationCapError,
     Spectrum,
+    default_energy_tol,
     normalize_spectrum,
 )
 
@@ -94,6 +98,41 @@ def test_scans_and_ergotropy_match_reference(d, N):
             ref_stable = oracle.scan_stable(s.energies, lnp, N, DEFAULT_STABILITY_TOL, etol)
             assert is_k_structurally_stable(s, rho, N) == ref_stable
             assert n_ergotropy(s, rho, N) == oracle.n_ergotropy(s, rho, N)
+
+
+# gaps inside (0.3e-9, 0.8e-9) and outside (1.2e-9) the order-1 tolerance of
+# a short ladder, mixed with generic ones
+LADDER_GAP = st.one_of(st.sampled_from([0.3e-9, 0.8e-9, 1.2e-9]), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_near_tie_ladders_follow_the_chained_rule(data):
+    d, N = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 4))
+    gaps = data.draw(st.lists(LADDER_GAP, min_size=d - 1, max_size=d - 1))
+    s = Spectrum.from_levels([(e, 1) for e in itertools.accumulate(gaps, initial=0.0)])
+    weights = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=d, max_size=d)
+        .filter(any)
+    )
+    if data.draw(st.booleans()):
+        weights.sort(reverse=True)  # passive at order 1
+    rho = DiagonalState.from_weights(weights)
+
+    lnp, etol = rho.ln_populations, default_energy_tol(s.eps_max, N)
+    ref = oracle.scan_passive(s.energies, lnp, N, DEFAULT_LOG_TOL, etol)
+    got = is_n_passive(s, rho, N)
+    assert got.passive == (ref is None)
+    if ref is not None:
+        assert (got.witness[0].counts, got.witness[1].counts) == ref
+    ref_stable = oracle.scan_stable(s.energies, lnp, N, DEFAULT_STABILITY_TOL, etol)
+    assert is_k_structurally_stable(s, rho, N) == ref_stable
+    cuts = set(map(tuple, _cuts(s.energies, N).astype(int).tolist()))
+    assert cuts == oracle.adjacent_cuts(s.energies, N)
+
+    merged = normalize_spectrum(s.energies)
+    assert normalize_spectrum(merged.energies).distinct_levels == merged.distinct_levels
+    assert np.all(np.diff(merged.level_energies) > default_energy_tol(merged.eps_max, 1))
 
 
 def assert_envelope_exact(args):

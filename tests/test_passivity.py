@@ -12,7 +12,6 @@ from npassive.passivity import (
     ergotropy_general,
     is_k_structurally_stable,
     is_n_passive,
-    is_passive_1,
     n_ergotropy,
     passive_rearrangement,
     prep1_envelope,
@@ -29,16 +28,16 @@ S001 = normalize_spectrum([0, 0, 1])
 
 class TestPassive1:
     def test_passive(self):
-        assert is_passive_1(S012, DiagonalState((0.5, 0.3, 0.2))).passive
+        assert is_n_passive(S012, DiagonalState((0.5, 0.3, 0.2)), 1).passive
 
     def test_inversion_witnessed(self):
-        v = is_passive_1(S012, DiagonalState((0.5, 0.2, 0.3)))
+        v = is_n_passive(S012, DiagonalState((0.5, 0.2, 0.3)), 1)
         assert not v.passive
         assert v.witness[0].counts == (0, 0, 1)
         assert v.witness[1].counts == (0, 1, 0)
 
     def test_gibbs_passive(self):
-        assert is_passive_1(S019, gibbs_populations(S019, 2.2)).passive
+        assert is_n_passive(S019, gibbs_populations(S019, 2.2), 1).passive
 
 
 class TestNPassive:
@@ -85,10 +84,12 @@ class TestChainedTies:
     def test_verdict_follows_the_chain(self):
         assert is_n_passive(self.S, self.RHO, 1).passive
 
-    def test_order_one_check_compares_pairs(self):
-        v = is_passive_1(self.S, self.RHO)
+    def test_witness_crosses_groups(self):
+        # (0, 0, 0, 1) outweighs (0, 1, 0, 0) by more than the tolerance, but
+        # the two tie, so the first violation is against the ground level
+        v = is_n_passive(self.S, DiagonalState((0.2, 0.25, 0.27, 0.28)), 1)
         assert not v.passive
-        assert (v.witness[0].counts, v.witness[1].counts) == ((0, 0, 0, 1), (0, 1, 0, 0))
+        assert (v.witness[0].counts, v.witness[1].counts) == ((0, 0, 0, 1), (1, 0, 0, 0))
 
     def test_stability_follows_the_chain(self):
         assert not is_k_structurally_stable(self.S, self.RHO, 1)
@@ -207,6 +208,11 @@ class TestClassifyCP:
     def test_ground_supported(self):
         cls = classify_complete_passivity(S001, DiagonalState((0.7, 0.3, 0.0)))
         assert cls.tag == "GroundState"
+
+    def test_one_level_is_ground_state(self):
+        s = normalize_spectrum([0, 0])
+        cls = classify_complete_passivity(s, DiagonalState((0.5, 0.5)))
+        assert (cls.tag, cls.beta, cls.fit_residual) == ("GroundState", None, 0.0)
 
     def test_not_cp(self):
         cls = classify_complete_passivity(S012, DiagonalState((0.5, 0.3, 0.2)))

@@ -35,9 +35,12 @@ class TestNormalizeSpectrum:
         assert s.eps_max == 1.9
 
     def test_merge_rule(self):
-        s = normalize_spectrum([0, 1e-15, 1], degeneracy_tolerance=1e-9)
+        s = normalize_spectrum([0, 1e-15, 1])
         assert s.d0 == 2
         assert s.num_levels == 2
+        # gaps of 0.8e-9 chain three values into one level 1.6e-9 wide
+        s = normalize_spectrum([0, 1, 1 + 0.8e-9, 1 + 1.6e-9, 2])
+        assert s.distinct_levels == ((0.0, 1), (1.0, 3), (2.0, 1))
 
     def test_idempotent(self):
         s = normalize_spectrum([3.0, 1.0, 5.5, 1.0])
