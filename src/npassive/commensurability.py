@@ -3,8 +3,8 @@
 When consecutive gap ratios of a spectrum are rational p/q, occupation
 vectors of order p can tie in energy while differing in which levels they
 occupy; structural stability then pins the populations to a thermal
-log-linear relation.  N* is the order beyond which this happens for every
-triple, leaving only thermal or ground-supported states.
+log-linear relation.  ``n_star`` bounds from above the order at which this
+leaves only thermal or ground-supported states.
 """
 
 from __future__ import annotations
@@ -79,13 +79,16 @@ def _detect_many(ratios, max_den, tol):
 def n_star(
     s: Spectrum, max_den: int = DEFAULT_MAX_DEN, tol: float = DEFAULT_RATIO_TOL
 ) -> NStarResult:
-    """Least order beyond which only thermal/ground states survive stability.
+    """An upper bound on the least order at which stability leaves only
+    thermal/ground states: the lcm of the numerators p of the
+    consecutive-triple gap ratios.
 
-    Computed as the lcm of the numerators p of the consecutive-triple gap
-    ratios; None when any consecutive ratio is irrational at the working
-    precision.  The lcm over *all* level triples is reported alongside as a
-    diagnostic (non-consecutive triples are not covered by the consecutive
-    criterion).
+    Each consecutive triple ties at order p, so the least forcing order is at
+    most max(p) <= lcm, and it can be lower still: levels (0, 1, 3, 6) give 15
+    where the least order is 3.  None when any consecutive ratio is
+    irrational at the working precision.  The lcm over *all* level triples is
+    reported alongside as a diagnostic (non-consecutive triples are not
+    covered by the consecutive criterion).
     """
     L = s.num_levels
     if L < 3:

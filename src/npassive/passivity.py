@@ -245,46 +245,34 @@ def ergotropy_general(populations, energies, overlap) -> float:
 def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """Work extractable from N copies under joint unitaries, per the whole batch.
 
-    Works block-wise over occupation vectors with multinomial multiplicities,
-    pairing weight blocks (descending) against energy blocks (ascending) by
-    cumulative eigenvalue count, so the d^N tensor power is never expanded.
+    The d^N eigenvalues come in occupation-vector blocks: a row c of the
+    order-N table holds N!/prod(c_k!) eigenvalues of weight prod(lambda_k^c_k)
+    at energy c.eps.  The passive energy pairs weights (descending) with
+    energies (ascending) eigenvalue by eigenvalue, so it is a sum over the
+    segments between the breakpoints of the two cumulative multiplicity
+    sequences, each segment lying in one weight block and one energy block.
+    Multiplicities and their running sums stay in log space, and a segment's
+    eigenvalue count is formed only times its weight, so every N the table
+    allows gets an answer.
     """
     _check_aligned(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
     table, evals, order, *_ = _energy_groups(s.energies, N, default_energy_tol(s.eps_max, N))
-    pops = rho.populations
-    blocks = []
-    for vec, e in zip(table.tolist(), evals.tolist()):
-        mult = math.factorial(N)
-        for c in vec:
-            mult //= math.factorial(c)
-        w = 1.0
-        for c, p in zip(vec, pops):
-            if c:
-                w *= p**c
-        blocks.append((w, e, mult))
-
-    by_weight = sorted(blocks, key=lambda t: -t[0])
-    by_energy = [blocks[k] for k in order.tolist()]
-    e_passive = 0.0
-    j = 0
-    remaining = by_energy[0][2]
-    for w, _, mult in by_weight:
-        need = mult
-        while need:
-            take = min(need, remaining)
-            try:
-                e_passive += take * w * by_energy[j][1]
-            except OverflowError:
-                raise ValueError(f"N = {N}: block multiplicities overflow a float") from None
-            need -= take
-            remaining -= take
-            if remaining == 0 and j + 1 < len(by_energy):
-                j += 1
-                remaining = by_energy[j][2]
-    e_actual = N * state_energy(s, rho)
-    return e_actual - e_passive
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    log_mult = log_fact[N] - log_fact[table].sum(axis=1)
+    lweights = _row_sums(table, rho.ln_populations)
+    by_weight = np.argsort(-lweights, kind="stable")
+    ends_w = np.logaddexp.accumulate(log_mult[by_weight])
+    ends_e = np.logaddexp.accumulate(log_mult[order])
+    ends = np.sort(np.concatenate((ends_w, ends_e)))
+    # segment k holds exp(ends[k]) * (1 - exp(ends[k-1] - ends[k])) eigenvalues
+    share = -np.expm1(np.concatenate(([-math.inf], ends[:-1])) - ends)
+    last = len(table) - 1
+    w_blk = by_weight[np.minimum(np.searchsorted(ends_w, ends), last)]
+    e_blk = order[np.minimum(np.searchsorted(ends_e, ends), last)]
+    e_passive = float(share * np.exp(ends + lweights[w_blk]) @ evals[e_blk])
+    return N * state_energy(s, rho) - e_passive
 
 
 def classify_complete_passivity(

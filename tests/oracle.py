@@ -5,7 +5,9 @@ read from ``spectra.occupations``: a recursive generator of occupation
 vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
 ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
 reproduce them bit for bit, except ``prep1_envelope``, whose ends both it and
-the library keep within a few ulp of ``prep1_envelope_exact``.
+the library keep within a few ulp of ``prep1_envelope_exact``, and
+``n_ergotropy``, which the library sums in another order and in log space and
+keeps close to ``n_ergotropy_exact``.
 
 Every loop decides energy ties by the library's one rule, through
 ``tie_ranks``: sorted energies whose consecutive gaps are all within the
@@ -133,6 +135,38 @@ def n_ergotropy(s, rho, N):
                 j += 1
                 remaining = by_energy[j][2]
     return N * state_energy(s, rho) - e_passive
+
+
+def n_ergotropy_exact(s, rho, N):
+    """The N-copy ergotropy with exact integer multiplicities, weights and
+    energies in 60-digit ``decimal`` from the float populations and levels,
+    and the pairing by exact integer eigenvalue counts; only the result is
+    rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pops = [Decimal(p) for p in rho.populations]
+        eps = [Decimal(e) for e in s.energies]
+        blocks = []
+        for vec in compositions(s.d, N):
+            mult = math.factorial(N)
+            for c in vec:
+                mult //= math.factorial(c)
+            w = math.prod((p**c for p, c in zip(pops, vec) if c), start=Decimal(1))
+            blocks.append((w, sum(c * e for c, e in zip(vec, eps)), mult))
+        by_energy = sorted(blocks, key=lambda t: t[1])
+        e_passive = Decimal(0)
+        j, remaining = 0, by_energy[0][2]
+        for w, _, mult in sorted(blocks, key=lambda t: -t[0]):
+            while mult:
+                take = min(mult, remaining)
+                e_passive += take * w * by_energy[j][1]
+                mult -= take
+                remaining -= take
+                if remaining == 0 and j + 1 < len(by_energy):
+                    j += 1
+                    remaining = by_energy[j][2]
+        e_actual = N * sum(p * e for p, e in zip(pops, eps))
+        return float(e_actual - e_passive)
 
 
 def prep1_envelope(N, eps_a, eps_b, eps_c, lam_a, lam_c):

@@ -277,11 +277,12 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ergotropy_multiplicity_overflow(self, tmp_path):
-        # C(1100, 550) leaves the float range; this was an OverflowError traceback
-        path = write_state(tmp_path, "q.json", [0, 1], [0.7, 0.3])
+        # C(1100, 550) leaves the float range; the multiplicities stay in log
+        # space, and the inverted qubit gives N*(0.7 - 0.3)
+        path = write_state(tmp_path, "q.json", [0, 1], [0.3, 0.7])
         code, out, err = run(["ergotropy", "--state", path, "--n", "1100"])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: N = 1100") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert strict_json(out)["n_ergotropy"] == pytest.approx(440.0, rel=1e-10)
 
     def test_nan_population_file(self, tmp_path):
         path = tmp_path / "nan.json"

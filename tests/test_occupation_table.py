@@ -1,10 +1,11 @@
 """Every enumerator reads the one occupation table, ``spectra.occupations``.
 
 The reference loops in ``oracle.py`` are reproduced exactly: verdicts,
-witnesses, stability, N-copy ergotropy and the level-space passivity check,
-on seeded grids that include near-ties and zero populations.  The
-``prep1_envelope`` interval, like the reference loop's, lies within 4 ulp of
-the exact one.
+witnesses, stability and the level-space passivity check, on seeded grids
+that include near-ties and zero populations.  The N-copy ergotropy lies
+within 1e-13*max(1, N*eps_max) of the exact reference and gives the float
+loop's ``erg <= 1e-10`` verdict.  The ``prep1_envelope`` interval, like the
+reference loop's, lies within 4 ulp of the exact one.
 """
 
 import itertools
@@ -97,7 +98,10 @@ def test_scans_and_ergotropy_match_reference(d, N):
                 assert (got.witness[0].counts, got.witness[1].counts) == ref
             ref_stable = oracle.scan_stable(s.energies, lnp, N, DEFAULT_STABILITY_TOL, etol)
             assert is_k_structurally_stable(s, rho, N) == ref_stable
-            assert n_ergotropy(s, rho, N) == oracle.n_ergotropy(s, rho, N)
+            erg = n_ergotropy(s, rho, N)
+            exact = oracle.n_ergotropy_exact(s, rho, N)
+            assert erg == pytest.approx(exact, rel=0, abs=1e-13 * max(1.0, N * s.eps_max))
+            assert (erg <= 1e-10) == (oracle.n_ergotropy(s, rho, N) <= 1e-10)
 
 
 # gaps inside (0.3e-9, 0.8e-9) and outside (1.2e-9) the order-1 tolerance of

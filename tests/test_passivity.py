@@ -169,6 +169,30 @@ class TestNErgotropy:
         s = normalize_spectrum([0, 1])
         assert n_ergotropy(s, DiagonalState((0.3, 0.7)), 2) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("N", [2, 50, 1100, 5000])
+    def test_qubit_closed_form(self, N):
+        # a product of passive qubits is Gibbs, so N copies yield N*eps*(p1 - p0)
+        s = normalize_spectrum([0, 1])
+        assert n_ergotropy(s, DiagonalState((0.3, 0.7)), N) == pytest.approx(0.4 * N, rel=1e-10)
+        assert abs(n_ergotropy(s, DiagonalState((0.7, 0.3)), N)) <= 1e-10 * N
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        N=st.integers(1, 6),
+        d=st.integers(2, 5),
+        beta=st.floats(0.0, 5.0),
+    )
+    def test_joint_beats_local(self, seed, N, d, beta):
+        # local unitaries are among the joint ones; copies of a Gibbs state
+        # are a Gibbs state
+        rng = np.random.default_rng(seed)
+        s = normalize_spectrum(sorted([0.0] + list(rng.uniform(0.2, 3.0, d - 1))))
+        rho = random_state(rng, s.d)
+        slack = 1e-12 * max(1.0, N * s.eps_max)
+        assert n_ergotropy(s, rho, N) >= N * ergotropy_1(s, rho.populations) - slack
+        assert n_ergotropy(s, gibbs_populations(s, beta), N) <= 1e-10
+
     def test_gibbs_zero(self):
         rho = gibbs_populations(S019, 1.1)
         for N in (1, 2, 3):
