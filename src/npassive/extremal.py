@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundViolationError
 from .gibbs import _energy, _entropy, _log_populations, gibbs_point, isentropic_point
-from .passivity import _cuts
+from .passivity import _check_tol, _cuts, _row_sums
 from .spectra import DiagonalState, Spectrum
 
 DEFAULT_B_MAX = 30.0
@@ -99,11 +99,11 @@ def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None 
     if tol is None:
         scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
         tol = 1e-8 * N * scale
+    _check_tol(tol)
     V = _cuts(tuple(s.level_energies.tolist()), N)
-    lnp = np.asarray(ls.log_populations, dtype=float)
-    # zero entries skip lnp = -inf; a +inf, -inf mix is NaN and never fails
-    x = np.multiply(V, lnp, out=np.zeros(V.shape), where=V != 0).sum(axis=1)
-    return not np.any(x > tol)
+    # by the zero-count rule of _row_sums a cut's zero entries skip an empty
+    # level's -inf, and a +inf, -inf mix is NaN, which never fails
+    return not np.any(_row_sums(V, ls.log_populations) > tol)
 
 
 def sample_n_passive(

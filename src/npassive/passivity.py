@@ -3,8 +3,9 @@
 The order-N passivity condition is a family of log-linear inequalities over
 occupation vectors: whenever one vector carries strictly more energy than
 another, its product of populations must not exceed the other's.  All such
-comparisons run in log-space with the convention that a zero count
-contributes nothing even when the population is zero.
+comparisons run in log-space through one kernel, ``_row_sums``, which every
+reader shares (the verdict, stability, ``n_ergotropy``, ``verify_level_passive``)
+and where a zero count contributes nothing even when the population is zero.
 
 One rule decides which energy sums tie: sorted sums whose consecutive gaps
 are all within ``spectra.default_energy_tol`` form one chained group, so a
@@ -61,19 +62,25 @@ class CPClass:
     fit_residual: float
 
 
-def _row_sums(table: np.ndarray, values) -> np.ndarray:
-    """Per row, sum of count*value over the columns, added left to right.
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
-    A zero count contributes nothing, even where the value is -inf.
+
+def _row_sums(table: np.ndarray, values) -> np.ndarray:
+    """Per row, the sum of count*value over the columns, as one matrix product.
+
+    A zero count adds nothing, even at an infinite value; any other count, of
+    either sign, times +-inf adds the product's infinity (both infinities: NaN).
     """
-    out = np.zeros(len(table))
-    for col, v in zip(table.T, values):
-        if math.isfinite(v):
-            # a zero count adds +-0.0, which leaves a sum begun at +0.0 as it is
-            out += col * v
-        else:
-            out += np.multiply(col, v, out=np.zeros(len(col)), where=col > 0)
-    return out
+    v = np.asarray(values, dtype=float)
+    if all(map(math.isfinite, values)):
+        return table.dot(v)
+    finite = np.isfinite(v)
+    c = table[:, ~finite]
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as documented
+        inf = np.multiply(c, v[~finite], out=np.zeros(c.shape), where=c != 0).sum(axis=1)
+    return table.dot(np.where(finite, v, 0.0)) + inf
 
 
 @lru_cache(maxsize=8)
@@ -89,7 +96,8 @@ def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
     table = occupations(len(energies), N)
     evals = _row_sums(table, energies)
     order = np.argsort(evals, kind="stable")
-    new = np.diff(evals[order], prepend=-math.inf) > energy_tol
+    e = evals[order]
+    new = np.concatenate(([True], e[1:] - e[:-1] > energy_tol))
     starts = np.flatnonzero(new)
     rank = np.empty(len(order), np.int64)
     rank[order] = np.cumsum(new) - 1
@@ -140,7 +148,7 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     C, _, order, starts, rank = _energy_groups(
         energies, N, default_energy_tol(max(energies), N)
     )
-    size = np.diff(starts, append=len(order))
+    size = np.concatenate((starts[1:], [len(order)])) - starts
     # every sorted position j below the top group, against the next group
     up = rank[order[: starts[-1]]] + 1
     lo, width = starts[up], size[up]
@@ -168,6 +176,7 @@ def is_n_passive(
     _check_aligned(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_tol(tol)
     hit = _scan_passive(
         s.energies,
         rho.ln_populations,
@@ -192,6 +201,7 @@ def is_k_structurally_stable(
     _check_aligned(s, rho)
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_tol(tol)
     return _scan_stable(
         s.energies,
         rho.ln_populations,
@@ -285,6 +295,7 @@ def classify_complete_passivity(
     max residual within tol.
     """
     _check_aligned(s, rho)
+    _check_tol(tol)
     pops = rho.populations
     eps = np.asarray(s.energies)
     support = [j for j, p in enumerate(pops) if p > 0]

@@ -269,7 +269,8 @@ def occupations(d: int, N: int) -> np.ndarray:
         dtype=np.int64,
         count=count * (d - 1),
     ).reshape(count, d - 1)
-    table = np.diff(bars, axis=1, prepend=-1, append=N + d - 1) - 1
+    edges = np.column_stack((np.full(count, -1), bars, np.full(count, N + d - 1)))
+    table = edges[:, 1:] - edges[:, :-1] - 1
     table.flags.writeable = False
     return table
 

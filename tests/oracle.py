@@ -4,10 +4,12 @@ These are the pairwise Python loops the library ran before every enumerator
 read from ``spectra.occupations``: a recursive generator of occupation
 vectors, per-vector log-weights, the order-N and order-k scans, the N-copy
 ergotropy and the O(M^2) loop of ``prep1_envelope``.  The library must
-reproduce them bit for bit, except ``prep1_envelope``, whose ends both it and
-the library keep within a few ulp of ``prep1_envelope_exact``, and
-``n_ergotropy``, which the library sums in another order and in log space and
-keeps close to ``n_ergotropy_exact``.
+reproduce them bit for bit, except in three places.  Its row log-weights are
+one matrix product, kept within a few ulp of the per-entry sums of
+``log_weights``.  The ends of ``prep1_envelope`` both it and the library keep
+within a few ulp of ``prep1_envelope_exact``.  ``n_ergotropy`` the library
+sums in another order and in log space and keeps close to
+``n_ergotropy_exact``.
 
 Every loop decides energy ties by the library's one rule, through
 ``tie_ranks``: sorted energies whose consecutive gaps are all within the

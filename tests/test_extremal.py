@@ -247,6 +247,16 @@ def test_tolerance_holds_each_generator():
     assert not verify_level_passive(s, LevelState((0.0, 1.1 * t, 0.6 * t)), 2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tolerance_checked(tol):
+    # read as a bound, tol = NaN passed this inverted state
+    s = Spectrum.from_levels([(0.0, 1), (1.0, 1)])
+    inverted = LevelState((math.log(0.3), math.log(0.7)))
+    assert not verify_level_passive(s, inverted, 2)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        verify_level_passive(s, inverted, 2, tol=tol)
+
+
 class TestAlphaScan:
     def test_two_level_ratio_is_one(self):
         s = Spectrum.from_levels([(0, 1), (1, 4)])

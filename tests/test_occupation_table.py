@@ -2,7 +2,9 @@
 
 The reference loops in ``oracle.py`` are reproduced exactly: verdicts,
 witnesses, stability and the level-space passivity check, on seeded grids
-that include near-ties and zero populations.  The N-copy ergotropy lies
+that include near-ties and zero populations.  Their one kernel, the row sums
+of count*value, lies within 4 ulp of sum |count*value| of the reference's
+per-entry sums and has the same infinities.  The N-copy ergotropy lies
 within 1e-13*max(1, N*eps_max) of the exact reference and gives the float
 loop's ``erg <= 1e-10`` verdict.  The ``prep1_envelope`` interval, like the
 reference loop's, lies within 4 ulp of the exact one.
@@ -10,6 +12,7 @@ reference loop's, lies within 4 ulp of the exact one.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +33,7 @@ from npassive.passivity import (
     DEFAULT_LOG_TOL,
     DEFAULT_STABILITY_TOL,
     _cuts,
+    _row_sums,
     is_k_structurally_stable,
     is_n_passive,
     n_ergotropy,
@@ -81,6 +85,27 @@ def _states(rng, s):
     states = [DiagonalState.from_weights(w) for w in weights]
     states.append(passive_rearrangement(s, rng.dirichlet(np.ones(d))))
     return states
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_sums_match_reference(data):
+    # signed counts, as in the cuts, against finite values and both infinities
+    N, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(-N, N), min_size=d, max_size=d)
+    table = np.array(data.draw(st.lists(row, min_size=1, max_size=12)), dtype=np.int64)
+    value = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-math.inf, math.inf]))
+    values = data.draw(st.lists(value, min_size=d, max_size=d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_sums(table, values)
+    want = oracle.log_weights(table.tolist(), values)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    # a finite row has zero counts wherever the value is infinite
+    scale = np.abs(table[finite]) @ np.abs(np.nan_to_num(values, posinf=0.0, neginf=0.0))
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(scale))
 
 
 @pytest.mark.parametrize("N", range(1, 6))

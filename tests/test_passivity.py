@@ -116,6 +116,37 @@ class TestStructuralStability:
                 assert is_k_structurally_stable(s, rho, 1)
 
 
+BAD_TOLS = [math.nan, -1.0, math.inf]
+
+
+class TestToleranceChecked:
+    """A negative or non-finite tol is refused; read as a bound, NaN passed
+    every comparison and -1 failed the flat state."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_n_passive(self, tol):
+        rho = DiagonalState((0.2, 0.3, 0.5))
+        v = is_n_passive(S019, rho, 2)
+        assert (v.witness[0].counts, v.witness[1].counts) == ((0, 0, 2), (0, 1, 1))
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            is_n_passive(S019, rho, 2, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("pops", [(0.1, 0.7, 0.2), (0.4, 0.4, 0.2)])
+    def test_structurally_stable(self, pops, tol):
+        rho = DiagonalState(pops)
+        assert is_k_structurally_stable(S001, rho, 1) == (pops[0] == pops[1])
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            is_k_structurally_stable(S001, rho, 1, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_classify(self, tol):
+        rho = gibbs_populations(S019, 1.0)
+        assert classify_complete_passivity(S019, rho).tag == "Gibbs"
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            classify_complete_passivity(S019, rho, tol=tol)
+
+
 class TestRearrangementErgotropy:
     def test_rearrangement(self):
         out = passive_rearrangement(S012, (0.2, 0.3, 0.5))
