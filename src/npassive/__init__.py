@@ -5,7 +5,6 @@ from .bounds import BoundReport, alpha_max, bound_report, check_bound, spectral_
 from .commensurability import n_star, rational_ratio_detect, triple_forces_gibbs
 from .extremal import (
     AlphaScanRow,
-    LevelState,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,

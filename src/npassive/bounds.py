@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gibbs import isentropic_point
 from .passivity import is_k_structurally_stable, is_n_passive
-from .spectra import DiagonalState, Spectrum, _check_aligned, state_energy, state_entropy
+from .spectra import DiagonalState, Spectrum, _fold, state_energy, state_entropy
 
 SLACK_TOL = 1e-9
 
@@ -113,48 +113,14 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     inspects entropy, degeneracy structure, and order-1 stability to pick the
     regime.
     """
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
     S = state_entropy(rho)
     E = state_energy(s, rho)
-    ln_d0 = math.log(s.d0)
+    R = spectral_ratio(s)  # 0 on a single level
 
-    if S < ln_d0 - 1e-12:
-        if s.d == s.d0:
-            raise HypothesisError("single-level spectrum cannot have entropy below ln d0")
-        bound = low_entropy_bound(s, S, N)
-        return BoundReport(
-            regime=LOW_ENTROPY,
-            bound_value=bound,
-            slack=bound - E,
-            N=N,
-            beta_rho=None,
-            R=spectral_ratio(s),
-            eps_max=s.eps_max,
-            d0=s.d0,
-            u_rho=None,
-            asymptotic=False,
-            energy=E,
-            entropy=S,
-        )
-
-    if s.eps_max == 0:
-        # single-level spectrum: E = E_beta = 0 identically
-        return BoundReport(
-            regime=TWO_LEVEL_EQUALITY, bound_value=0.0, slack=0.0, N=N,
-            beta_rho=math.inf, R=0.0, eps_max=0.0, d0=s.d0, u_rho=None,
-            asymptotic=False, energy=E, entropy=S,
-        )
-
-    gp = isentropic_point(s, min(S, math.log(s.d)))
-    beta, E_beta = gp.beta, gp.energy
-    R = spectral_ratio(s)
-    u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
-    one_ss = is_k_structurally_stable(s, rho, 1)
-    two_level = s.is_two_level()
-
-    def report(regime, bound, asymptotic=False, b_exp=None, b_inv=None):
+    def report(regime, bound, beta, u=None, asymptotic=False, b_exp=None, b_inv=None):
         return BoundReport(
             regime=regime, bound_value=bound, slack=bound - E, N=N,
             beta_rho=beta, R=R, eps_max=s.eps_max, d0=s.d0, u_rho=u,
@@ -162,24 +128,39 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
             bound_exponential=b_exp, bound_inverse=b_inv,
         )
 
+    if S < math.log(s.d0) - 1e-12:
+        if s.d == s.d0:
+            raise HypothesisError("single-level spectrum cannot have entropy below ln d0")
+        return report(LOW_ENTROPY, low_entropy_bound(s, S, N), None)
+
+    if s.eps_max == 0:
+        # single-level spectrum: E = E_beta = 0 identically
+        return report(TWO_LEVEL_EQUALITY, 0.0, math.inf)
+
+    gp = isentropic_point(s, min(S, math.log(s.d)))
+    beta, E_beta = gp.beta, gp.energy
+    u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
+    one_ss = is_k_structurally_stable(s, rho, 1)
+    two_level = s.is_two_level()
+
     if s.d == 2 or (two_level and one_ss):
-        return report(TWO_LEVEL_EQUALITY, E_beta)
+        return report(TWO_LEVEL_EQUALITY, E_beta, beta, u)
 
     if one_ss:
         f_exp = exponential_factor(beta, s.eps_max, R, N)
         b_exp = E_beta * f_exp
         f_inv = inverse_factor(R, N)
         if f_inv is None:
-            return report(EXPONENTIAL, b_exp, b_exp=b_exp)
+            return report(EXPONENTIAL, b_exp, beta, u, b_exp=b_exp)
         b_inv = E_beta * f_inv
-        return report(MIN_OF_BOTH, min(b_exp, b_inv), b_exp=b_exp, b_inv=b_inv)
+        return report(MIN_OF_BOTH, min(b_exp, b_inv), beta, u, b_exp=b_exp, b_inv=b_inv)
 
     # degenerate spectrum without order-1 stability
-    lam_min_ground = min(rho.populations[: s.d0])
+    lam_min_ground = min(p for k, p in zip(f.level, f.populations) if k == 0)
     z_inv = math.exp(-gp.logZ) if math.isfinite(beta) else 1.0 / s.d0
     if lam_min_ground >= z_inv:
         b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N)
-        return report(EXPONENTIAL, b_exp, b_exp=b_exp)
+        return report(EXPONENTIAL, b_exp, beta, u, b_exp=b_exp)
 
     if N < 3:
         raise HypothesisError(
@@ -189,13 +170,13 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
         raise HypothesisError("asymptotic regimes need finite beta (S > ln d0)")
     if two_level:
         bound = (N - 1) / (N - 2) * E_beta + (s.d0 - 1) * z_inv * s.eps_max / (N - 2)
-        return report(ASYMPTOTIC_TWO_LEVEL, bound, asymptotic=True)
+        return report(ASYMPTOTIC_TWO_LEVEL, bound, beta, u, asymptotic=True)
     lead = N / (N - 2) * (1 + u * R / N) * E_beta
     if s.d0 == 1:
         bound = lead + (1.0 / beta) / (N - 2) if beta > 0 else math.inf
-        return report(ASYMPTOTIC_NONDEG_GROUND, bound, asymptotic=True)
+        return report(ASYMPTOTIC_NONDEG_GROUND, bound, beta, u, asymptotic=True)
     tail = ((s.d0 - 1) * z_inv * s.eps_max + (1.0 / beta if beta > 0 else math.inf)) / (N - 2)
-    return report(ASYMPTOTIC_GENERAL, lead + tail, asymptotic=True)
+    return report(ASYMPTOTIC_GENERAL, lead + tail, beta, u, asymptotic=True)
 
 
 def check_bound(s: Spectrum, rho: DiagonalState, N: int) -> float:

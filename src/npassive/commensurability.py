@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectra import DiagonalState, Spectrum, _check_aligned
+from .flattening import flatten
+from .spectra import DiagonalState, Spectrum
 
 DEFAULT_MAX_DEN = 10**6
 DEFAULT_RATIO_TOL = 1e-9
@@ -126,20 +127,16 @@ def triple_forces_gibbs(
     thermal log-linear tie p*ln(lambda_b) = q*ln(lambda_c) + (p-q)*ln(lambda_a).
 
     ``triple`` holds distinct-level indices a < b < c.  Populations are taken
-    as the within-level means.
+    as the within-level means, those of ``flatten``.
     """
-    _check_aligned(s, rho)
+    means = flatten(s, rho).flattened.blocks
     a, b, c = triple
     if not (0 <= a < b < c < s.num_levels):
         raise ValueError("triple must hold increasing distinct-level indices")
     (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol)
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")
-    means = []
-    for idx in (a, b, c):
-        lo, hi = s.level_slices[idx]
-        means.append(sum(rho.populations[lo:hi]) / (hi - lo))
-    la, lb, lc = means
+    la, lb, lc = (means[k][0] for k in triple)
     if min(la, lb, lc) <= 0:
         return False
     resid = (

@@ -1,9 +1,9 @@
 """Sampling the order-N passive set, energy-ratio maximization, and the
 three-level saturation construction.
 
-States here may live on spectra with astronomically degenerate levels, so a
-level-resolved representation (one log-population per distinct level) is used
-throughout; dense population vectors are materialized only when small.
+The states built here are order-1 stable, one block per level
+(``DiagonalState.from_levels``), so astronomically degenerate levels cost
+nothing extra.
 """
 
 from __future__ import annotations
@@ -14,37 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundViolationError
-from .gibbs import _energy, _entropy, _log_populations, gibbs_point, isentropic_point
+from .gibbs import _log_populations, gibbs_point, isentropic_point
 from .passivity import _check_tol, _cuts, _row_sums
-from .spectra import DiagonalState, Spectrum
+from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold, state_energy, state_entropy
 
 DEFAULT_B_MAX = 30.0
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """Per-slot log-populations, one entry per distinct level of a spectrum.
-
-    Every basis state inside level ``ell`` carries population
-    ``exp(log_populations[ell])``; the level as a whole carries
-    multiplicity-times that.
-    """
-
-    log_populations: tuple[float, ...]
-
-    def to_dense(self, s: Spectrum) -> DiagonalState:
-        pops = []
-        for lnp, (_, g) in zip(self.log_populations, s.distinct_levels):
-            pops.extend([math.exp(lnp)] * g)
-        total = sum(pops)
-        return DiagonalState(tuple(p / total for p in pops))
 
 
 @dataclass(frozen=True)
 class AlphaScanRow:
     beta_rho: float
     alpha: float
-    state: LevelState
+    state: DiagonalState
 
 
 @dataclass(frozen=True)
@@ -61,7 +42,7 @@ class SaturationParams:
 @dataclass(frozen=True)
 class SaturationResult:
     params: SaturationParams
-    state: LevelState
+    state: DiagonalState
     spectrum: Spectrum
     alpha_pred: float
     alpha_measured: float
@@ -73,37 +54,22 @@ class InfeasibleSaturationError(RuntimeError):
     """The requested saturation fraction is outside the parameter window."""
 
 
-def level_energy(s: Spectrum, ls: LevelState) -> float:
-    return float(_energy(s.level_energies, s.log_multiplicities, np.asarray(ls.log_populations)))
-
-
-def level_entropy(s: Spectrum, ls: LevelState) -> float:
-    return float(_entropy(s.log_multiplicities, np.asarray(ls.log_populations)))
-
-
-def level_state_from_b(s: Spectrum, b) -> LevelState:
-    """Normalize per-level 'log-weights' b (population ~ exp(-b)) into a state."""
-    b = np.asarray(b, dtype=float)
-    return LevelState(tuple(_log_populations(s.log_multiplicities, b)))
-
-
-def verify_level_passive(s: Spectrum, ls: LevelState, N: int, tol: float | None = None) -> bool:
-    """Order-N passivity of a level-resolved (hence order-1 stable) state.
-
-    Occupation vectors over individual slots of a level-uniform state fold to
-    occupation vectors over levels, so the level-space cuts are exhaustive:
-    every generator v of ``_cuts`` needs v . ln(lambda) <= tol, so a cut that
-    is a sum of k generators is held to k*tol.  A cut with a positive count on
-    an empty level never binds, and one with a negative count there fails.
+def verify_level_passive(s: Spectrum, rho: DiagonalState, N: int, tol: float | None = None) -> bool:
+    """Order-N passivity of rho from the cuts over its classes (its levels, for
+    an order-1 stable state), which are exhaustive: every generator v of
+    ``_cuts`` needs v . ln(lambda) <= tol, so a cut that is a sum of k
+    generators is held to k*tol.  A cut with a positive count on an empty
+    class never binds, and one with a negative count there fails.
     """
+    f = _fold(s, rho)
     if tol is None:
-        scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
+        scale = max(1.0, max(abs(x) for x in f.log_populations if math.isfinite(x)))
         tol = 1e-8 * N * scale
     _check_tol(tol)
-    V = _cuts(tuple(s.level_energies.tolist()), N)
+    V = _cuts(f.energies, N)
     # by the zero-count rule of _row_sums a cut's zero entries skip an empty
-    # level's -inf, and a +inf, -inf mix is NaN, which never fails
-    return not np.any(_row_sums(V, ls.log_populations) > tol)
+    # class's -inf, and a +inf, -inf mix is NaN, which never fails
+    return not np.any(_row_sums(V, f.log_populations) > tol)
 
 
 def sample_n_passive(
@@ -163,14 +129,9 @@ def sample_n_passive(
                 np.minimum(upper, np.maximum(lower, x + t * u), out=x)
             if step >= burn_in and (step - burn_in) % thin == thin - 1:
                 kept.append(np.concatenate([[0.0], x]))  # b, slot 0 gauge-fixed
-    samples: list[DiagonalState] = []
-    for b in kept:
-        if stable:
-            samples.append(level_state_from_b(s, b).to_dense(s))
-        else:
-            w = np.exp(-b)
-            samples.append(DiagonalState(tuple(w / np.sum(w))))
-    return samples
+    if stable:
+        return [DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b)) for b in kept]
+    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
 
 
 def _entropy_on_chord(s: Spectrum, b1, b2):
@@ -182,7 +143,7 @@ def _entropy_on_chord(s: Spectrum, b1, b2):
     b[..., 1] = b1
     b[..., 2] = b2
     lnp = _log_populations(s.log_multiplicities, b)
-    return _entropy(s.log_multiplicities, lnp), lnp
+    return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
 
 
 def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: int):
@@ -249,26 +210,24 @@ def max_alpha_scan(
     if N < 1:
         raise ValueError("N must be >= 1")
     rows: list[AlphaScanRow] = []
-    eps = s.level_energies
+    eps, logg = s.level_energies, s.log_multiplicities
     cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None
     for beta in beta_grid:
         gp = gibbs_point(s, beta)
         if gp.energy <= 0:
             raise ValueError("scan needs beta with positive thermal energy")
-        gibbs_ls = level_state_from_b(s, beta * eps)
-        best_E = level_energy(s, gibbs_ls)
-        best_ls = gibbs_ls
+        lnp_gibbs = _log_populations(logg, beta * eps)
+        best, w = DiagonalState.from_levels(s, lnp_gibbs), np.exp(logg + lnp_gibbs)
+        best_E = float(_energy(eps, w))
         if cuts is not None:
-            S_target = level_entropy(s, gibbs_ls)
+            S_target = float(_entropy(w, lnp_gibbs))
             lnp = _chord_roots(s, cuts, beta, S_target, resolution)
-            for E, lnp_k in zip(_energy(eps, s.log_multiplicities, lnp).tolist(), lnp):
+            for E, lnp_k in zip(_energy(eps, np.exp(logg + lnp)).tolist(), lnp):
                 if E > best_E:
-                    ls = LevelState(tuple(lnp_k))
-                    if verify_level_passive(s, ls, N):
-                        best_E = E
-                        best_ls = ls
-        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy,
-                                 state=best_ls))
+                    rho = DiagonalState.from_levels(s, lnp_k)
+                    if verify_level_passive(s, rho, N):
+                        best_E, best = E, rho
+        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy, state=best))
     return rows
 
 
@@ -347,13 +306,13 @@ def saturation_construct(
             B *= 1.5
             continue
         spectrum = Spectrum(((0.0, 1), (1.0, g1), (r, g2)))
-        ls = LevelState((ln_l0, ln_xi, ln_l2))
-        if not verify_level_passive(spectrum, ls, N):
+        rho = DiagonalState.from_levels(spectrum, (ln_l0, ln_xi, ln_l2))
+        if not verify_level_passive(spectrum, rho, N):
             raise InfeasibleSaturationError(
                 "constructed state failed the order-N passivity scan"
             )
-        S = level_entropy(spectrum, ls)
-        E = level_energy(spectrum, ls)
+        S = state_entropy(rho)
+        E = state_energy(spectrum, rho)
         gp = isentropic_point(spectrum, S)
         beta, alpha_meas = gp.beta, E / gp.energy
         if alpha_meas > a_max:
@@ -362,7 +321,7 @@ def saturation_construct(
                                   xi=math.exp(ln_xi))
         alpha_pred = _alpha_fixed_point(r, lng_ratio, beta, alpha_t)
         last = SaturationResult(
-            params=params, state=ls, spectrum=spectrum,
+            params=params, state=rho, spectrum=spectrum,
             alpha_pred=alpha_pred, alpha_measured=alpha_meas,
             alpha_max=a_max, beta_rho=beta,
         )

@@ -8,17 +8,13 @@ is bounded in terms of the state's isoentropic inverse temperature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .gibbs import isentropic_point, solve_beta_for_entropy
-from .spectra import (
-    DiagonalState,
-    Spectrum,
-    _check_aligned,
-    state_energy,
-    state_entropy,
-)
+from .spectra import DiagonalState, Spectrum, _fold, state_energy, state_entropy
 
 MAJORIZE_TOL = 1e-12
 
@@ -34,32 +30,35 @@ class FlattenResult:
     delta_S0: float
 
 
-def _level_entropy_gap(chunk) -> float:
-    """Entropy gained by averaging one level's populations; non-negative."""
-    mean = sum(chunk) / len(chunk)
-    if mean <= 0:
-        return 0.0
-    gap = sum(p * math.log(p) for p in chunk if p > 0) - sum(chunk) * math.log(mean)
-    return max(gap, 0.0)
+def _levels(s: Spectrum, rho: DiagonalState):
+    """Per level of s, its (energy, multiplicity) and the (population,
+    ln(population), count) of each class of rho in it."""
+    f = _fold(s, rho)
+    rows = zip(f.level, f.populations, f.log_populations, f.counts)
+    runs = (run for _, run in itertools.groupby(rows, itemgetter(0)))
+    return [(level, [row[1:] for row in run]) for level, run in zip(s.distinct_levels, runs)]
 
 
 def flatten(s: Spectrum, rho: DiagonalState) -> FlattenResult:
-    """Average populations within each degenerate level."""
-    _check_aligned(s, rho)
-    pops = list(rho.populations)
-    delta_S = 0.0
-    delta_S0 = 0.0
-    out = []
-    for ell, (lo, hi) in enumerate(s.level_slices):
-        chunk = pops[lo:hi]
-        mean = sum(chunk) / len(chunk)
-        out.extend([mean] * len(chunk))
-        gap = _level_entropy_gap(chunk)
-        delta_S += gap
-        if ell == 0:
-            delta_S0 = gap
+    """Average populations within each degenerate level, one block per level."""
+    blocks, logs, gaps = [], [], []
+    for (_, g), run in _levels(s, rho):
+        if len(run) == 1:
+            (mean, lnp, _), gap = run[0], 0.0
+        else:
+            mass = sum(c * p for p, _, c in run)
+            mean = mass / g
+            lnp = math.log(mean) if mean > 0 else -math.inf
+            # the entropy gained by averaging; non-negative
+            gain = sum(c * p * x for p, x, c in run if p > 0) - mass * lnp if mean > 0 else 0.0
+            gap = max(gain, 0.0)
+        blocks.append((mean, g))
+        logs.append(lnp)
+        gaps.append(gap)
     return FlattenResult(
-        flattened=DiagonalState(tuple(out)), delta_S=delta_S, delta_S0=delta_S0
+        flattened=DiagonalState._of(tuple(blocks), tuple(logs)),
+        delta_S=sum(gaps),
+        delta_S0=gaps[0],
     )
 
 
@@ -72,7 +71,7 @@ def delta_S_bound(
     lies strictly below 1/Z at the isoentropic temperature.  ``form`` selects
     'general' or the tighter 'two_level' variant (auto-detected by default).
     """
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     if N < 2:
         raise RegimeError("entropy-gap bound needs N >= 2")
     S = state_entropy(rho)
@@ -84,7 +83,7 @@ def delta_S_bound(
         raise RegimeError("isoentropic temperature is zero (S == ln d0 limit)")
     z_inv = math.exp(-gp.logZ)
     # equality within roundoff (an exactly thermal state) is rejected too
-    if min(rho.populations[: s.d0]) >= z_inv * (1.0 - 1e-12):
+    if min(p for k, p in zip(f.level, f.populations) if k == 0) >= z_inv * (1.0 - 1e-12):
         raise RegimeError(
             "smallest ground population >= 1/Z: the exponential bound regime applies"
         )
@@ -131,47 +130,49 @@ def gibbs_crossing_witness(
 
     For a non-thermal state whose top population sits below 1/Z, some excited
     level must be over-populated relative to the thermal state and some higher
-    level under-populated; this returns the first such pair.
+    level under-populated; this returns the first such pair of slots b < c, in
+    one backward pass keeping the lowest level above each that holds a c.
     """
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     gp = isentropic_point(s, state_entropy(rho))
     beta, logZ = gp.beta, gp.logZ
     if not math.isfinite(beta):
         raise RegimeError("state entropy at the ln d0 limit: no finite temperature")
-    if rho.populations[0] >= math.exp(-logZ) - tol:
+    if rho.blocks[0][0] >= math.exp(-logZ) - tol:
         raise RegimeError("leading population not below 1/Z: hypothesis fails")
-    eps = s.energies
-    hat = [math.exp(-beta * e - logZ) for e in eps]
-    for b in range(s.d):
-        if eps[b] <= 0 or rho.populations[b] < hat[b] - tol:
-            continue
-        for c in range(b + 1, s.d):
-            if eps[c] > eps[b] and rho.populations[c] <= hat[c] + tol:
-                return eps[b], eps[c]
-    raise RegimeError("no crossing pair found: state violates the hypothesis class")
+    over, under = [False] * s.num_levels, [False] * s.num_levels
+    for k, e, p in zip(f.level, f.energies, f.populations):
+        hat = math.exp(-beta * e - logZ)
+        over[k] |= not p < hat - tol
+        under[k] |= p <= hat + tol
+    eps, pair, up = s.level_energies.tolist(), None, None
+    for k in reversed(range(s.num_levels)):
+        if over[k] and up is not None and eps[k] > 0:
+            pair = eps[k], eps[up]
+        if under[k]:
+            up = k
+    if pair is None:
+        raise RegimeError("no crossing pair found: state violates the hypothesis class")
+    return pair
 
 
 def same_level_log_gap_ok(
     s: Spectrum, rho: DiagonalState, N: int, tol: float = 1e-9
 ) -> bool:
     """Within every positive-energy level, log-population gaps stay below
-    -(ln Z + ln lambda_j)/(N-1) for each ordered pair (i, j)."""
-    _check_aligned(s, rho)
+    -(ln Z + ln lambda_j)/(N-1) for each ordered pair (i, j); for each j the
+    pair that binds has i the level's least population.
+    """
+    levels = _levels(s, rho)
     if N < 2:
         raise ValueError("needs N >= 2")
     logZ = isentropic_point(s, state_entropy(rho)).logZ
-    for (e, g), (lo, hi) in zip(s.distinct_levels, s.level_slices):
+    for (e, g), run in levels:
         if e <= 0 or g < 2:
             continue
-        chunk = rho.populations[lo:hi]
-        for li in chunk:
-            for lj in chunk:
-                if li <= 0 or lj <= 0:
-                    return False
-                lhs = math.log(lj) - math.log(li)
-                rhs = -(logZ + math.log(lj)) / (N - 1)
-                if lhs >= rhs + tol:
-                    return False
+        least = min(x for _, x, _ in run)
+        if least == -math.inf or any(x - least >= -(logZ + x) / (N - 1) + tol for _, x, _ in run):
+            return False
     return True
 
 
@@ -179,13 +180,12 @@ def ground_spread_witness(
     s: Spectrum, rho: DiagonalState, N: int, tol: float = 1e-9
 ) -> float | None:
     """Smallest positive energy eps_a with ground log-spread < beta*eps_a/(N-1)."""
-    _check_aligned(s, rho)
+    ground = [x for _, x, _ in _levels(s, rho)[0][1]]
     if N < 2:
         raise ValueError("needs N >= 2")
-    ground = rho.populations[: s.d0]
-    if min(ground) <= 0:
+    if min(ground) == -math.inf:
         return None
-    spread = math.log(max(ground)) - math.log(min(ground))
+    spread = max(ground) - min(ground)
     beta = solve_beta_for_entropy(s, state_entropy(rho))
     if not math.isfinite(beta):
         return None

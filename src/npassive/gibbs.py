@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import DiagonalState, Spectrum, _check_aligned, state_entropy
+from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold, state_entropy
 
 ENTROPY_TOL = 1e-12
 
@@ -55,14 +55,6 @@ def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -b - (m + np.log1p(rest))
 
 
-def _energy(eps: np.ndarray, logg: np.ndarray, lnp: np.ndarray) -> np.ndarray:
-    return (np.exp(logg + lnp) * eps).sum(axis=-1)
-
-
-def _entropy(logg: np.ndarray, lnp: np.ndarray) -> np.ndarray:
-    return -(np.exp(logg + lnp) * lnp).sum(axis=-1)
-
-
 def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
     """(logZ, E, S - ln g0, Var E) for populations proportional to g*exp(-beta*eps).
 
@@ -76,9 +68,9 @@ def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
     rel = logg - logg[0]
     lnp = _log_populations(rel, beta * eps)
     p = np.exp(rel + lnp)
-    energy = float((p * eps).sum(axis=-1))
-    var = float((p * (eps - energy) ** 2).sum(axis=-1))
-    return float(logg[0] - lnp[0]), energy, float(-(p * lnp).sum(axis=-1)), var
+    energy = float(_energy(eps, p))
+    var = float(_energy((eps - energy) ** 2, p))
+    return float(logg[0] - lnp[0]), energy, float(_entropy(p, lnp)), var
 
 
 def _point(beta: float, logg: np.ndarray, functionals) -> GibbsPoint:
@@ -95,13 +87,12 @@ def gibbs_point(s: Spectrum, beta: float) -> GibbsPoint:
 
 
 def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
-    """Dense thermal state exp(-beta*eps_j)/Z, index-aligned to the spectrum."""
-    if math.isinf(beta):
-        return DiagonalState(tuple(1.0 / s.d0 if j < s.d0 else 0.0 for j in range(s.d)))
-    logZ = gibbs_point(s, beta).logZ
-    pops = tuple(math.exp(-beta * e - logZ) for e in s.energies)
-    total = sum(pops)
-    return DiagonalState(tuple(p / total for p in pops))
+    """The thermal state exp(-beta*eps_j)/Z, one block per level of the spectrum."""
+    if not beta >= 0:
+        raise ValueError("beta must be >= 0 (or +inf)")
+    eps = s.level_energies
+    b = np.where(eps > 0, math.inf, 0.0) if math.isinf(beta) else beta * eps
+    return DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b))
 
 
 def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> GibbsPoint:
@@ -176,6 +167,6 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
 
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:
     """(beta_rho, E_beta) of the thermal state sharing the entropy of rho."""
-    _check_aligned(s, rho)
+    _fold(s, rho)  # refuses a state of another dimension
     gp = isentropic_point(s, state_entropy(rho))
     return gp.beta, gp.energy

@@ -6,6 +6,8 @@ another, its product of populations must not exceed the other's.  All such
 comparisons run in log-space through one kernel, ``_row_sums``, which every
 reader shares (the verdict, stability, ``n_ergotropy``, ``verify_level_passive``)
 and where a zero count contributes nothing even when the population is zero.
+The vectors run over the classes of a state (``spectra._fold``), so a
+level of multiplicity 10**12 holding one population costs one column.
 
 One rule decides which energy sums tie: sorted sums whose consecutive gaps
 are all within ``spectra.default_energy_tol`` form one chained group, so a
@@ -33,7 +35,7 @@ from .spectra import (
     DiagonalState,
     OccupationVector,
     Spectrum,
-    _check_aligned,
+    _fold,
     default_energy_tol,
     occupations,
     state_energy,
@@ -107,7 +109,7 @@ def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
 
 
 def _scan_passive(energies, logpops, N, tol, energy_tol):
-    """Core order-N scan over arbitrary slot arrays.
+    """Core order-N scan over the energies and log-populations of classes.
 
     Returns None if passive, else the lexicographically first violating
     (higher-energy, lower-energy) pair of raw count tuples.
@@ -172,23 +174,25 @@ def is_n_passive(
     N: int,
     tol: float = DEFAULT_LOG_TOL,
 ) -> PassivityVerdict:
-    """Order-N passivity of rho via exhaustive occupation-pair comparison."""
-    _check_aligned(s, rho)
+    """Order-N passivity of rho via exhaustive occupation-pair comparison over
+    its classes.  A class's witness count goes to its last slot, which makes
+    the witness the lexicographically first violating pair of slot vectors."""
+    f = _fold(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_tol(tol)
     hit = _scan_passive(
-        s.energies,
-        rho.ln_populations,
+        f.energies,
+        f.log_populations,
         N,
         tol,
         default_energy_tol(s.eps_max, N),
     )
     if hit is None:
         return PassivityVerdict(True)
-    return PassivityVerdict(
-        False, (OccupationVector(hit[0]), OccupationVector(hit[1]))
-    )
+    return PassivityVerdict(False, tuple(
+        OccupationVector(s.d, tuple((f.last[k], c) for k, c in enumerate(v) if c)) for v in hit
+    ))
 
 
 def is_k_structurally_stable(
@@ -198,13 +202,13 @@ def is_k_structurally_stable(
     tol: float = DEFAULT_STABILITY_TOL,
 ) -> bool:
     """Equal-energy occupation vectors of order k carry equal weights."""
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_tol(tol)
     return _scan_stable(
-        s.energies,
-        rho.ln_populations,
+        f.energies,
+        f.log_populations,
         k,
         tol,
         default_energy_tol(s.eps_max, k),
@@ -255,23 +259,26 @@ def ergotropy_general(populations, energies, overlap) -> float:
 def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """Work extractable from N copies under joint unitaries, per the whole batch.
 
-    The d^N eigenvalues come in occupation-vector blocks: a row c of the
-    order-N table holds N!/prod(c_k!) eigenvalues of weight prod(lambda_k^c_k)
-    at energy c.eps.  The passive energy pairs weights (descending) with
-    energies (ascending) eigenvalue by eigenvalue, so it is a sum over the
-    segments between the breakpoints of the two cumulative multiplicity
-    sequences, each segment lying in one weight block and one energy block.
+    The d^N eigenvalues come in occupation-vector blocks: a row c of the table
+    over the classes of rho, of g_k slots each, holds N!/prod(c_k!)*prod(g_k^c_k)
+    eigenvalues of weight prod(lambda_k^c_k) at energy c.eps.  The passive
+    energy pairs weights (descending) with energies (ascending) eigenvalue by
+    eigenvalue, so it is a sum over the segments between the breakpoints of
+    the two cumulative multiplicity sequences, each segment lying in one
+    weight block and one energy block.
     Multiplicities and their running sums stay in log space, and a segment's
     eigenvalue count is formed only times its weight, so every N the table
     allows gets an answer.
     """
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    table, evals, order, *_ = _energy_groups(s.energies, N, default_energy_tol(s.eps_max, N))
+    table, evals, order, *_ = _energy_groups(f.energies, N, default_energy_tol(s.eps_max, N))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
     log_mult = log_fact[N] - log_fact[table].sum(axis=1)
-    lweights = _row_sums(table, rho.ln_populations)
+    if max(f.counts) > 1:
+        log_mult += table @ np.log(f.counts)
+    lweights = _row_sums(table, f.log_populations)
     by_weight = np.argsort(-lweights, kind="stable")
     ends_w = np.logaddexp.accumulate(log_mult[by_weight])
     ends_e = np.logaddexp.accumulate(log_mult[order])
@@ -290,24 +297,21 @@ def classify_complete_passivity(
 ) -> CPClass:
     """Decide whether rho is thermal, ground-supported, or neither.
 
-    Fits -ln(lambda) = beta*eps + ln(Z) by least squares over the support and
-    accepts the thermal tag only for full support, non-negative beta, and a
-    max residual within tol.
+    Fits -ln(lambda) = beta*eps + ln(Z) by least squares over the support, a
+    class's row weighted by sqrt(slot count), and accepts the thermal tag only
+    for full support, non-negative beta, and a max residual within tol.
     """
-    _check_aligned(s, rho)
+    f = _fold(s, rho)
     _check_tol(tol)
-    pops = rho.populations
-    eps = np.asarray(s.energies)
-    support = [j for j, p in enumerate(pops) if p > 0]
-    ground_cut = s.d0
-    if all(j < ground_cut for j in support):
+    lnp, eps = np.array(f.log_populations), np.array(f.energies)
+    if np.all((lnp == -math.inf) | (eps == 0)):
         return CPClass(tag="GroundState", beta=None, fit_residual=0.0)
-    if len(support) < s.d:
+    if np.any(lnp == -math.inf):
         return CPClass(tag="NotCP", beta=None, fit_residual=math.inf)
-    b = np.array([-math.log(p) for p in pops])
     A = np.column_stack([eps, np.ones_like(eps)])
-    (beta, logZ), *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ np.array([beta, logZ]) - b)))
+    w = np.sqrt(f.counts)
+    (beta, logZ), *_ = np.linalg.lstsq(A * w[:, None], -lnp * w, rcond=None)
+    residual = float(np.max(np.abs(A @ np.array([beta, logZ]) + lnp)))
     if residual <= tol and beta >= -1e-12:
         return CPClass(tag="Gibbs", beta=max(float(beta), 0.0), fit_residual=residual)
     return CPClass(tag="NotCP", beta=float(beta), fit_residual=residual)

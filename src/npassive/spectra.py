@@ -1,8 +1,10 @@
 """Canonical representation of Hamiltonian spectra and diagonal states.
 
 Energies are stored zero-shifted (ground level at 0) and grouped into
-distinct levels; populations are index-aligned to the dense energy list.
-The occupation table lives here because every other module consumes it.
+distinct levels; a state is held as population blocks in slot order, and
+every reader takes one view of it, ``_fold``: its blocks cut into classes of
+one level and one population.  The state functionals and the occupation
+table live here because every other module consumes them.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 STATE_SUM_TOL = 1e-12
 
-# dense expansion refuses above this dimension; level-resolved code paths
-# (gibbs functionals, extremal module) have no such limit
+# the dense views (energies, populations, occupation counts) refuse above this
+# dimension; the readers of a state work on its classes and have no such limit
 DENSE_DIM_CAP = 2_000_000
 
 # the one size guard on occupation tables, shared by every enumerating caller
@@ -85,12 +88,8 @@ class Spectrum:
         return np.array([e for e, _ in self.distinct_levels], dtype=float)
 
     @cached_property
-    def level_multiplicities(self) -> np.ndarray:
-        return np.array([g for _, g in self.distinct_levels], dtype=float)
-
-    @cached_property
     def log_multiplicities(self) -> np.ndarray:
-        return np.log(self.level_multiplicities)
+        return np.log(np.array([g for _, g in self.distinct_levels], dtype=float))
 
     @cached_property
     def energies(self) -> tuple[float, ...]:
@@ -103,21 +102,9 @@ class Spectrum:
             out.extend([e] * g)
         return tuple(out)
 
-    @cached_property
-    def level_slices(self) -> tuple[tuple[int, int], ...]:
-        """Half-open dense index ranges, one per distinct level."""
-        out, start = [], 0
-        for _, g in self.distinct_levels:
-            out.append((start, start + g))
-            start += g
-        return tuple(out)
-
     def is_two_level(self) -> bool:
         """Zero ground level plus exactly one positive level (any degeneracies)."""
         return self.num_levels == 2
-
-    def is_degenerate(self) -> bool:
-        return any(g > 1 for _, g in self.distinct_levels)
 
     @classmethod
     def from_levels(cls, levels) -> "Spectrum":
@@ -178,31 +165,47 @@ def normalize_spectrum(raw_energies) -> Spectrum:
     return Spectrum(tuple(levels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiagonalState:
-    """Populations of a state diagonal in the energy eigenbasis."""
+    """A state diagonal in the energy eigenbasis: (population, count) blocks
+    in slot order, each block's ln(population), and its d slots.
+    ``DiagonalState(populations)`` makes one block of each run of equal
+    populations, ``from_levels`` one block per level of a spectrum.
+    """
 
-    populations: tuple[float, ...]
+    blocks: tuple[tuple[float, int], ...]
+    log_populations: tuple[float, ...]
 
-    def __post_init__(self):
-        pops = self.populations
-        if not pops:
+    def __init__(self, populations):
+        blocks = tuple((p, len(list(run))) for p, run in itertools.groupby(populations))
+        self._set(blocks, tuple(math.log(p) if p > 0 else -math.inf for p, _ in blocks))
+
+    @classmethod
+    def _of(cls, blocks, log_populations) -> "DiagonalState":
+        rho = cls.__new__(cls)
+        rho._set(blocks, log_populations)
+        return rho
+
+    def _set(self, blocks, log_populations):
+        if not blocks:
             raise StateError("empty population list")
-        if not all(math.isfinite(p) for p in pops):
+        if not all(math.isfinite(p) for p, _ in blocks):
             raise StateError("populations must be finite")
-        if any(p < 0 for p in pops):
+        if any(p < 0 for p, _ in blocks):
             raise StateError("populations must be non-negative")
-        if abs(sum(pops) - 1.0) > STATE_SUM_TOL:
-            raise StateError(f"populations sum to {sum(pops)!r}, expected 1")
+        total = sum(p * c for p, c in blocks)
+        if abs(total - 1.0) > STATE_SUM_TOL:
+            raise StateError(f"populations sum to {total!r}, expected 1")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "log_populations", log_populations)
+        object.__setattr__(self, "d", sum(c for _, c in blocks))
 
     @property
-    def d(self) -> int:
-        return len(self.populations)
-
-    @cached_property
-    def ln_populations(self) -> tuple[float, ...]:
-        """ln(lambda_j); -inf for zero populations."""
-        return tuple(math.log(p) if p > 0 else -math.inf for p in self.populations)
+    def populations(self) -> tuple[float, ...]:
+        """One population per slot; refused above ``DENSE_DIM_CAP`` slots."""
+        if self.d > DENSE_DIM_CAP:
+            raise StateError(f"dense population list refused for d={self.d}; use blocks")
+        return tuple(p for p, c in self.blocks for _ in range(c))
 
     @classmethod
     def from_weights(cls, weights) -> "DiagonalState":
@@ -212,36 +215,96 @@ class DiagonalState:
             raise StateError("weights must have positive sum")
         return cls(tuple(x / total for x in w))
 
+    @classmethod
+    def from_levels(cls, s: Spectrum, log_populations) -> "DiagonalState":
+        """The order-1 stable state whose every slot in level k of s holds
+        population exp(log_populations[k])."""
+        lnp = tuple(float(x) for x in log_populations)
+        if len(lnp) != s.num_levels:
+            raise StateError(f"{len(lnp)} log-populations for {s.num_levels} levels")
+        if not all(x <= 0.0 for x in lnp):
+            raise StateError("log-populations must be <= 0")
+        return cls._of(tuple((math.exp(x), g) for x, (_, g) in zip(lnp, s.distinct_levels)), lnp)
+
 
 @dataclass(frozen=True)
 class OccupationVector:
-    """d non-negative integer counts summing to the order N."""
+    """An occupation vector over d slots as the (slot, count) pairs of its
+    non-zero counts in slot order; ``counts``, one per slot, on request."""
 
-    counts: tuple[int, ...]
+    d: int
+    entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for _, c in self.entries):
             raise ValueError("occupation counts must be non-negative")
 
     @property
-    def order(self) -> int:
-        return sum(self.counts)
+    def counts(self) -> tuple[int, ...]:
+        if self.d > DENSE_DIM_CAP:
+            raise StateError(f"dense occupation counts refused for d={self.d}; use entries")
+        out = [0] * self.d
+        for slot, c in self.entries:
+            out[slot] = c
+        return tuple(out)
 
 
-def _check_aligned(s: Spectrum, rho: DiagonalState):
+class Classes(NamedTuple):
+    """Per class, a run of slots of one level holding one population."""
+
+    level: tuple[int, ...]
+    energies: tuple[float, ...]
+    populations: tuple[float, ...]
+    log_populations: tuple[float, ...]
+    counts: tuple[int, ...]
+    last: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _fold(s: Spectrum, rho: DiagonalState) -> Classes:
+    """The classes of rho on s, the one view every reader of a state takes:
+    its blocks cut at the level boundaries, in slot order.  Order-N vectors
+    over slots and over classes realise the same (energy, log-weight) pairs.
+    The last 8 folds are kept.
+    """
     if rho.d != s.d:
         raise StateError(f"state has {rho.d} populations, spectrum has d={s.d}")
+    rows, levels = [], iter(enumerate(s.distinct_levels))
+    start = level_end = 0
+    for (p, c), x in zip(rho.blocks, rho.log_populations):
+        end = start + c
+        while start < end:  # the block's pieces, one per level it meets
+            if start == level_end:
+                k, (e, g) = next(levels)
+                level_end += g
+            stop = min(end, level_end)
+            rows.append((k, e, p, x, stop - start, stop - 1))
+            start = stop
+    return Classes(*map(tuple, zip(*rows)))
+
+
+def _energy(eps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mean energy of the masses w (count times population) along the last axis."""
+    return np.add.reduce(w * eps, axis=-1)  # ndarray.sum, without its wrapper
+
+
+def _entropy(w: np.ndarray, lnp: np.ndarray) -> np.ndarray:
+    """-sum w*ln(lambda) of the masses w along the last axis; lnp must be
+    finite, any value, where w is 0."""
+    return -np.add.reduce(w * lnp, axis=-1)
 
 
 def state_energy(s: Spectrum, rho: DiagonalState) -> float:
-    """Mean energy sum(lambda_j * eps_j)."""
-    _check_aligned(s, rho)
-    return float(np.dot(rho.populations, s.energies))
+    """Mean energy sum(lambda_j * eps_j), read over the classes."""
+    f = _fold(s, rho)
+    w = np.array([p * c for p, c in zip(f.populations, f.counts)])
+    return float(_energy(np.array(f.energies), w))
 
 
 def state_entropy(rho: DiagonalState) -> float:
     """von Neumann entropy -sum(lambda ln lambda), with 0 ln 0 = 0."""
-    return float(sum(-p * math.log(p) for p in rho.populations if p > 0))
+    w = np.array([p * c for p, c in rho.blocks])
+    return float(_entropy(w, np.where(w > 0, rho.log_populations, 0.0)))
 
 
 def composition_count(d: int, total: int) -> int:

@@ -18,7 +18,9 @@ its group ranks higher.  ``tie_ranks`` is plain Python and shares no code
 with the library's grouping.  ``difference_vectors`` is every cut and
 ``adjacent_cuts`` the pairwise definition of the generators the library
 reads.  ``thermal_functionals`` is the Gibbs level functional as it was
-before it exponentiated the populations once.
+before it exponentiated the populations once.  ``gibbs_crossing_pair`` and
+``same_level_log_gap_ok`` are the pairwise loops of the flattening
+predicates, which the library decides in one pass per level.
 """
 
 import math
@@ -39,6 +41,11 @@ def compositions(d, total):
     for first in range(total + 1):
         for rest in compositions(d - 1, total - first):
             yield (first,) + rest
+
+
+def slot_log_populations(rho):
+    """ln(lambda) of every slot of a state; -inf for an empty slot."""
+    return tuple(math.log(p) if p > 0 else -math.inf for p in rho.populations)
 
 
 def log_weights(vectors, logpops):
@@ -191,12 +198,12 @@ def prep1_envelope(N, eps_a, eps_b, eps_c, lam_a, lam_c):
     return math.exp(lo), math.exp(hi)
 
 
-def verify_level_passive(s, ls, N):
-    """Order-N scan of a level state over the level energies."""
-    scale = max(1.0, max(abs(x) for x in ls.log_populations if math.isfinite(x)))
+def verify_level_passive(s, rho, N):
+    """Order-N scan of a per-level state over the level energies."""
+    scale = max(1.0, max(abs(x) for x in rho.log_populations if math.isfinite(x)))
     tol = 1e-8 * N * scale
     etol = default_energy_tol(s.eps_max, N)
-    return scan_passive(tuple(s.level_energies), ls.log_populations, N, tol, etol) is None
+    return scan_passive(tuple(s.level_energies), rho.log_populations, N, tol, etol) is None
 
 
 def difference_vectors(energies, N):
@@ -263,3 +270,50 @@ def thermal_functionals(eps, logg, beta):
     var = float((np.exp(rel + lnp) * (eps - energy) ** 2).sum(axis=-1))
     entropy = float(-(np.exp(rel + lnp) * lnp).sum(axis=-1))
     return float(logg[0] - lnp[0]), energy, entropy, var
+
+
+def gibbs_crossing_pair(energies, populations, beta, logZ, tol):
+    """The pairwise scan of ``gibbs_crossing_witness``: the first slot b of an
+    excited level populated at least to its thermal value (within tol) that
+    has a later slot c of higher energy populated at most to its own; None
+    when there is no such pair."""
+    hat = [math.exp(-beta * e - logZ) for e in energies]
+    for b, (eb, pb) in enumerate(zip(energies, populations)):
+        if eb <= 0 or pb < hat[b] - tol:
+            continue
+        for c in range(b + 1, len(energies)):
+            if energies[c] > eb and populations[c] <= hat[c] + tol:
+                return eb, energies[c]
+    return None
+
+
+def same_level_log_gap_ok(levels, level_populations, logZ, N, tol):
+    """Every ordered pair (i, j) inside every positive-energy level of
+    multiplicity >= 2 has ln lambda_j - ln lambda_i < -(ln Z + ln lambda_j)/(N-1)
+    + tol; ``level_populations`` lists each level's populations."""
+    for (e, g), chunk in zip(levels, level_populations):
+        if e <= 0 or g < 2:
+            continue
+        for li in chunk:
+            for lj in chunk:
+                if li <= 0 or lj <= 0:
+                    return False
+                if math.log(lj) - math.log(li) >= -(logZ + math.log(lj)) / (N - 1) + tol:
+                    return False
+    return True
+
+
+def classify_slots(energies, populations, d0, tol):
+    """(tag, beta, residual) of the least-squares thermal fit over the slots,
+    one row per slot."""
+    support = [j for j, p in enumerate(populations) if p > 0]
+    if all(j < d0 for j in support):
+        return "GroundState", None, 0.0
+    if len(support) < len(populations):
+        return "NotCP", None, math.inf
+    b = np.array([-math.log(p) for p in populations])
+    A = np.column_stack([energies, np.ones(len(energies))])
+    (beta, logZ), *_ = np.linalg.lstsq(A, b, rcond=None)
+    residual = float(np.max(np.abs(A @ np.array([beta, logZ]) - b)))
+    tag = "Gibbs" if residual <= tol and beta >= -1e-12 else "NotCP"
+    return tag, float(beta), residual

@@ -17,23 +17,29 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
-    LevelState,
     _entropy_on_chord,
-    level_energy,
-    level_entropy,
-    level_state_from_b,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
     verify_level_passive,
 )
-from npassive.gibbs import gibbs_point
+from npassive.gibbs import _log_populations, gibbs_point, gibbs_populations
 from npassive.passivity import (
     _cuts,
     is_k_structurally_stable,
     is_n_passive,
 )
-from npassive.spectra import EnumerationCapError, Spectrum, normalize_spectrum
+from npassive.spectra import (
+    DiagonalState,
+    EnumerationCapError,
+    Spectrum,
+    StateError,
+    _energy,
+    _entropy,
+    normalize_spectrum,
+    state_energy,
+    state_entropy,
+)
 
 from conftest import decimal_gibbs
 import oracle
@@ -210,48 +216,55 @@ class TestAdjacentCuts:
             assert is_n_passive(s, rho, 8).passive
 
 
+def level_state(s, lnp):
+    """The per-level state with log-populations lnp, shifted to sum to 1."""
+    return DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, -np.asarray(lnp)))
+
+
 class TestLevelState:
     def test_functionals_match_dense(self):
         s = Spectrum.from_levels([(0, 2), (1, 3)])
-        b = np.array([0.3, 1.7])
-        ls = level_state_from_b(s, b)
-        dense = ls.to_dense(s)
-        from npassive.spectra import state_energy, state_entropy
-
-        assert level_energy(s, ls) == pytest.approx(state_energy(s, dense))
-        assert level_entropy(s, ls) == pytest.approx(state_entropy(dense))
+        rho = level_state(s, [-0.3, -1.7])
+        assert rho.blocks == tuple(zip(np.exp(rho.log_populations).tolist(), (2, 3)))
+        dense = DiagonalState(rho.populations)
+        assert dense.blocks == rho.blocks and len(dense.populations) == 5
+        assert state_energy(s, rho) == pytest.approx(state_energy(s, dense), rel=1e-15)
+        assert state_entropy(rho) == pytest.approx(state_entropy(dense), rel=1e-15)
+        for N in (1, 2, 3):
+            assert is_n_passive(s, rho, N) == is_n_passive(s, dense, N)
+            assert verify_level_passive(s, rho, N) == verify_level_passive(s, dense, N)
 
     def test_huge_degeneracy_no_overflow(self):
         s = Spectrum(((0.0, 1), (1.0, 1), (1.001, 10**12)))
         # thermal log-populations at beta = 30: passive at every order
-        lng = np.array([math.log(g) for _, g in s.distinct_levels])
-        logits = lng - 30.0 * np.array([e for e, _ in s.distinct_levels])
-        logZ = np.logaddexp.reduce(logits)
-        ls = LevelState(tuple((logits - lng) - logZ))
-        assert math.isfinite(level_energy(s, ls))
-        assert math.isfinite(level_entropy(s, ls))
-        assert verify_level_passive(s, ls, 5)
+        rho = gibbs_populations(s, 30.0)
+        assert math.isfinite(state_energy(s, rho))
+        assert math.isfinite(state_entropy(rho))
+        assert verify_level_passive(s, rho, 5)
+        with pytest.raises(StateError, match="dense population list refused"):
+            rho.populations
 
 
 def test_tolerance_holds_each_generator():
     # at N = 2 on (0, 1, 1.9) the full cut (-2, 2, 0) = 2 (-1, 1, 0) is redundant
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)])
-    t = 1e-8 * 2  # the default tol at N = 2 with |ln lambda| <= 1
-    ls = LevelState((0.0, 0.75 * t, 0.6 * t))
-    lnp, levels = np.array(ls.log_populations), tuple(s.level_energies)
+    t = 1e-8 * 2 * math.log(3)  # the default tol at N = 2 with max |ln lambda| ~ ln 3
+    rho = level_state(s, (0.0, 0.75 * t, 0.6 * t))
+    lnp, levels = np.array(rho.log_populations), tuple(s.level_energies)
+    assert t == pytest.approx(1e-8 * 2 * max(map(abs, lnp)), rel=1e-7)
     assert np.max(_cuts(levels, 2) @ lnp) <= t
     assert np.max(oracle.difference_vectors(levels, 2) @ lnp) == pytest.approx(1.5 * t)
-    assert verify_level_passive(s, ls, 2)
-    assert not oracle.verify_level_passive(s, ls, 2)
+    assert verify_level_passive(s, rho, 2)
+    assert not oracle.verify_level_passive(s, rho, 2)
     # one generator past t fails the state
-    assert not verify_level_passive(s, LevelState((0.0, 1.1 * t, 0.6 * t)), 2)
+    assert not verify_level_passive(s, level_state(s, (0.0, 1.1 * t, 0.6 * t)), 2)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_tolerance_checked(tol):
     # read as a bound, tol = NaN passed this inverted state
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1)])
-    inverted = LevelState((math.log(0.3), math.log(0.7)))
+    inverted = DiagonalState.from_levels(s, (math.log(0.3), math.log(0.7)))
     assert not verify_level_passive(s, inverted, 2)
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         verify_level_passive(s, inverted, 2, tol=tol)
@@ -308,10 +321,10 @@ class TestAlphaScan:
 
 def _scalar_alpha_scan(s, N, beta, resolution):
     """Reference chord search, one point at a time, with the scan's stopping rule."""
-    eps = s.level_energies
-    gibbs_ls = level_state_from_b(s, beta * eps)
-    target = level_entropy(s, gibbs_ls)
-    best_E, best_ls = level_energy(s, gibbs_ls), gibbs_ls
+    eps, logg = s.level_energies, s.log_multiplicities
+    gibbs = _log_populations(logg, beta * eps)
+    target = float(_entropy(np.exp(logg + gibbs), gibbs))
+    best_E, best = float(_energy(eps, np.exp(logg + gibbs))), gibbs
     V = oracle.difference_vectors(tuple(eps), N)
 
     def excess(b1, t):
@@ -343,11 +356,11 @@ def _scalar_alpha_scan(s, N, beta, resolution):
                         a, fa = mid, fm
                     else:
                         b = mid
-                ls = LevelState(tuple(_entropy_on_chord(s, b1, 0.5 * (a + b))[1]))
-                E = level_energy(s, ls)
-                if E > best_E and verify_level_passive(s, ls, N):
-                    best_E, best_ls = E, ls
-    return best_E / gibbs_point(s, beta).energy, best_ls
+                lnp = _entropy_on_chord(s, b1, 0.5 * (a + b))[1]
+                E = float(_energy(eps, np.exp(logg + lnp)))
+                if E > best_E and verify_level_passive(s, DiagonalState.from_levels(s, lnp), N):
+                    best_E, best = E, lnp
+    return best_E / gibbs_point(s, beta).energy, DiagonalState.from_levels(s, best)
 
 
 class TestAlphaScanAccuracy:
@@ -358,7 +371,7 @@ class TestAlphaScanAccuracy:
         amax = alpha_max(5, spectral_ratio(s))
         for row in max_alpha_scan(s, 5, [33.8, 45.0, 77.0, 120.0, 165.0], resolution=40):
             ref = decimal_gibbs(levels, row.beta_rho)[2]
-            S = Decimal(level_entropy(s, row.state))
+            S = Decimal(state_entropy(row.state))
             assert abs(S - ref) <= Decimal("1e-9") * ref, (row.beta_rho, float(S), float(ref))
             assert row.alpha <= amax + 1e-9
 

@@ -13,7 +13,12 @@ from npassive.flattening import (
     same_level_log_gap_ok,
 )
 from npassive.extremal import sample_n_passive
-from npassive.gibbs import gibbs_point, gibbs_populations, solve_beta_for_entropy
+from npassive.gibbs import (
+    gibbs_point,
+    gibbs_populations,
+    isentropic_point,
+    solve_beta_for_entropy,
+)
 from npassive.passivity import is_k_structurally_stable, is_n_passive
 from npassive.spectra import (
     DiagonalState,
@@ -23,6 +28,7 @@ from npassive.spectra import (
 )
 
 from conftest import random_state
+import oracle
 
 S001 = normalize_spectrum([0, 0, 1])
 S0012 = normalize_spectrum([0, 0, 1, 2])
@@ -172,7 +178,56 @@ class TestCrossingWitness:
             assert rho.populations[ic] <= math.exp(-beta * ec - logZ) + 1e-12
 
 
+    def test_matches_pairwise_reference(self, rng):
+        tol, outcomes = 1e-12, set()
+        for energies in ([0, 0.8, 1.5, 2.6], [0, 0, 0.8, 0.8, 1.5, 2.6, 2.6]):
+            s = normalize_spectrum(energies)
+            eps = np.array(s.energies)
+            for _ in range(150):
+                if rng.random() < 0.5:
+                    w = rng.dirichlet(np.ones(s.d))
+                else:  # a thermal state, perturbed slot by slot
+                    w = np.exp(-rng.uniform(0.2, 3.0) * eps + rng.normal(0, 0.3, s.d))
+                rho = DiagonalState.from_weights(w)
+                gp = isentropic_point(s, state_entropy(rho))
+                if rho.populations[0] >= math.exp(-gp.logZ) - tol:
+                    want = None
+                else:
+                    want = oracle.gibbs_crossing_pair(s.energies, rho.populations, gp.beta, gp.logZ, tol)
+                if want is None:
+                    with pytest.raises(RegimeError):
+                        gibbs_crossing_witness(s, rho, tol)
+                else:
+                    assert gibbs_crossing_witness(s, rho, tol) == want
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+
 class TestLemmaPredicates:
+    def test_same_level_log_gap_matches_pairwise(self, rng):
+        s = normalize_spectrum([0, 0, 1, 1, 1, 2.2, 2.2])
+        outcomes = set()
+        for _ in range(200):
+            w = np.exp(-np.array(s.energies) * rng.uniform(0.5, 3.0) + rng.normal(0, 0.2, s.d))
+            if rng.random() < 0.2:
+                w[3] = 0.0
+            if rng.random() < 0.1:
+                w[2:5] = 0.0  # a whole level empty
+            rho = DiagonalState.from_weights(w)
+            if state_entropy(rho) < math.log(s.d0):
+                continue  # no isoentropic thermal state
+            logZ = isentropic_point(s, state_entropy(rho)).logZ
+            pops, chunks = list(rho.populations), []
+            for _, g in s.distinct_levels:
+                chunks.append(pops[:g])
+                pops = pops[g:]
+            for N in (2, 3, 5):
+                want = oracle.same_level_log_gap_ok(s.distinct_levels, chunks, logZ, N, 1e-9)
+                assert same_level_log_gap_ok(s, rho, N) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+
     def test_same_level_log_gap(self):
         s = normalize_spectrum([0, 1, 1, 2.2])
         count = 0

@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 
 import oracle
 from npassive.extremal import (
-    LevelState,
-    level_state_from_b,
     max_alpha_scan,
     sample_n_passive,
     verify_level_passive,
 )
-from npassive.gibbs import gibbs_populations
+from npassive.gibbs import _log_populations, gibbs_populations
 from npassive.passivity import (
     DEFAULT_LOG_TOL,
     DEFAULT_STABILITY_TOL,
@@ -114,7 +112,7 @@ def test_scans_and_ergotropy_match_reference(d, N):
     rng = np.random.default_rng(1000 * d + N)
     for s in _spectra(rng, d):
         for rho in _states(rng, s):
-            lnp = rho.ln_populations
+            lnp = oracle.slot_log_populations(rho)
             etol = default_energy_tol(s.eps_max, N)
             ref = oracle.scan_passive(s.energies, lnp, N, DEFAULT_LOG_TOL, etol)
             got = is_n_passive(s, rho, N)
@@ -148,7 +146,7 @@ def test_near_tie_ladders_follow_the_chained_rule(data):
         weights.sort(reverse=True)  # passive at order 1
     rho = DiagonalState.from_weights(weights)
 
-    lnp, etol = rho.ln_populations, default_energy_tol(s.eps_max, N)
+    lnp, etol = oracle.slot_log_populations(rho), default_energy_tol(s.eps_max, N)
     ref = oracle.scan_passive(s.energies, lnp, N, DEFAULT_LOG_TOL, etol)
     got = is_n_passive(s, rho, N)
     assert got.passive == (ref is None)
@@ -192,15 +190,19 @@ def test_envelope_matches_reference_on_commensurate_triples(ratio):
             assert_envelope_exact((N, *eps, float(lam_a), float(lam_c)))
 
 
+def _level_state(s, b):
+    return DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, np.asarray(b)))
+
+
 def _level_states(rng, s):
     L = s.num_levels
     for _ in range(40):
         b = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 8.0, L - 1))])
         if rng.random() < 0.5:
             b[1:] = b[1:][rng.permutation(L - 1)]  # often not passive
-        yield level_state_from_b(s, b)
-    yield LevelState((0.0,) * (L - 1) + (-math.inf,))  # an empty top level
-    yield LevelState((-math.inf,) + (math.log(0.5),) * (L - 1))  # an empty ground level
+        yield _level_state(s, b)
+    yield _level_state(s, (0.0,) * (L - 1) + (math.inf,))  # an empty top level
+    yield _level_state(s, (math.inf,) + (math.log(2.0),) * (L - 1))  # an empty ground level
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
@@ -217,8 +219,8 @@ def _level_states(rng, s):
 def test_level_passivity_matches_reference(levels, N):
     s = Spectrum.from_levels(levels)
     rng = np.random.default_rng(len(levels) * 100 + N)
-    for ls in _level_states(rng, s):
-        assert verify_level_passive(s, ls, N) == oracle.verify_level_passive(s, ls, N)
+    for rho in _level_states(rng, s):
+        assert verify_level_passive(s, rho, N) == oracle.verify_level_passive(s, rho, N)
 
 
 def test_level_passivity_matches_reference_on_scan_candidates():
@@ -226,9 +228,9 @@ def test_level_passivity_matches_reference_on_scan_candidates():
     for beta in (2.0, 20.0, 90.0):
         (row,) = max_alpha_scan(s, 5, [beta], resolution=40)
         for shift in (0.0, 1e-3, -1e-3, 0.05, -0.05):
-            lnp = np.array(row.state.log_populations) + np.array([0.0, shift, -shift])
-            ls = LevelState(tuple(lnp.tolist()))
-            assert verify_level_passive(s, ls, 5) == oracle.verify_level_passive(s, ls, 5)
+            b = -np.array(row.state.log_populations) - np.array([0.0, shift, -shift])
+            rho = _level_state(s, b)
+            assert verify_level_passive(s, rho, 5) == oracle.verify_level_passive(s, rho, 5)
 
 
 class TestCap:

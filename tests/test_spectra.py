@@ -76,8 +76,9 @@ class TestDiagonalState:
 
     def test_log_populations(self):
         rho = DiagonalState((0.5, 0.5, 0.0))
-        assert rho.ln_populations[0] == math.log(0.5)
-        assert rho.ln_populations[2] == -math.inf
+        assert rho.blocks == ((0.5, 2), (0.0, 1)) and rho.d == 3
+        assert rho.log_populations == (math.log(0.5), -math.inf)
+        assert rho.populations == (0.5, 0.5, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
