@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import isentropic_point
+from .gibbs import ENTROPY_TOL, _isentropic_point
 from .passivity import is_k_structurally_stable, is_n_passive
-from .spectra import DiagonalState, Spectrum, _fold, state_energy, state_entropy
+from .spectra import DiagonalState, Spectrum, _entropy_gap, _fold, state_energy
 
 SLACK_TOL = 1e-9
 
@@ -41,6 +41,8 @@ class BoundReport:
     regime: str
     bound_value: float
     slack: float
+    energy: float
+    entropy: float
     N: int
     beta_rho: float | None
     R: float
@@ -48,8 +50,6 @@ class BoundReport:
     d0: int
     u_rho: float | None
     asymptotic: bool
-    energy: float
-    entropy: float
     bound_exponential: float | None = None
     bound_inverse: float | None = None
 
@@ -62,12 +62,8 @@ def spectral_ratio(s: Spectrum) -> float:
     levels = [e for e, _ in s.distinct_levels]
     if len(levels) <= 2:
         return 0.0
-    eps_max = levels[-1]
-    best = 0.0
-    for i, ea in enumerate(levels[:-1]):
-        eb = levels[i + 1]  # smallest eps_b > ea maximizes the ratio
-        best = max(best, (eps_max - ea) / (eb - ea))
-    return best
+    # for each eps_a the smallest eps_b > eps_a maximizes the ratio
+    return max((levels[-1] - ea) / (eb - ea) for ea, eb in zip(levels, levels[1:]))
 
 
 def alpha_max(N: int, R: float) -> float:
@@ -116,7 +112,8 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     f = _fold(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    S = state_entropy(rho)
+    gap = _entropy_gap(s, rho)
+    S = float(s.log_multiplicities[0]) + gap
     E = state_energy(s, rho)
     R = spectral_ratio(s)  # 0 on a single level
 
@@ -128,7 +125,7 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
             bound_exponential=b_exp, bound_inverse=b_inv,
         )
 
-    if S < math.log(s.d0) - 1e-12:
+    if gap < -1e-12:
         if s.d == s.d0:
             raise HypothesisError("single-level spectrum cannot have entropy below ln d0")
         return report(LOW_ENTROPY, low_entropy_bound(s, S, N), None)
@@ -137,7 +134,7 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
         # single-level spectrum: E = E_beta = 0 identically
         return report(TWO_LEVEL_EQUALITY, 0.0, math.inf)
 
-    gp = isentropic_point(s, min(S, math.log(s.d)))
+    gp = _isentropic_point(s, gap, ENTROPY_TOL)
     beta, E_beta = gp.beta, gp.energy
     u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
     one_ss = is_k_structurally_stable(s, rho, 1)

@@ -8,6 +8,7 @@ raises it, leaves ``main`` as one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -137,41 +138,14 @@ def cmd_gibbs(args) -> int:
         gp = gibbs_mod.gibbs_point(s, math.inf if args.beta == "inf" else float(args.beta))
     else:
         gp = gibbs_mod.isentropic_point(s, args.entropy)
-    _emit(
-        {
-            "beta": gp.beta,
-            "logZ": gp.logZ,
-            "energy": gp.energy,
-            "entropy": gp.entropy,
-        },
-        args.output,
-    )
+    _emit(dataclasses.asdict(gp), args.output)
     return 0
-
-
-def _report_dict(rep):
-    return {
-        "regime": rep.regime,
-        "bound_value": rep.bound_value,
-        "slack": rep.slack,
-        "energy": rep.energy,
-        "entropy": rep.entropy,
-        "N": rep.N,
-        "beta_rho": rep.beta_rho,
-        "R": rep.R,
-        "eps_max": rep.eps_max,
-        "d0": rep.d0,
-        "u_rho": rep.u_rho,
-        "asymptotic": rep.asymptotic,
-        "bound_exponential": rep.bound_exponential,
-        "bound_inverse": rep.bound_inverse,
-    }
 
 
 def cmd_bounds(args) -> int:
     s, rho = _load_state_file(args.state)
     rep = bounds_mod.bound_report(s, rho, args.n)
-    out = _report_dict(rep)
+    out = dataclasses.asdict(rep)
     if args.table:
         rows = [out]
         if rep.beta_rho is not None and math.isfinite(rep.beta_rho):
@@ -227,15 +201,11 @@ def cmd_scan_alpha(args) -> int:
     grid = np.linspace(args.beta_min, args.beta_max, args.points)
     rows = extremal_mod.max_alpha_scan(s, args.n, grid, resolution=args.resolution)
     R = bounds_mod.spectral_ratio(s)
-    factors = []
-    for row in rows:
-        f_inv = bounds_mod.inverse_factor(R, args.n)
-        factors.append(
-            (
-                f_inv if f_inv is not None else math.inf,
-                bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, args.n),
-            )
-        )
+    f_inv = bounds_mod.inverse_factor(R, args.n)
+    f_inv = math.inf if f_inv is None else f_inv
+    factors = [
+        (f_inv, bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, args.n)) for row in rows
+    ]
     if args.output:
         with open(args.output, "w", newline="") as fh:
             emit_scan_csv(rows, factors, fh)
@@ -250,13 +220,9 @@ def cmd_saturate(args) -> int:
     except (extremal_mod.InfeasibleSaturationError, bounds_mod.BoundViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    p = res.params
     _emit(
         {
-            "params": {
-                "N": p.N, "m": p.m, "r": p.r, "beta_eps1": p.beta_eps1,
-                "g1": p.g1, "g2": p.g2, "xi": p.xi,
-            },
+            "params": dataclasses.asdict(res.params),
             "levels": [[e, g] for e, g in res.spectrum.distinct_levels],
             "log_populations": list(res.state.log_populations),
             "alpha_measured": res.alpha_measured,
@@ -298,14 +264,7 @@ def cmd_nstar(args) -> int:
 def cmd_classify_cp(args) -> int:
     s, rho = _load_state_file(args.state)
     cls = pass_mod.classify_complete_passivity(s, rho, tol=args.tol)
-    _emit(
-        {
-            "tag": cls.tag,
-            "beta": cls.beta,
-            "fit_residual": cls.fit_residual,
-        },
-        args.output,
-    )
+    _emit(dataclasses.asdict(cls), args.output)
     return 0 if cls.tag != "NotCP" else 1
 
 

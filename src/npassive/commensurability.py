@@ -54,16 +54,14 @@ def rational_ratio_detect(
 
 def _level_ratios(s: Spectrum, triples):
     """Gap ratios (eps_c - eps_a)/(eps_b - eps_a) as floats or exact Fractions."""
-    if s.rational_levels is not None:
-        eps = [e for e, _ in s.rational_levels]
-        exact = True
-    else:
-        eps = [e for e, _ in s.distinct_levels]
-        exact = False
-    out = []
-    for a, b, c in triples:
-        out.append(((eps[c] - eps[a]) / (eps[b] - eps[a]), exact))
-    return out
+    exact = s.rational_levels is not None
+    eps = [e for e, _ in (s.rational_levels if exact else s.distinct_levels)]
+    return [((eps[c] - eps[a]) / (eps[b] - eps[a]), exact) for a, b, c in triples]
+
+
+def _lcm(found) -> int | None:
+    """The lcm of the numerators p of detected ratios; None if any is missing."""
+    return None if None in found else math.lcm(*(r.p for r in found))
 
 
 def _detect_many(ratios, max_den, tol):
@@ -100,19 +98,11 @@ def n_star(
         (r.p, r.q, i) if r is not None else None
         for i, r in enumerate(ratios)
     )
-    if any(r is None for r in ratios):
-        value = None
-    else:
-        value = math.lcm(*(r.p for r in ratios))
     every = [
         (a, b, c) for a in range(L) for b in range(a + 1, L) for c in range(b + 1, L)
     ]
     all_ratios = _detect_many(_level_ratios(s, every), max_den, tol)
-    if any(r is None for r in all_ratios):
-        diag = None
-    else:
-        diag = math.lcm(*(r.p for r in all_ratios))
-    return NStarResult(n_star=value, triples=triples, all_triples_lcm=diag)
+    return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=_lcm(all_ratios))
 
 
 def triple_forces_gibbs(

@@ -210,14 +210,16 @@ def max_alpha_scan(
     if N < 1:
         raise ValueError("N must be >= 1")
     rows: list[AlphaScanRow] = []
-    eps, logg = s.level_energies, s.log_multiplicities
+    eps = s.level_energies
+    logg = s.log_multiplicities
     cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None
     for beta in beta_grid:
         gp = gibbs_point(s, beta)
         if gp.energy <= 0:
             raise ValueError("scan needs beta with positive thermal energy")
         lnp_gibbs = _log_populations(logg, beta * eps)
-        best, w = DiagonalState.from_levels(s, lnp_gibbs), np.exp(logg + lnp_gibbs)
+        best = DiagonalState.from_levels(s, lnp_gibbs)
+        w = np.exp(logg + lnp_gibbs)
         best_E = float(_energy(eps, w))
         if cuts is not None:
             S_target = float(_entropy(w, lnp_gibbs))
@@ -226,7 +228,8 @@ def max_alpha_scan(
                 if E > best_E:
                     rho = DiagonalState.from_levels(s, lnp_k)
                     if verify_level_passive(s, rho, N):
-                        best_E, best = E, rho
+                        best_E = E
+                        best = rho
         rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy, state=best))
     return rows
 

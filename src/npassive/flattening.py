@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .gibbs import isentropic_point, solve_beta_for_entropy
-from .spectra import DiagonalState, Spectrum, _fold, state_energy, state_entropy
+from .gibbs import ENTROPY_TOL, _isentropic_point, _state_point
+from .spectra import DiagonalState, Spectrum, _entropy_gap, _fold, state_energy
 
 MAJORIZE_TOL = 1e-12
 
@@ -41,10 +41,13 @@ def _levels(s: Spectrum, rho: DiagonalState):
 
 def flatten(s: Spectrum, rho: DiagonalState) -> FlattenResult:
     """Average populations within each degenerate level, one block per level."""
-    blocks, logs, gaps = [], [], []
+    blocks = []
+    logs = []
+    gaps = []
     for (_, g), run in _levels(s, rho):
         if len(run) == 1:
-            (mean, lnp, _), gap = run[0], 0.0
+            mean, lnp, _ = run[0]
+            gap = 0.0
         else:
             mass = sum(c * p for p, _, c in run)
             mean = mass / g
@@ -74,10 +77,10 @@ def delta_S_bound(
     f = _fold(s, rho)
     if N < 2:
         raise RegimeError("entropy-gap bound needs N >= 2")
-    S = state_entropy(rho)
-    if S < math.log(s.d0) - 1e-12:
+    gap = _entropy_gap(s, rho)
+    if gap < -1e-12:
         raise RegimeError("entropy below ln d0: no isoentropic thermal state")
-    gp = isentropic_point(s, S)
+    gp = _isentropic_point(s, gap, ENTROPY_TOL)
     beta, E_beta = gp.beta, gp.energy
     if not math.isfinite(beta):
         raise RegimeError("isoentropic temperature is zero (S == ln d0 limit)")
@@ -134,18 +137,21 @@ def gibbs_crossing_witness(
     one backward pass keeping the lowest level above each that holds a c.
     """
     f = _fold(s, rho)
-    gp = isentropic_point(s, state_entropy(rho))
+    gp = _state_point(s, rho)
     beta, logZ = gp.beta, gp.logZ
     if not math.isfinite(beta):
         raise RegimeError("state entropy at the ln d0 limit: no finite temperature")
     if rho.blocks[0][0] >= math.exp(-logZ) - tol:
         raise RegimeError("leading population not below 1/Z: hypothesis fails")
-    over, under = [False] * s.num_levels, [False] * s.num_levels
+    over = [False] * s.num_levels
+    under = [False] * s.num_levels
     for k, e, p in zip(f.level, f.energies, f.populations):
         hat = math.exp(-beta * e - logZ)
         over[k] |= not p < hat - tol
         under[k] |= p <= hat + tol
-    eps, pair, up = s.level_energies.tolist(), None, None
+    eps = s.level_energies.tolist()
+    pair = None
+    up = None
     for k in reversed(range(s.num_levels)):
         if over[k] and up is not None and eps[k] > 0:
             pair = eps[k], eps[up]
@@ -166,7 +172,7 @@ def same_level_log_gap_ok(
     levels = _levels(s, rho)
     if N < 2:
         raise ValueError("needs N >= 2")
-    logZ = isentropic_point(s, state_entropy(rho)).logZ
+    logZ = _state_point(s, rho).logZ
     for (e, g), run in levels:
         if e <= 0 or g < 2:
             continue
@@ -186,7 +192,7 @@ def ground_spread_witness(
     if min(ground) == -math.inf:
         return None
     spread = max(ground) - min(ground)
-    beta = solve_beta_for_entropy(s, state_entropy(rho))
+    beta = _state_point(s, rho).beta
     if not math.isfinite(beta):
         return None
     for e, _ in s.distinct_levels:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold, state_entropy
+from .spectra import DiagonalState, Spectrum, _energy, _entropy, _entropy_gap
 
 ENTROPY_TOL = 1e-12
 
@@ -106,28 +106,30 @@ def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> 
     |S_beta - S_target| <= tol*(S_target - ln d0), a tolerance that stays
     relative at S << 1; the point is built from the functionals evaluated there.
     beta is +inf when the target is the minimum-entropy limit ln(d0), or when
-    even beta = BETA_INF_FACTOR/eps_max leaves more entropy than the target.
-    The last 64 (spectrum, S_target, tol) are memoized.
+    even beta = BETA_INF_FACTOR/eps_max leaves more entropy than the target,
+    and 0 once ln d - S_target <= tol*(ln d - ln d0).
+    The last 64 (spectrum, S_target - ln d0, tol) are memoized.
     """
-    return _isentropic_point(s, S_target, tol)
+    return _isentropic_point(s, S_target - float(s.log_multiplicities[0]), tol)
 
 
 @lru_cache(maxsize=64)
-def _isentropic_point(s: Spectrum, S_target: float, tol: float) -> GibbsPoint:
-    if math.isnan(S_target):
+def _isentropic_point(s: Spectrum, gap: float, tol: float) -> GibbsPoint:
+    """isentropic_point on the entropy gap S_target - ln d0, which a state
+    gives exactly (spectra._entropy_gap) far below 1e-16*ln d0."""
+    if math.isnan(gap):
         raise ValueError("entropy must be a number")
-    ln_d = math.log(s.d)
-    ln_d0 = math.log(s.d0)
-    if S_target > ln_d + tol:
-        raise EntropyRangeError(f"entropy {S_target} exceeds ln d = {ln_d}")
-    if S_target < ln_d0 - tol:
+    eps = s.level_energies
+    logg = s.log_multiplicities
+    span = math.log(s.d) - float(logg[0])
+    if gap > span + tol:
+        raise EntropyRangeError(f"entropy {logg[0] + gap} exceeds ln d = {math.log(s.d)}")
+    if gap < -tol:
         raise NoGibbsCounterpartError(
-            f"entropy {S_target} below ln d0 = {ln_d0}: no thermal state matches"
+            f"entropy {logg[0] + gap} below ln d0 = {logg[0]}: no thermal state matches"
         )
-    if S_target >= ln_d - tol:
+    if span - gap <= tol * span:
         return gibbs_point(s, 0.0)
-    eps, logg = s.level_energies, s.log_multiplicities
-    gap, span = S_target - float(logg[0]), ln_d - float(logg[0])
     if gap <= 0:
         return gibbs_point(s, math.inf)
     low = gap <= 0.5 * span
@@ -167,6 +169,10 @@ def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TO
 
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:
     """(beta_rho, E_beta) of the thermal state sharing the entropy of rho."""
-    _fold(s, rho)  # refuses a state of another dimension
-    gp = isentropic_point(s, state_entropy(rho))
+    gp = _state_point(s, rho)
     return gp.beta, gp.energy
+
+
+def _state_point(s: Spectrum, rho: DiagonalState) -> GibbsPoint:
+    """The Gibbs point sharing the entropy of rho, solved on its entropy gap."""
+    return _isentropic_point(s, _entropy_gap(s, rho), ENTROPY_TOL)

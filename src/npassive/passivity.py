@@ -275,9 +275,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
         raise ValueError("N must be >= 1")
     table, evals, order, *_ = _energy_groups(f.energies, N, default_energy_tol(s.eps_max, N))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
-    log_mult = log_fact[N] - log_fact[table].sum(axis=1)
-    if max(f.counts) > 1:
-        log_mult += table @ np.log(f.counts)
+    log_mult = log_fact[N] - log_fact[table].sum(axis=1) + table.dot(np.log(f.counts))
     lweights = _row_sums(table, f.log_populations)
     by_weight = np.argsort(-lweights, kind="stable")
     ends_w = np.logaddexp.accumulate(log_mult[by_weight])
@@ -303,7 +301,8 @@ def classify_complete_passivity(
     """
     f = _fold(s, rho)
     _check_tol(tol)
-    lnp, eps = np.array(f.log_populations), np.array(f.energies)
+    lnp = np.array(f.log_populations)
+    eps = np.array(f.energies)
     if np.all((lnp == -math.inf) | (eps == 0)):
         return CPClass(tag="GroundState", beta=None, fit_residual=0.0)
     if np.any(lnp == -math.inf):

@@ -121,18 +121,8 @@ class Spectrum:
         if not raw:
             raise SpectrumError("empty energy list")
         vals = sorted(Fraction(x) for x in raw)
-        lo = vals[0]
-        shifted = [v - lo for v in vals]
-        levels: list[tuple[Fraction, int]] = []
-        for v in shifted:
-            if levels and v == levels[-1][0]:
-                levels[-1] = (v, levels[-1][1] + 1)
-            else:
-                levels.append((v, 1))
-        return cls(
-            tuple((float(e), g) for e, g in levels),
-            rational_levels=tuple(levels),
-        )
+        levels = tuple((v - vals[0], len(list(run))) for v, run in itertools.groupby(vals))
+        return cls(tuple((float(e), g) for e, g in levels), rational_levels=levels)
 
 
 def default_energy_tol(eps_max: float, N: int) -> float:
@@ -170,7 +160,9 @@ class DiagonalState:
     """A state diagonal in the energy eigenbasis: (population, count) blocks
     in slot order, each block's ln(population), and its d slots.
     ``DiagonalState(populations)`` makes one block of each run of equal
-    populations, ``from_levels`` one block per level of a spectrum.
+    populations, ``from_levels`` one block per level of a spectrum.  Equality
+    compares these blocks and logs, so it is by representation: a state built
+    both ways can compare unequal, and the readers give both the same answers.
     """
 
     blocks: tuple[tuple[float, int], ...]
@@ -269,8 +261,10 @@ def _fold(s: Spectrum, rho: DiagonalState) -> Classes:
     """
     if rho.d != s.d:
         raise StateError(f"state has {rho.d} populations, spectrum has d={s.d}")
-    rows, levels = [], iter(enumerate(s.distinct_levels))
-    start = level_end = 0
+    rows = []
+    levels = iter(enumerate(s.distinct_levels))
+    start = 0
+    level_end = 0
     for (p, c), x in zip(rho.blocks, rho.log_populations):
         end = start + c
         while start < end:  # the block's pieces, one per level it meets
@@ -299,6 +293,24 @@ def state_energy(s: Spectrum, rho: DiagonalState) -> float:
     f = _fold(s, rho)
     w = np.array([p * c for p, c in zip(f.populations, f.counts)])
     return float(_energy(np.array(f.energies), w))
+
+
+@lru_cache(maxsize=8)
+def _entropy_gap(s: Spectrum, rho: DiagonalState) -> float:
+    """S(rho) - ln d0, at most ln d - ln d0, as -sum w*ln(d0*lambda) over the
+    classes.  For d0 > 1, ln(lambda) + ln(d0) cancels; a ground level held by
+    one class with most of the mass takes ln(d0*lambda) = log1p(-W) for the
+    excited mass W instead, so a cold state's gap stays exact far below
+    1e-16*ln d0, as in gibbs._thermal_functionals.  The last 8 are kept.
+    """
+    f = _fold(s, rho)
+    w = np.multiply(f.populations, f.counts)
+    t = np.add(f.log_populations, s.log_multiplicities[0])
+    excited = float(np.add.reduce(w[f.level.count(0):]))
+    if s.d0 > 1 and f.level[1:2] != (0,) and excited < 0.5:
+        t[0] = math.log1p(-excited)
+    gap = float(_entropy(w, np.where(w > 0, t, 0.0)))
+    return min(gap, math.log(s.d) - float(s.log_multiplicities[0]))
 
 
 def state_entropy(rho: DiagonalState) -> float:

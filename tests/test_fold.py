@@ -17,7 +17,7 @@ import oracle
 from npassive.bounds import bound_report, check_bound
 from npassive.extremal import sample_n_passive, verify_level_passive
 from npassive.flattening import flatten, same_level_log_gap_ok
-from npassive.gibbs import _log_populations, gibbs_point, gibbs_populations, isentropic_point
+from npassive.gibbs import ENTROPY_TOL, _log_populations, gibbs_point, gibbs_populations, isentropic_point
 from npassive.passivity import (
     DEFAULT_LOG_TOL,
     DEFAULT_STABILITY_TOL,
@@ -130,10 +130,12 @@ class TestDegeneracy1e12:
         s = SPECTRA[k]
         rho = gibbs_populations(s, beta)
         logg = np.log(np.array([g for _, g in s.distinct_levels], dtype=float))
-        _, E, gap, _ = oracle.thermal_functionals(s.level_energies, logg, beta)
+        _, E, gap, var = oracle.thermal_functionals(s.level_energies, logg, beta)
         rep = bound_report(s, rho, 5)
         assert rep.energy == pytest.approx(E, rel=1e-12)
         assert rep.entropy == pytest.approx(math.log(s.d0) + gap, rel=1e-12)
+        # the solve accepts |S_beta - S| <= ENTROPY_TOL*gap, and dS/dbeta = -beta*Var
+        assert rep.beta_rho == pytest.approx(beta, rel=1e-12, abs=2 * ENTROPY_TOL * gap / (beta * var))
         assert math.isfinite(check_bound(s, rho, 5))
         for N in (2, 5, 8):
             assert n_ergotropy(s, rho, N) <= 1e-10 * N
