@@ -20,7 +20,8 @@ from . import extremal as extremal_mod
 from . import flattening as flat_mod
 from . import gibbs as gibbs_mod
 from . import passivity as pass_mod
-from .spectra import DiagonalState, EnumerationCapError, Spectrum, SpectrumError, normalize_spectrum
+from .spectra import (DiagonalState, EnumerationCapError, Spectrum, SpectrumError, check_size,
+                      normalize_spectrum)
 
 
 class InputError(ValueError):
@@ -196,6 +197,7 @@ def cmd_scan_alpha(args) -> int:
         raise InputError("need finite 0 < beta-min <= beta-max")
     if args.n < 1 or args.points < 1:
         raise InputError("need --n >= 1 and --points >= 1")
+    check_size(args.points, "beta grid")
     import numpy as np
 
     grid = np.linspace(args.beta_min, args.beta_max, args.points)

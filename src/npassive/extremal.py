@@ -16,9 +16,13 @@ import numpy as np
 from .bounds import BoundViolationError
 from .gibbs import _log_populations, gibbs_point, isentropic_point
 from .passivity import _check_tol, _cuts, _row_sums
-from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold, state_energy, state_entropy
+from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, check_size,
+                      state_energy, state_entropy)
 
 DEFAULT_B_MAX = 30.0
+# saturation_construct's relative offset of r from N/(m+1), and its tries
+DELTA_R = 1e-3
+MAX_ATTEMPTS = 14
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,8 @@ def max_alpha_scan(
     rows: list[AlphaScanRow] = []
     eps = s.level_energies
     logg = s.log_multiplicities
+    if s.num_levels == 3:  # each beta's chord grid: b1 x t points of three levels
+        check_size(resolution * max(resolution, 64) * 3, f"alpha grid at resolution {resolution}")
     cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None
     for beta in beta_grid:
         gp = gibbs_point(s, beta)
@@ -249,13 +255,7 @@ def _alpha_fixed_point(r: float, lng_ratio: float, beta_eps1: float,
     return alpha
 
 
-def saturation_construct(
-    N: int,
-    m: int,
-    alpha_target_frac: float,
-    delta_r: float = 1e-3,
-    max_attempts: int = 14,
-) -> SaturationResult:
+def saturation_construct(N: int, m: int, alpha_target_frac: float) -> SaturationResult:
     """Build a three-level order-N passive, order-1 stable state whose energy
     ratio approaches the theoretical maximum N/(N-R).
 
@@ -271,7 +271,7 @@ def saturation_construct(
         raise ValueError("need 1 <= m < N")
     if not (0 <= alpha_target_frac <= 1):
         raise ValueError("alpha_target_frac must lie in [0, 1]")
-    r = (N / (m + 1)) * (1.0 + delta_r)
+    r = (N / (m + 1)) * (1.0 + DELTA_R)
     if not (m / N < 1.0 / r <= (m + 1) / N):
         raise InfeasibleSaturationError("gap ratio 1/r escaped (m/N, (m+1)/N]")
     a_max = N / (N - r)
@@ -287,7 +287,7 @@ def saturation_construct(
 
     B = 30.0 * max(1.0, (N / r) * math.log(r * a_max))
     last = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         lng_ratio = B * (r - 1.0 / alpha_t) - math.log(r * alpha_t)
         if lng_ratio < math.log(2.0):
             B *= 1.5
@@ -332,7 +332,7 @@ def saturation_construct(
             return last
         B *= 1.5
     raise InfeasibleSaturationError(
-        f"did not reach {alpha_target_frac}*alpha_max after {max_attempts} "
+        f"did not reach {alpha_target_frac}*alpha_max after {MAX_ATTEMPTS} "
         f"temperature doublings; best measured ratio "
         f"{last.alpha_measured if last else float('nan'):.6g}"
     )

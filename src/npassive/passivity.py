@@ -36,6 +36,7 @@ from .spectra import (
     OccupationVector,
     Spectrum,
     _fold,
+    check_size,
     default_energy_tol,
     occupations,
     state_energy,
@@ -154,6 +155,7 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     # every sorted position j below the top group, against the next group
     up = rank[order[: starts[-1]]] + 1
     lo, width = starts[up], size[up]
+    check_size(int(width.sum()), f"pairs of the order-{N} cut set")
     j = np.arange(starts[-1])
     # sorted positions lo .. lo + width - 1 against each j
     i = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
@@ -163,6 +165,7 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     powers = [(2 * N + 1) ** k for k in range(C.shape[1] + 1)]
     keys = C @ np.array(powers[:-1], object if powers[-1] > 2**62 else np.int64)
     _, first = np.unique(keys[higher] - keys[lower], return_index=True)
+    check_size(len(first) * C.shape[1], f"order-{N} cut set")
     V = (C[higher[first]] - C[lower[first]]).astype(float)
     V.flags.writeable = False
     return V

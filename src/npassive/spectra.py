@@ -20,12 +20,9 @@ import numpy as np
 
 STATE_SUM_TOL = 1e-12
 
-# the dense views (energies, populations, occupation counts) refuse above this
-# dimension; the readers of a state work on its classes and have no such limit
-DENSE_DIM_CAP = 2_000_000
-
-# the one size guard on occupation tables, shared by every enumerating caller
-DEFAULT_CAP = 200_000
+# the one size guard, in array entries (rows x columns), on every array sized
+# from its input: tables, cut sets, grids and the dense views of a state
+DEFAULT_CAP = 2_000_000
 
 
 class SpectrumError(ValueError):
@@ -37,7 +34,13 @@ class StateError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Occupation-vector enumeration would exceed the size guard."""
+    """A table or grid would exceed the size guard."""
+
+
+def check_size(entries: int, what: str, error: type[Exception] = EnumerationCapError) -> None:
+    """Refuse with ``error`` an array of more than ``DEFAULT_CAP`` entries, before it is built."""
+    if entries > DEFAULT_CAP:
+        raise error(f"{what} refused: {entries} entries exceed the cap of {DEFAULT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,7 @@ class Spectrum:
 
     @cached_property
     def energies(self) -> tuple[float, ...]:
-        if self.d > DENSE_DIM_CAP:
-            raise SpectrumError(
-                f"dense energy list refused for d={self.d}; use level-resolved access"
-            )
+        check_size(self.d, "dense energy list", SpectrumError)
         out = []
         for e, g in self.distinct_levels:
             out.extend([e] * g)
@@ -194,9 +194,8 @@ class DiagonalState:
 
     @property
     def populations(self) -> tuple[float, ...]:
-        """One population per slot; refused above ``DENSE_DIM_CAP`` slots."""
-        if self.d > DENSE_DIM_CAP:
-            raise StateError(f"dense population list refused for d={self.d}; use blocks")
+        """One population per slot; refused above ``DEFAULT_CAP`` slots."""
+        check_size(self.d, "dense population list", StateError)
         return tuple(p for p, c in self.blocks for _ in range(c))
 
     @classmethod
@@ -233,8 +232,7 @@ class OccupationVector:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        if self.d > DENSE_DIM_CAP:
-            raise StateError(f"dense occupation counts refused for d={self.d}; use entries")
+        check_size(self.d, "dense occupation counts", StateError)
         out = [0] * self.d
         for slot, c in self.entries:
             out[slot] = c
@@ -329,15 +327,12 @@ def occupations(d: int, N: int) -> np.ndarray:
 
     Rows run in lexicographic order, first entry ascending from 0.  The
     integer table is read-only and shared between callers; above
-    ``DEFAULT_CAP`` rows it is refused with ``EnumerationCapError``.
+    ``DEFAULT_CAP`` entries it is refused with ``EnumerationCapError``.
     """
     if d < 1 or N < 1:
         raise ValueError("need d >= 1 and N >= 1")
     count = composition_count(d, N)
-    if count > DEFAULT_CAP:
-        raise EnumerationCapError(
-            f"C({N + d - 1},{d - 1}) = {count} occupation vectors exceeds cap {DEFAULT_CAP}"
-        )
+    check_size(count * d, f"occupation table of C({N + d - 1},{d - 1}) = {count} rows x {d}")
     # stars and bars: lexicographic bar positions give lexicographic counts
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(N + d - 1), d - 1)),

@@ -17,11 +17,27 @@ sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
 
-from npassive import extremal, flattening, passivity, spectra  # noqa: E402
+from npassive import cli, extremal, flattening, passivity, spectra  # noqa: E402
+from npassive.spectra import check_size  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_one_deck_runs_clean(name, tmp_path):
+def test_one_deck_runs_clean(name, tmp_path, monkeypatch):
+    """One deck runs clean, and every size it hands the size guard stays far
+    under the cap, so the guard can never fail a benchmark op.  The largest, uncached: a d = 10,
+    N = 5 table of 20,020 entries (passivity_scan); 19,951 cut pairs on
+    [0, 0, 0, 1, 2] at N = 8 (bound_sweep); the chord grids of resolution 40
+    and 8 (alpha_scan, cli_mix)."""
+    sizes = []
+
+    def recording(entries, *args):
+        sizes.append(entries)
+        check_size(entries, *args)
+
+    for module in (spectra, passivity, extremal, cli):
+        monkeypatch.setattr(module, "check_size", recording)
+    for cache in (spectra.occupations, passivity._energy_groups, passivity._cuts):
+        cache.cache_clear()
     wl = workloads.WORKLOADS[name]([7, 0], tmp_path / "work")
     try:
         deck = wl.deck()
@@ -31,6 +47,7 @@ def test_one_deck_runs_clean(name, tmp_path):
             assert wl.check(inp, out).failed == [], (wl.label(inp), out)
     finally:
         wl.close()
+    assert sizes and max(sizes) <= spectra.DEFAULT_CAP // 50, max(sizes)
 
 
 def test_names_the_benchmark_reads():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,19 @@ class TestRoundTrip:
         assert out2["flattened"] == pops
 
 
+def run_small(argv):
+    """run(argv) at a tracemalloc peak below 16 MB, the cap's 2e6 entries in
+    float64: an input error is refused before anything large is built."""
+    tracemalloc.start()
+    try:
+        result = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    return result
+
+
 class TestErrorBoundary:
     """Input errors from every layer exit 2 with one ``error:`` line."""
 
@@ -218,7 +232,7 @@ class TestErrorBoundary:
         [
             ["check", "--n", "0"],
             ["check", "--n", "1", "--stability", "0"],
-            ["check", "--n", "700"],  # C(702, 2) occupation vectors exceeds the cap
+            ["check", "--n", "1154"],  # C(1156, 2) x 3 table entries exceed the cap
             ["ergotropy", "--n", "0"],
             ["bounds", "--n", "0"],
             ["gibbs", "--beta", "-1"],
@@ -241,7 +255,7 @@ class TestErrorBoundary:
         ],
     )
     def test_state_commands(self, fixture_state, argv):
-        code, out, err = run([argv[0], "--state", fixture_state, *argv[1:]])
+        code, out, err = run_small([argv[0], "--state", fixture_state, *argv[1:]])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -269,10 +283,23 @@ class TestErrorBoundary:
             # on two levels --n 0 divided by zero in a traceback, and -1 printed a CSV
             *(["scan-alpha", "--energies", "0", "1", "--degeneracies", "1", "4", f"--n={n}",
                "--beta-min=1", "--beta-max=2", "--points", "1"] for n in ("0", "-1")),
+            # a 10**12-point beta grid and a 10**6 x 10**6 chord grid ended in
+            # numpy's _ArrayMemoryError traceback with exit 1
+            *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "1000",
+               "--n", "5", "--beta-min=1", "--beta-max=2", *extra]
+              for extra in (["--points", "1000000000000"],
+                            ["--points", "1", "--resolution", "1000000"])),
         ],
     )
     def test_other_commands(self, argv):
-        code, out, err = run(argv)
+        code, out, err = run_small(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_wide_table_refused(self, tmp_path):
+        # 180,300 rows of 600 slots at N = 2, 825 MiB as int64, passed a row cap of 200,000
+        path = write_state(tmp_path, "w.json", list(range(600)), [1 / 600] * 600)
+        code, out, err = run_small(["check", "--state", path, "--n", "2"])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -12,6 +12,7 @@ reference loop's, lies within 4 ulp of the exact one.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from npassive.spectra import (
     Spectrum,
     default_energy_tol,
     normalize_spectrum,
+    occupations,
 )
 
 
@@ -233,8 +235,21 @@ def test_level_passivity_matches_reference_on_scan_candidates():
             assert verify_level_passive(s, rho, 5) == oracle.verify_level_passive(s, rho, 5)
 
 
+def assert_refused_small(call, *args, **kwargs):
+    """call raises EnumerationCapError at a tracemalloc peak below 16 MB,
+    the cap's 2e6 entries in float64: it refuses before building anything."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            call(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 class TestCap:
-    """Above ``spectra.DEFAULT_CAP`` rows every enumerating entry point refuses."""
+    """Above ``spectra.DEFAULT_CAP`` entries every enumerating entry point refuses."""
 
     S = normalize_spectrum(np.linspace(0.0, 2.0, 10))
     RHO = gibbs_populations(S, 1.0)
@@ -254,3 +269,26 @@ class TestCap:
     def test_sample_n_passive(self):
         with pytest.raises(EnumerationCapError):
             sample_n_passive(self.S, 30, 1, seed=1)
+
+    def test_table_entries(self):
+        # rows x columns: 180,300 rows of 600 slots at N = 2 (825 MiB as int64)
+        # pass a row cap of 200,000; 666,435 rows of 3 slots fit at N = 1153
+        assert_refused_small(occupations, 600, 2)
+        assert_refused_small(occupations, 3, 1154)
+        assert occupations(3, 1153).shape == (666_435, 3)
+
+    def test_cut_pairs(self):
+        # 43,758 table rows, but 325,740,400 pairs between adjacent tie groups
+        assert_refused_small(sample_n_passive, normalize_spectrum([0] * 8 + [1]), 10, 1, seed=1)
+
+    def test_alpha_grid(self):
+        s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 1000)])
+        assert_refused_small(max_alpha_scan, s, 5, [2.0], resolution=817)
+
+
+def test_three_levels_at_large_order():
+    # reachable since the cap counts entries: C(1002, 2) rows of 3 slots
+    s = normalize_spectrum([0, 1, 1.9])
+    rho = gibbs_populations(s, 1.0)
+    assert is_n_passive(s, rho, 1000).passive
+    assert n_ergotropy(s, rho, 1000) <= 1e-10 * 1000
