@@ -138,25 +138,59 @@ def sample_n_passive(
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
 
 
-def _entropy_on_chord(s: Spectrum, b1, b2):
-    """Entropies and log-populations of the level states b = (0, b1, b2).
+def _entropy_on_chord(s: Spectrum, p, q, t):
+    """Entropies and log-populations of the level states on the lines
+    b = p + t*q.
 
-    ``b1`` and ``b2`` broadcast against each other; the level axis is last.
+    ``p`` and ``q`` hold the levels along their last axis; ``t`` broadcasts
+    against their other axes.
     """
-    b = np.zeros(np.broadcast_shapes(np.shape(b1), np.shape(b2)) + (3,))
-    b[..., 1] = b1
-    b[..., 2] = b2
+    b = p + np.asarray(t)[..., None] * q
     lnp = _log_populations(s.log_multiplicities, b)
     return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
+
+
+def _line_roots(s: Spectrum, p, q, lo, hi, lo_pos, S_target: float):
+    """Log-populations of the points S = S_target on the lines b = p + t*q
+    (rows of ``p``), one per bracket lo < t < hi across which S - S_target
+    changes sign; ``lo_pos`` is its sign at lo.
+
+    Safeguarded Newton on ln S - ln S_target, all brackets in lockstep, from
+    the midpoint.  The slope dS/dt = -Cov(b, q) = sum w*q*(ln(lambda) + S)
+    is -w2*(t - <b>) on a chord (q = e2) and -t*Var(q) on a ray (p = 0).  A
+    step that leaves its bracket is replaced by the midpoint.  A root is the
+    last point evaluated, once |S - S_target| <= 1e-13*S_target or its
+    bracket has shrunk to adjacent floats.
+    """
+    t = 0.5 * (lo + hi)
+    lnp = np.empty_like(p)
+    live = np.arange(len(t))
+    # a zero slope or entropy makes the Newton step non-finite: the midpoint
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not len(live):
+                break
+            S, lnp_t = _entropy_on_chord(s, p[live], q, t)
+            lnp[live] = lnp_t
+            w = np.exp(s.log_multiplicities + lnp_t)
+            dS = np.add.reduce(w * q * (lnp_t + S[:, None]), axis=-1)
+            # wherever lo moves, S - S_target keeps the sign it had there
+            same = (S > S_target) == lo_pos
+            lo, hi = np.where(same, t, lo), np.where(same, hi, t)
+            nxt = t - np.log(S / S_target) * S / dS
+            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            go = (np.abs(S - S_target) > 1e-13 * S_target) & (lo < nxt) & (nxt < hi)
+            live, t, lo, hi, lo_pos = live[go], nxt[go], lo[go], hi[go], lo_pos[go]
+    return lnp
 
 
 def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: int):
     """Log-populations of every isentropic point found on the feasible chords.
 
     One chord per b1 on a grid; along it b2 = t is confined by the
-    passivity cuts v1*b1 + v2*t >= 0.  Sign changes of S - S_target on a
-    t grid are bisected in lockstep until |S - S_target| <= 1e-13*S_target
-    or the midpoint is an endpoint.  Roots come out in (b1, t) grid order.
+    passivity cuts v1*b1 + v2*t >= 0.  Each sign change of S - S_target on
+    a t grid brackets a root, which ``_line_roots`` solves.  Roots come out
+    in (b1, t) grid order.
     """
     v1, v2 = cuts
     b1 = np.linspace(0.0, 1.2 * beta * s.level_energies[1] + 2.0, resolution)
@@ -165,29 +199,14 @@ def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: in
     lo = np.max(-v1[up] * b1[:, None] / v2[up], axis=1, initial=0.0)
     hi = np.min(-v1[down] * b1[:, None] / v2[down], axis=1, initial=2000.0)
     keep = hi > lo
-    b1 = b1[keep]
+    p = np.zeros((np.count_nonzero(keep), 3))
+    p[:, 1] = b1[keep]
+    q = np.array([0.0, 0.0, 1.0])
     ts = np.linspace(lo[keep], hi[keep], max(resolution, 64), axis=-1)
-    vals = _entropy_on_chord(s, b1[:, None], ts)[0] - S_target
+    vals = _entropy_on_chord(s, p[:, None], q, ts)[0] - S_target
     sign = np.sign(vals)
     row, col = np.nonzero((vals[:, :-1] == 0.0) | (sign[:, :-1] * sign[:, 1:] < 0))
-    b1 = b1[row]
-    # wherever a moves, S - S_target keeps the sign it had at the left end
-    a, b, a_pos = ts[row, col], ts[row, col + 1], vals[row, col] > 0
-    roots = np.empty(len(a))
-    live = np.arange(len(a))
-    for _ in range(100):
-        if not len(live):
-            break
-        mid = 0.5 * (a + b)
-        fm = _entropy_on_chord(s, b1[live], mid)[0] - S_target
-        done = (np.abs(fm) <= 1e-13 * S_target) | (mid == a) | (mid == b)
-        roots[live[done]] = mid[done]
-        same = (fm > 0) == a_pos
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
-        go = ~done
-        live, a, b, a_pos = live[go], a[go], b[go], a_pos[go]
-    roots[live] = 0.5 * (a + b)
-    return _entropy_on_chord(s, b1, roots)[1]
+    return _line_roots(s, p[row], q, ts[row, col], ts[row, col + 1], vals[row, col] > 0, S_target)
 
 
 def max_alpha_scan(
@@ -200,14 +219,16 @@ def max_alpha_scan(
 
     Grid method for spectra with at most three distinct levels: sweep the
     first excited log-population, solve the entropy equality for the second
-    by bisection along the feasible chord, keep the best energy.
+    along the feasible chord, keep the best energy.
 
     Each beta evaluates the whole (b1, t) entropy grid in one batched call
-    and bisects every bracket in lockstep.  Bisection stops at a relative
-    entropy error of 1e-13, or when the midpoint equals an endpoint; the
-    target is the Gibbs entropy under the same level functional.  The roots
-    are then visited in grid order, and each strict energy gain that passes
-    the passivity scan becomes the best.
+    and solves every bracket it finds in lockstep, by safeguarded Newton
+    with the bracket's midpoint as the fallback (``_line_roots``).  A root
+    is accepted at a relative entropy error of 1e-13, or once its bracket
+    has shrunk to adjacent floats; the target is the Gibbs entropy under
+    the same level functional.  The roots are then visited in grid order,
+    and each strict energy gain that passes the passivity scan becomes the
+    best.
     """
     if s.num_levels > 3:
         raise NotImplementedError("grid scan supports at most three distinct levels")

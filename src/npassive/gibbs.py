@@ -103,8 +103,11 @@ def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> 
     ln(ln d - S) near-linear in ln beta at high temperature, and both have
     slopes from dS/dbeta = -beta*Var_beta(E).  A step that leaves the bracket
     known to hold the root is replaced by bisection.  A beta is accepted once
-    |S_beta - S_target| <= tol*(S_target - ln d0), a tolerance that stays
-    relative at S << 1; the point is built from the functionals evaluated there.
+    |S_beta - S_target| <= tol times the distance to the nearer end:
+    tol*(S_target - ln d0) in the lower half of the range, which stays
+    relative at S << 1, and tol*(ln d - S_target) in the upper half, but no
+    less than 4 ulp of ln d - ln d0, the rounding of the entropy there.  The
+    point is built from the functionals evaluated at the accepted beta.
     beta is +inf when the target is the minimum-entropy limit ln(d0), or when
     even beta = BETA_INF_FACTOR/eps_max leaves more entropy than the target,
     and 0 once ln d - S_target <= tol*(ln d - ln d0).
@@ -139,12 +142,13 @@ def _isentropic_point(s: Spectrum, gap: float, tol: float) -> GibbsPoint:
     else:  # ln d - S = beta^2 Var_0(E)/2 as beta -> 0
         beta = math.sqrt(2.0 * (span - gap) / _thermal_functionals(eps, logg, 0.0)[3])
     sign, ln_dist = (1.0, math.log(gap)) if low else (-1.0, math.log(span - gap))
+    accept = tol * gap if low else max(tol * (span - gap), 4 * math.ulp(span))
     cap = BETA_INF_FACTOR / s.eps_max
     lo, hi, beta = 0.0, math.inf, min(beta, cap)
     for _ in range(100):
         f = _thermal_functionals(eps, logg, beta)
         _, _, gap_b, var = f
-        if abs(gap_b - gap) <= tol * gap:
+        if abs(gap_b - gap) <= accept:
             return _point(beta, logg, f)
         if gap_b > gap and beta == cap:
             return gibbs_point(s, math.inf)

@@ -339,8 +339,15 @@ def occupations(d: int, N: int) -> np.ndarray:
         dtype=np.int64,
         count=count * (d - 1),
     ).reshape(count, d - 1)
-    edges = np.column_stack((np.full(count, -1), bars, np.full(count, N + d - 1)))
-    table = edges[:, 1:] - edges[:, :-1] - 1
+    # a count is the gap between neighbouring bars less one; -1 and N + d - 1 close a row
+    table = np.empty((count, d), dtype=np.int64)
+    if d == 1:
+        table[:, 0] = N
+    else:
+        table[:, 0] = bars[:, 0]
+        np.subtract(bars[:, 1:], bars[:, :-1], out=table[:, 1:-1])
+        table[:, 1:-1] -= 1
+        np.subtract(N + d - 2, bars[:, -1], out=table[:, -1])
     table.flags.writeable = False
     return table
 

@@ -319,16 +319,52 @@ class TestAlphaScan:
             max_alpha_scan(normalize_spectrum(energies), N, [1.0])
 
 
-def _scalar_alpha_scan(s, N, beta, resolution):
-    """Reference chord search, one point at a time, with the scan's stopping rule."""
+E2 = np.array([0.0, 0.0, 1.0])
+
+
+def _bisect_root(s, b1, a, b, fa, target):
+    """Bisection to the scan's stopping rule; log-populations at the last midpoint."""
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        fm = float(_entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, mid)[0]) - target
+        if abs(fm) <= 1e-13 * target or mid == a or mid == b:
+            a = b = mid
+            break
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return _entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, 0.5 * (a + b))[1]
+
+
+def _newton_root(s, b1, a, b, fa, target):
+    """The scan's safeguarded Newton step on ln S - ln target, one bracket at a time."""
+    a_pos, t = fa > 0, 0.5 * (a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            S, lnp = _entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, t)
+            dS = np.add.reduce(np.exp(s.log_multiplicities + lnp) * E2 * (lnp + S), axis=-1)
+            if (S > target) == a_pos:
+                a = t
+            else:
+                b = t
+            nxt = t - np.log(S / target) * S / dS
+            if not a < nxt < b:
+                nxt = 0.5 * (a + b)
+            if abs(S - target) <= 1e-13 * target or not a < nxt < b:
+                break
+            t = nxt
+    return lnp
+
+
+def _scalar_alpha_scan(s, N, beta, resolution, root=_bisect_root):
+    """Reference chord search, one chord and one bracket at a time, solving each
+    bracket with ``root``."""
     eps, logg = s.level_energies, s.log_multiplicities
     gibbs = _log_populations(logg, beta * eps)
     target = float(_entropy(np.exp(logg + gibbs), gibbs))
     best_E, best = float(_energy(eps, np.exp(logg + gibbs))), gibbs
     V = oracle.difference_vectors(tuple(eps), N)
-
-    def excess(b1, t):
-        return _entropy_on_chord(s, b1, t)[0] - target
 
     for b1 in np.linspace(0.0, 1.2 * beta * eps[1] + 2.0, resolution):
         lo, hi, feasible = 0.0, 2000.0, True
@@ -342,21 +378,10 @@ def _scalar_alpha_scan(s, N, beta, resolution):
         if not feasible or hi <= lo:
             continue
         ts = np.linspace(lo, hi, max(resolution, 64))
-        vals = excess(b1, ts).tolist()
+        vals = (_entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, ts)[0] - target).tolist()
         for k in range(len(ts) - 1):
             if vals[k] == 0.0 or np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
-                a, b, fa = ts[k], ts[k + 1], vals[k]
-                for _ in range(100):
-                    mid = 0.5 * (a + b)
-                    fm = float(excess(b1, mid))
-                    if abs(fm) <= 1e-13 * target or mid == a or mid == b:
-                        a = b = mid
-                        break
-                    if (fm > 0) == (fa > 0):
-                        a, fa = mid, fm
-                    else:
-                        b = mid
-                lnp = _entropy_on_chord(s, b1, 0.5 * (a + b))[1]
+                lnp = root(s, b1, ts[k], ts[k + 1], vals[k], target)
                 E = float(_energy(eps, np.exp(logg + lnp)))
                 if E > best_E and verify_level_passive(s, DiagonalState.from_levels(s, lnp), N):
                     best_E, best = E, lnp
@@ -382,9 +407,12 @@ class TestAlphaScanAccuracy:
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, g2)])
         betas = [0.5, 5.0, 30.0, 90.0]
         for beta, row in zip(betas, max_alpha_scan(s, N, betas, resolution=resolution)):
-            alpha, state = _scalar_alpha_scan(s, N, beta, resolution)
+            alpha, state = _scalar_alpha_scan(s, N, beta, resolution, root=_newton_root)
             assert row.alpha == alpha
             assert row.state == state
+            # bisection finds the same roots to the same entropy tolerance
+            alpha_bisect, _ = _scalar_alpha_scan(s, N, beta, resolution)
+            assert abs(row.alpha - alpha_bisect) <= 1e-11 * alpha_bisect
 
 
 def test_alpha_scan_curves_script(tmp_path):

@@ -134,7 +134,7 @@ class TestDegeneracy1e12:
         rep = bound_report(s, rho, 5)
         assert rep.energy == pytest.approx(E, rel=1e-12)
         assert rep.entropy == pytest.approx(math.log(s.d0) + gap, rel=1e-12)
-        # the solve accepts |S_beta - S| <= ENTROPY_TOL*gap, and dS/dbeta = -beta*Var
+        # the solve accepts |S_beta - S| <= ENTROPY_TOL*gap at most, and dS/dbeta = -beta*Var
         assert rep.beta_rho == pytest.approx(beta, rel=1e-12, abs=2 * ENTROPY_TOL * gap / (beta * var))
         assert math.isfinite(check_bound(s, rho, 5))
         for N in (2, 5, 8):
@@ -154,6 +154,14 @@ class TestDegeneracy1e12:
             rho.populations
         assert state_energy(s, rho) == pytest.approx(gibbs_point(s, 1.0).energy, rel=1e-12)
         assert state_entropy(rho) == pytest.approx(gibbs_point(s, 1.0).entropy, rel=1e-12)
+
+
+def test_beta_rho_near_the_top_of_the_range():
+    # S - ln d0 is about 28 but ln d - S only about 1e-6, so the solve's
+    # tolerance is set by the nearer end, ln d
+    s = SPECTRA[0]
+    rep = bound_report(s, gibbs_populations(s, 3.0), 5)
+    assert rep.beta_rho == pytest.approx(3.0, rel=1e-8)
 
 
 def test_same_level_log_gap_on_split_huge_level():

@@ -277,6 +277,23 @@ class TestCap:
         assert_refused_small(occupations, 3, 1154)
         assert occupations(3, 1153).shape == (666_435, 3)
 
+    def test_table_build_peak(self):
+        # the counts are written from the bar positions into the one table, so
+        # the build holds the table and the bars, (2d - 1)/d tables, at most
+        occupations.cache_clear()
+        tracemalloc.start()
+        try:
+            table = occupations(3, 1153)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes
+        # every row of order 1153, in strictly increasing lexicographic order:
+        # the whole table of compositions, as oracle.compositions lists it
+        assert table.shape == (666_435, 3)
+        assert (table >= 0).all() and (table.sum(axis=1) == 1153).all()
+        assert (np.diff(table[:, 0] * 1154 + table[:, 1]) > 0).all()
+
     def test_cut_pairs(self):
         # 43,758 table rows, but 325,740,400 pairs between adjacent tie groups
         assert_refused_small(sample_n_passive, normalize_spectrum([0] * 8 + [1]), 10, 1, seed=1)
