@@ -12,12 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from npassive.bounds import (
-    alpha_max,
-    exponential_factor,
-    inverse_factor,
-    spectral_ratio,
-)
+from npassive.bounds import alpha_max, exponential_factor, spectral_ratio
 from npassive.cli import emit_scan_csv
 from npassive.extremal import max_alpha_scan
 from npassive.spectra import Spectrum
@@ -41,16 +36,14 @@ def run(cfg: ScanConfig) -> None:
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
         R = spectral_ratio(s)
         rows = max_alpha_scan(s, cfg.N, list(cfg.beta_grid), resolution=cfg.resolution)
+        ceiling = alpha_max(cfg.N, R)
         factors = [
-            (inverse_factor(R, cfg.N) or float("inf"),
-             exponential_factor(row.beta_rho, s.eps_max, R, cfg.N))
-            for row in rows
+            (ceiling, exponential_factor(row.beta_rho, s.eps_max, R, cfg.N)) for row in rows
         ]
         path = cfg.out_dir / f"alpha_scan_g{g2}.csv"
         with open(path, "w", newline="") as fh:
             emit_scan_csv(rows, factors, fh)
         peak = max(r.alpha for r in rows)
-        ceiling = alpha_max(cfg.N, spectral_ratio(s))
         print(
             f"g2={g2:>12d}  peak alpha={peak:.6f}  "
             f"ceiling={ceiling:.6f}  ({100 * peak / ceiling:.1f}%)  -> {path}"

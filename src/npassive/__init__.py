@@ -17,14 +17,12 @@ from .gibbs import (
     gibbs_populations,
     isentropic_point,
     isoentropic_energy,
-    solve_beta_for_entropy,
 )
 from .passivity import (
     CPClass,
     PassivityVerdict,
     classify_complete_passivity,
     ergotropy_1,
-    ergotropy_general,
     is_k_structurally_stable,
     is_n_passive,
     n_ergotropy,

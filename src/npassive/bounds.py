@@ -90,13 +90,6 @@ def exponential_factor(beta: float, eps_max: float, R: float, N: int) -> float:
         return math.inf
 
 
-def inverse_factor(R: float, N: int) -> float | None:
-    """1/(1 - R/N), or None when vacuous (R >= N)."""
-    if R >= N:
-        return None
-    return 1.0 / (1.0 - R / N)
-
-
 def low_entropy_bound(s: Spectrum, S: float, N: int) -> float:
     """Energy cap for order-N passive states with entropy below ln(d0)."""
     return s.eps_max * (s.d - s.d0) * math.exp(-N * math.log(s.d0) + (N - 1) * S)
@@ -138,18 +131,16 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     beta, E_beta = gp.beta, gp.energy
     u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
     one_ss = is_k_structurally_stable(s, rho, 1)
-    two_level = s.is_two_level()
+    two_level = s.num_levels == 2
 
     if s.d == 2 or (two_level and one_ss):
         return report(TWO_LEVEL_EQUALITY, E_beta, beta, u)
 
     if one_ss:
-        f_exp = exponential_factor(beta, s.eps_max, R, N)
-        b_exp = E_beta * f_exp
-        f_inv = inverse_factor(R, N)
-        if f_inv is None:
+        b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N)
+        if N <= R:
             return report(EXPONENTIAL, b_exp, beta, u, b_exp=b_exp)
-        b_inv = E_beta * f_inv
+        b_inv = E_beta * alpha_max(N, R)
         return report(MIN_OF_BOTH, min(b_exp, b_inv), beta, u, b_exp=b_exp, b_inv=b_inv)
 
     # degenerate spectrum without order-1 stability

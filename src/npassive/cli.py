@@ -28,6 +28,13 @@ class InputError(ValueError):
     """Malformed command-line or state-file input."""
 
 
+def _list_of(values, kind=(int, float)) -> bool:
+    """Whether values is a JSON list of items of kind (JSON numbers by default);
+    true and false are of no kind."""
+    return isinstance(values, list) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in values)
+
+
 def _load_state_file(path, need_populations=True):
     try:
         with open(path) as fh:
@@ -39,20 +46,19 @@ def _load_state_file(path, need_populations=True):
     if not isinstance(data, dict):
         raise InputError(f"{path}: top-level JSON object expected")
     if "rational_energies" in data:
+        pairs = data["rational_energies"]
+        if not _list_of(pairs, list) or not all(len(pq) == 2 and _list_of(pq, int) for pq in pairs):
+            raise InputError(f"{path}: 'rational_energies' must be a list of [p, q] integer pairs")
         try:
-            fracs = [Fraction(int(p), int(q)) for p, q in data["rational_energies"]]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            fracs = [Fraction(p, q) for p, q in pairs]
+            spectrum = Spectrum.from_rationals(fracs)
+        except (ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"{path}: bad rational_energies: {exc}") from exc
         if sorted(fracs) != fracs:
             raise InputError(f"{path}: rational_energies must be non-decreasing")
-        spectrum = Spectrum.from_rationals(fracs)
     elif "energies" in data:
         energies = data["energies"]
-        if (
-            not isinstance(energies, list)
-            or not energies
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in energies)
-        ):
+        if not energies or not _list_of(energies):
             raise InputError(f"{path}: 'energies' must be a non-empty list of numbers")
         if sorted(energies) != energies:
             raise InputError(
@@ -60,15 +66,17 @@ def _load_state_file(path, need_populations=True):
             )
         try:
             spectrum = normalize_spectrum(energies)
-        except SpectrumError as exc:
+        except (SpectrumError, OverflowError) as exc:
             raise InputError(f"{path}: {exc}") from exc
     else:
         raise InputError(f"{path}: missing 'energies' (or 'rational_energies')")
     rho = None
     if "populations" in data:
+        if not _list_of(data["populations"]):
+            raise InputError(f"{path}: 'populations' must be a list of numbers")
         try:
             rho = DiagonalState(tuple(float(x) for x in data["populations"]))
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"{path}: bad populations: {exc}") from exc
         if rho.d != spectrum.d:
             raise InputError(
@@ -148,18 +156,13 @@ def cmd_bounds(args) -> int:
     rep = bounds_mod.bound_report(s, rho, args.n)
     out = dataclasses.asdict(rep)
     if args.table:
-        rows = [out]
-        if rep.beta_rho is not None and math.isfinite(rep.beta_rho):
-            E_beta = gibbs_mod.gibbs_point(s, rep.beta_rho).energy
-            f_exp = bounds_mod.exponential_factor(
-                rep.beta_rho, s.eps_max, rep.R, args.n
-            )
-            rows.append(
-                {"regime": "Exponential", "bound_value": E_beta * f_exp}
-            )
-            f_inv = bounds_mod.inverse_factor(rep.R, args.n)
-            if f_inv is not None:
-                rows.append({"regime": "Inverse", "bound_value": E_beta * f_inv})
+        # the report's own rows: set only in the regimes that define them
+        rows = [out] + [
+            {"regime": regime, "bound_value": value}
+            for regime, value in (("Exponential", rep.bound_exponential),
+                                  ("Inverse", rep.bound_inverse))
+            if value is not None
+        ]
         _emit({"rows": rows}, args.output)
     else:
         _emit(out, args.output)
@@ -203,8 +206,7 @@ def cmd_scan_alpha(args) -> int:
     grid = np.linspace(args.beta_min, args.beta_max, args.points)
     rows = extremal_mod.max_alpha_scan(s, args.n, grid, resolution=args.resolution)
     R = bounds_mod.spectral_ratio(s)
-    f_inv = bounds_mod.inverse_factor(R, args.n)
-    f_inv = math.inf if f_inv is None else f_inv
+    f_inv = bounds_mod.alpha_max(args.n, R)
     factors = [
         (f_inv, bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, args.n)) for row in rows
     ]
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stability", type=int, default=None, metavar="K")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=pass_mod.DEFAULT_LOG_TOL)
     add_output(p)
     p.set_defaults(func=cmd_check)
 
@@ -337,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nstar", help="commensurability cutoff order")
     p.add_argument("--energies", type=float, nargs="+", default=None)
     p.add_argument("--rational", default=None, help="space-separated fractions, e.g. '0 1 3/1'")
-    p.add_argument("--max-den", type=int, default=10**6, dest="max_den")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--max-den", type=int, default=comm_mod.DEFAULT_MAX_DEN, dest="max_den")
+    p.add_argument("--tol", type=float, default=comm_mod.DEFAULT_RATIO_TOL)
     add_output(p)
     p.set_defaults(func=cmd_nstar)
 
     p = sub.add_parser("classify-cp", help="thermal / ground / neither classification")
     add_state(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=pass_mod.DEFAULT_CP_TOL)
     add_output(p)
     p.set_defaults(func=cmd_classify_cp)
 

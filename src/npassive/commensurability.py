@@ -9,12 +9,13 @@ leaves only thermal or ground-supported states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .flattening import flatten
-from .spectra import DiagonalState, Spectrum
+from .spectra import DiagonalState, Spectrum, check_size
 
 DEFAULT_MAX_DEN = 10**6
 DEFAULT_RATIO_TOL = 1e-9
@@ -24,7 +25,6 @@ DEFAULT_RATIO_TOL = 1e-9
 class RationalRatio:
     p: int
     q: int
-    exact: bool
 
     def __post_init__(self):
         if math.gcd(self.p, self.q) != 1:
@@ -48,31 +48,35 @@ def rational_ratio_detect(
         raise ValueError("ratio must be finite and > 1")
     frac = Fraction(x).limit_denominator(max_den)
     if abs(x - float(frac)) <= tol and frac > 1:
-        return RationalRatio(p=frac.numerator, q=frac.denominator, exact=False)
+        return RationalRatio(p=frac.numerator, q=frac.denominator)
     return None
 
 
 def _level_ratios(s: Spectrum, triples):
-    """Gap ratios (eps_c - eps_a)/(eps_b - eps_a) as floats or exact Fractions."""
+    """Gap ratios (eps_c - eps_a)/(eps_b - eps_a) as floats or exact Fractions, lazily."""
     exact = s.rational_levels is not None
     eps = [e for e, _ in (s.rational_levels if exact else s.distinct_levels)]
-    return [((eps[c] - eps[a]) / (eps[b] - eps[a]), exact) for a, b, c in triples]
+    return (((eps[c] - eps[a]) / (eps[b] - eps[a]), exact) for a, b, c in triples)
 
 
 def _lcm(found) -> int | None:
-    """The lcm of the numerators p of detected ratios; None if any is missing."""
-    return None if None in found else math.lcm(*(r.p for r in found))
+    """The lcm of the numerators p of detected ratios; None at the first one missing."""
+    ps = []
+    for r in found:
+        if r is None:
+            return None
+        ps.append(r.p)
+    return math.lcm(*ps)
 
 
 def _detect_many(ratios, max_den, tol):
-    found = []
+    """Each ratio's RationalRatio (None if undetected), lazily."""
     for ratio, exact in ratios:
         if exact:
             frac = Fraction(ratio)
-            found.append(RationalRatio(p=frac.numerator, q=frac.denominator, exact=True))
+            yield RationalRatio(p=frac.numerator, q=frac.denominator)
         else:
-            found.append(rational_ratio_detect(ratio, max_den, tol))
-    return found
+            yield rational_ratio_detect(ratio, max_den, tol)
 
 
 def n_star(
@@ -87,22 +91,22 @@ def n_star(
     where the least order is 3.  None when any consecutive ratio is
     irrational at the working precision.  The lcm over *all* level triples is
     reported alongside as a diagnostic (non-consecutive triples are not
-    covered by the consecutive criterion).
+    covered by the consecutive criterion); its C(L, 3) triples pass
+    ``check_size``, and detection stops at the first undetected one.
     """
     L = s.num_levels
     if L < 3:
         raise ValueError("N* needs at least three distinct levels")
+    check_size(math.comb(L, 3), "all-triples diagnostic")
     consecutive = [(i, i + 1, i + 2) for i in range(L - 2)]
-    ratios = _detect_many(_level_ratios(s, consecutive), max_den, tol)
+    ratios = list(_detect_many(_level_ratios(s, consecutive), max_den, tol))
     triples = tuple(
         (r.p, r.q, i) if r is not None else None
         for i, r in enumerate(ratios)
     )
-    every = [
-        (a, b, c) for a in range(L) for b in range(a + 1, L) for c in range(b + 1, L)
-    ]
-    all_ratios = _detect_many(_level_ratios(s, every), max_den, tol)
-    return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=_lcm(all_ratios))
+    every = itertools.combinations(range(L), 3)
+    all_lcm = _lcm(_detect_many(_level_ratios(s, every), max_den, tol))
+    return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=all_lcm)
 
 
 def triple_forces_gibbs(

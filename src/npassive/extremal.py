@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundViolationError
+from .bounds import BoundViolationError, alpha_max
 from .gibbs import _log_populations, gibbs_point, isentropic_point
 from .passivity import _check_tol, _cuts, _row_sums
 from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, check_size,
@@ -295,7 +295,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
     r = (N / (m + 1)) * (1.0 + DELTA_R)
     if not (m / N < 1.0 / r <= (m + 1) / N):
         raise InfeasibleSaturationError("gap ratio 1/r escaped (m/N, (m+1)/N]")
-    a_max = N / (N - r)
+    a_max = alpha_max(N, r)
     a_sup = N / (m * r)  # above this the degeneracy window closes
     if alpha_target_frac * a_max >= 0.995 * a_sup:
         raise InfeasibleSaturationError(

@@ -91,13 +91,13 @@ def delta_S_bound(
             "smallest ground population >= 1/Z: the exponential bound regime applies"
         )
     if form == "auto":
-        form = "two_level" if s.is_two_level() else "general"
+        form = "two_level" if s.num_levels == 2 else "general"
     if form not in ("general", "two_level"):
         raise ValueError(f"unknown form {form!r}")
     E = state_energy(s, rho)
     tail = (s.d0 - 1) * z_inv * s.eps_max * math.exp(beta * s.eps_max / (N - 1))
     if form == "two_level":
-        if not s.is_two_level():
+        if not s.num_levels == 2:
             raise RegimeError("two_level form needs a two-level spectrum")
         return beta / (N - 1) * (E + tail)
     return beta / (N - 1) * (E + E_beta + tail) + 1.0 / (N - 1)

@@ -166,11 +166,6 @@ def _isentropic_point(s: Spectrum, gap: float, tol: float) -> GibbsPoint:
     return gibbs_point(s, beta)
 
 
-def solve_beta_for_entropy(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> float:
-    """Inverse temperature of the Gibbs state with entropy S_target (see isentropic_point)."""
-    return isentropic_point(s, S_target, tol).beta
-
-
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:
     """(beta_rho, E_beta) of the thermal state sharing the entropy of rho."""
     gp = _state_point(s, rho)

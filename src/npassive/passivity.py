@@ -44,7 +44,7 @@ from .spectra import (
 
 DEFAULT_LOG_TOL = 1e-12
 DEFAULT_STABILITY_TOL = 1e-9
-DOUBLY_STOCHASTIC_TOL = 1e-10
+DEFAULT_CP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -237,28 +237,6 @@ def ergotropy_1(s: Spectrum, populations) -> float:
     return e_actual - e_passive
 
 
-def ergotropy_general(populations, energies, overlap) -> float:
-    """Work gain of a state with given eigenbasis overlap against H's basis.
-
-    ``overlap[j][j']`` = |<j-th state eigenvector | j'-th energy eigenvector>|^2,
-    a doubly stochastic matrix; identity recovers the diagonal case.
-    """
-    pops = np.asarray(populations, dtype=float)
-    eps = np.asarray(energies, dtype=float)
-    P = np.asarray(overlap, dtype=float)
-    if P.shape != (len(pops), len(eps)):
-        raise ValueError("overlap matrix shape must match populations x energies")
-    if (
-        np.max(np.abs(P.sum(axis=0) - 1)) > DOUBLY_STOCHASTIC_TOL
-        or np.max(np.abs(P.sum(axis=1) - 1)) > DOUBLY_STOCHASTIC_TOL
-        or np.min(P) < -DOUBLY_STOCHASTIC_TOL
-    ):
-        raise ValueError("overlap matrix is not doubly stochastic")
-    e_actual = float(pops @ P @ eps)
-    e_passive = float(np.dot(np.sort(pops)[::-1], np.sort(eps)))
-    return e_actual - e_passive
-
-
 def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """Work extractable from N copies under joint unitaries, per the whole batch.
 
@@ -294,7 +272,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
 
 
 def classify_complete_passivity(
-    s: Spectrum, rho: DiagonalState, tol: float = 1e-8
+    s: Spectrum, rho: DiagonalState, tol: float = DEFAULT_CP_TOL
 ) -> CPClass:
     """Decide whether rho is thermal, ground-supported, or neither.
 

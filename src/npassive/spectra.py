@@ -102,10 +102,6 @@ class Spectrum:
             out.extend([e] * g)
         return tuple(out)
 
-    def is_two_level(self) -> bool:
-        """Zero ground level plus exactly one positive level (any degeneracies)."""
-        return self.num_levels == 2
-
     @classmethod
     def from_levels(cls, levels) -> "Spectrum":
         """Build from (energy, multiplicity) pairs; shifts the minimum to 0."""

@@ -9,14 +9,13 @@ import pytest
 from npassive.bounds import (
     alpha_max,
     exponential_factor,
-    inverse_factor,
     low_entropy_bound,
     spectral_ratio,
 )
 from npassive.commensurability import n_star, triple_forces_gibbs
 from npassive.extremal import max_alpha_scan, sample_n_passive, saturation_construct
 from npassive.flattening import delta_S_bound, flatten
-from npassive.gibbs import gibbs_point, gibbs_populations, solve_beta_for_entropy
+from npassive.gibbs import gibbs_point, gibbs_populations, isentropic_point
 from npassive.passivity import (
     classify_complete_passivity,
     is_k_structurally_stable,
@@ -79,14 +78,13 @@ def test_02_bound_suite():
         for N in range(2, 9):
             for rho in sample_n_passive(s, N, per_combo, seed=1000 + N, stable=True):
                 S = state_entropy(rho)
-                beta = solve_beta_for_entropy(s, S)
+                beta = isentropic_point(s, S).beta
                 E_beta = gibbs_point(s, beta).energy
                 E = state_energy(s, rho)
                 b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N)
                 candidates = [b_exp]
-                f_inv = inverse_factor(R, N)
-                if f_inv is not None:
-                    candidates.append(E_beta * f_inv)
+                if N > R:
+                    candidates.append(E_beta * alpha_max(N, R))
                 for bound in candidates + [min(candidates)]:
                     if bound - E < -1e-9:
                         violations += 1
@@ -104,7 +102,7 @@ def test_03_equality_cases():
     for s, seed in ((qubit, 7), (two_level, 8)):
         for rho in sample_n_passive(s, 2, 500, seed=seed, stable=True):
             S = state_entropy(rho)
-            beta = solve_beta_for_entropy(s, S, tol=1e-15)
+            beta = isentropic_point(s, S, tol=1e-15).beta
             E_beta = gibbs_point(s, beta).energy
             worst = max(worst, abs(state_energy(s, rho) - E_beta))
             count += 1
@@ -173,7 +171,7 @@ def _entropy_gap_class(s, rho):
     S = state_entropy(rho)
     if S < math.log(s.d0):
         return None
-    beta = solve_beta_for_entropy(s, S)
+    beta = isentropic_point(s, S).beta
     if not math.isfinite(beta):
         return None
     if min(rho.populations[: s.d0]) >= math.exp(-gibbs_point(s, beta).logZ):
@@ -194,7 +192,7 @@ def test_07_entropy_gap_bounds():
                 if flatten(s, rho).delta_S > bound + 1e-12:
                     violations += 1
                 checked += 1
-                if s.is_two_level():
+                if s.num_levels == 2:
                     two = delta_S_bound(s, rho, N, form="two_level")
                     general = delta_S_bound(s, rho, N, form="general")
                     if two >= general:

@@ -16,7 +16,6 @@ from npassive.bounds import (
     bound_report,
     check_bound,
     exponential_factor,
-    inverse_factor,
     spectral_ratio,
 )
 from npassive.extremal import sample_n_passive
@@ -165,12 +164,10 @@ class TestCrossover:
                 if R >= N:
                     continue
                 f_exp = exponential_factor(beta, eps_max, R, N)
-                f_inv = inverse_factor(R, N)
+                f_inv = alpha_max(N, R)
                 analytic = beta * eps_max * R / N <= -math.log1p(-R / N)
                 assert (f_exp <= f_inv) == analytic
                 if beta * eps_max <= 1:
                     assert f_exp <= f_inv
             if beta * eps_max > 1:
-                assert exponential_factor(beta, eps_max, R, 1000) >= inverse_factor(
-                    R, 1000
-                )
+                assert exponential_factor(beta, eps_max, R, 1000) >= alpha_max(1000, R)

@@ -119,8 +119,19 @@ class TestBoundsFlatten:
 
     def test_table(self, fixture_state, capsys):
         assert main(["bounds", "--state", fixture_state, "--n", "5", "--table"]) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) >= 2
+        report, *rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows == [
+            {"regime": "Exponential", "bound_value": report["bound_exponential"]},
+            {"regime": "Inverse", "bound_value": report["bound_inverse"]},
+        ]
+
+    def test_table_has_no_rows_outside_their_regime(self, tmp_path):
+        # order-3 passive but not stable at order 1: its energy 0.1 exceeds
+        # E_beta, which the Exponential and Inverse rows would both read
+        path = write_state(tmp_path, "a.json", [0, 0, 1], [0.5, 0.4, 0.1])
+        code, out, _ = run(["bounds", "--state", path, "--n", "3", "--table"])
+        (row,) = strict_json(out)["rows"]
+        assert (code, row["regime"]) == (0, "AsymptoticTwoLevel")
 
     def test_flatten(self, tmp_path, capsys):
         path = write_state(tmp_path, "f.json", [0, 0, 1], [0.5, 0.3, 0.2])
@@ -332,6 +343,22 @@ class TestErrorBoundary:
         assert code == 0
         assert strict_json(out)["rows"][1]["bound_value"] == "inf"
 
+    @pytest.mark.parametrize("data", [
+        {"energies": [0, 1], "populations": [True, False]},
+        {"energies": [0, 1], "populations": ["0.7", "0.3"]},
+        {"rational_energies": [[0, 1], [1.5, 1]], "populations": [0.7, 0.3]},
+        {"rational_energies": [[0, 1], [True, 1]], "populations": [0.7, 0.3]},
+        {"energies": [0, 1], "populations": [1, 10**400]},
+        {"energies": [0, 10**400], "populations": [0.5, 0.5]},
+        {"rational_energies": [[0, 1], [10**400, 1]], "populations": [0.5, 0.5]},
+    ])
+    def test_wrongly_typed_state_file(self, tmp_path, data):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(["check", "--state", str(path), "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_tiny_unequal_level_is_unstable(self, tmp_path):
         path = write_state(tmp_path, "t.json", [0, 1, 1, 2], [1 - 3.5e-15, 1e-15, 2e-15, 5e-16])
         code, out, _ = run(["check", "--state", path, "--n", "1", "--stability", "1"])
@@ -342,19 +369,29 @@ class TestErrorBoundary:
 SPECIAL = [math.nan, math.inf, -math.inf, -0.5, 0.0, 1e-300, 1e-15, 1e6]
 
 
+# JSON values of the wrong type for a population, and for a rational's p or q
+NOT_A_NUMBER = [True, False, "0.5", None, [0.5]]
+NOT_AN_INTEGER = [1.5, 1.0, True, False, "1", None]
+# flaws every state command must refuse with exit 2
+TYPE_FLAWS = ("population type", "rational type")
+
+
 @st.composite
 def state_data(draw):
-    """A valid state file, or one with a single flaw."""
+    """(state file, flaw): a valid state file (flaw None or "rational"), or one with a single flaw."""
     d = draw(st.integers(1, 4))
     energies = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d)))
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
     total = sum(weights)
     pops = [w / total for w in weights] if total > 0 else weights
-    flaw = draw(st.sampled_from([None] * 5 + ["energy", "population", "length", "order", "key"]))
+    flaw = draw(st.sampled_from([None] * 5 + ["energy", "population", "length", "order", "key",
+                                              "rational", *TYPE_FLAWS]))
     if flaw == "energy":
         energies[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
     elif flaw == "population":
         pops[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
+    elif flaw == "population type":
+        pops[draw(st.integers(0, d - 1))] = draw(st.sampled_from(NOT_A_NUMBER))
     elif flaw == "length":
         pops.append(0.0)
     elif flaw == "order":
@@ -362,7 +399,14 @@ def state_data(draw):
     data = {"energies": energies, "populations": pops}
     if flaw == "key":
         del data[draw(st.sampled_from(sorted(data)))]
-    return data
+    elif flaw in ("rational", "rational type"):
+        # exact quarters of the energies; "rational" alone is a valid file
+        pairs = [[round(4 * e), 4] for e in energies]
+        if flaw == "rational type":
+            pairs[draw(st.integers(0, d - 1))][draw(st.integers(0, 1))] = draw(
+                st.sampled_from(NOT_AN_INTEGER))
+        data["rational_energies"] = pairs
+    return data, flaw
 
 
 ORDER = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
@@ -420,13 +464,16 @@ def assert_one_outcome(command, code, out, err):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=state_data(), argv=state_argv())
-def test_fuzz_state_commands(data, argv):
+@given(state=state_data(), argv=state_argv())
+def test_fuzz_state_commands(state, argv):
+    data, flaw = state
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         path.write_text(json.dumps(data))
         code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
     assert_one_outcome(argv[0], code, out, err)
+    if flaw in TYPE_FLAWS:
+        assert code == 2
     if any(flag == "--tol" and value in REJECTED_TOLS for flag, value in zip(argv, argv[1:])):
         assert code == 2
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import npassive.commensurability as comm
 from npassive.commensurability import (
     RationalRatio,
     n_star,
@@ -11,7 +12,13 @@ from npassive.commensurability import (
 )
 from npassive.gibbs import gibbs_populations
 from npassive.passivity import is_k_structurally_stable, is_n_passive
-from npassive.spectra import DiagonalState, Spectrum, normalize_spectrum
+from npassive.spectra import (
+    DEFAULT_CAP,
+    DiagonalState,
+    EnumerationCapError,
+    Spectrum,
+    normalize_spectrum,
+)
 
 
 class TestRationalDetect:
@@ -32,9 +39,9 @@ class TestRationalDetect:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            RationalRatio(p=4, q=2, exact=False)
+            RationalRatio(p=4, q=2)
         with pytest.raises(ValueError):
-            RationalRatio(p=2, q=3, exact=False)
+            RationalRatio(p=2, q=3)
 
 
 class TestNStar:
@@ -66,6 +73,24 @@ class TestNStar:
     def test_too_few_levels(self):
         with pytest.raises(ValueError):
             n_star(normalize_spectrum([0, 1]))
+
+    def test_all_triples_stop_at_the_first_undetected(self, monkeypatch):
+        # triple (0, 1, 2) of (0, 1, 1 + phi, 3, 4, ...) is undetected, so the
+        # diagonal is decided after the L - 2 consecutive triples and one more
+        detect, seen = comm.rational_ratio_detect, []
+        monkeypatch.setattr(comm, "rational_ratio_detect",
+                            lambda x, *args: seen.append(x) or detect(x, *args))
+        L = 40
+        phi = (1 + 5**0.5) / 2
+        res = n_star(normalize_spectrum([0, 1, 1 + phi, *range(3, L)]), max_den=50)
+        assert res.all_triples_lcm is None
+        assert len(seen) == (L - 2) + 1
+
+    def test_all_triples_capped(self):
+        L = 230
+        assert math.comb(L, 3) > DEFAULT_CAP >= math.comb(L - 1, 3)
+        with pytest.raises(EnumerationCapError, match="all-triples"):
+            n_star(Spectrum.from_levels((k, 1) for k in range(L)))
 
 
 class TestTripleForcesGibbs:

@@ -11,7 +11,6 @@ from npassive.bounds import (
     BoundViolationError,
     alpha_max,
     exponential_factor,
-    inverse_factor,
     spectral_ratio,
 )
 from npassive.extremal import (
@@ -297,7 +296,7 @@ class TestAlphaScan:
         R = spectral_ratio(s)
         for row in max_alpha_scan(s, N, [1.0, 8.0, 20.0], resolution=60):
             assert row.alpha <= exponential_factor(row.beta_rho, s.eps_max, R, N) + 1e-9
-            assert row.alpha <= inverse_factor(R, N) + 1e-9
+            assert row.alpha <= alpha_max(N, R) + 1e-9
 
     def test_determinism(self):
         s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 10)])

@@ -17,7 +17,6 @@ from npassive.gibbs import (
     gibbs_point,
     gibbs_populations,
     isentropic_point,
-    solve_beta_for_entropy,
 )
 from npassive.passivity import is_k_structurally_stable, is_n_passive
 from npassive.spectra import (
@@ -39,7 +38,7 @@ def in_entropy_gap_class(s, rho):
     S = state_entropy(rho)
     if S < math.log(s.d0):
         return False
-    beta = solve_beta_for_entropy(s, S)
+    beta = isentropic_point(s, S).beta
     if not math.isfinite(beta):
         return False
     z_inv = math.exp(-gibbs_point(s, beta).logZ)
@@ -151,7 +150,7 @@ class TestCrossingWitness:
     def test_witness_exists(self):
         s = normalize_spectrum([0, 1, 1.9])
         rho = DiagonalState((0.42, 0.33, 0.25))
-        beta = solve_beta_for_entropy(s, state_entropy(rho))
+        beta = isentropic_point(s, state_entropy(rho)).beta
         z_inv = math.exp(-gibbs_point(s, beta).logZ)
         assert rho.populations[0] < z_inv
         eb, ec = gibbs_crossing_witness(s, rho)
@@ -165,7 +164,7 @@ class TestCrossingWitness:
     def test_witness_levels_really_cross(self):
         s = normalize_spectrum([0, 0.8, 1.5, 2.6])
         for rho in sample_n_passive(s, 2, 60, seed=31, b_max=4.0):
-            beta = solve_beta_for_entropy(s, state_entropy(rho))
+            beta = isentropic_point(s, state_entropy(rho)).beta
             if not math.isfinite(beta):
                 continue
             logZ = gibbs_point(s, beta).logZ

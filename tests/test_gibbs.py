@@ -18,7 +18,6 @@ from npassive.gibbs import (
     gibbs_populations,
     isentropic_point,
     isoentropic_energy,
-    solve_beta_for_entropy,
 )
 from npassive.spectra import (
     DiagonalState,
@@ -97,15 +96,15 @@ class TestGibbsPoint:
 class TestSolveBeta:
     def test_max_entropy(self):
         s = normalize_spectrum([0, 1, 2])
-        assert solve_beta_for_entropy(s, math.log(3)) == 0.0
+        assert isentropic_point(s, math.log(3)).beta == 0.0
 
     def test_min_entropy_degenerate(self):
         s = normalize_spectrum([0, 0, 1])
-        assert solve_beta_for_entropy(s, math.log(2)) == math.inf
+        assert isentropic_point(s, math.log(2)).beta == math.inf
 
     def test_roundtrip_against_grid(self):
         s = normalize_spectrum([0, 1, 2])
-        beta = solve_beta_for_entropy(s, 0.8)
+        beta = isentropic_point(s, 0.8).beta
         assert gibbs_point(s, beta).entropy == pytest.approx(0.8, abs=1e-11)
         # independent inversion: forward-evaluate on a fine grid
         grid = np.linspace(0.0, 20.0, 20001)
@@ -116,20 +115,20 @@ class TestSolveBeta:
     def test_below_floor_rejected(self):
         s = normalize_spectrum([0, 0, 1])
         with pytest.raises(NoGibbsCounterpartError):
-            solve_beta_for_entropy(s, 0.5 * math.log(2))
+            isentropic_point(s, 0.5 * math.log(2))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            solve_beta_for_entropy(normalize_spectrum([0, 1, 2]), math.nan)
+            isentropic_point(normalize_spectrum([0, 1, 2]), math.nan)
 
     def test_above_ceiling_rejected(self):
         s = normalize_spectrum([0, 1])
         with pytest.raises(EntropyRangeError):
-            solve_beta_for_entropy(s, 1.0)
+            isentropic_point(s, 1.0)
 
     def test_tiny_entropy_gap_resolved(self):
         s = normalize_spectrum([0, 1, 2])
-        beta = solve_beta_for_entropy(s, 1e-13)
+        beta = isentropic_point(s, 1e-13).beta
         assert math.isfinite(beta)
         assert gibbs_point(s, beta).entropy == pytest.approx(1e-13, rel=1e-6)
 
@@ -171,7 +170,7 @@ class TestDecimalOracle:
     @pytest.mark.parametrize("levels", ORACLE_LEVELS)
     def test_solve_is_isentropic(self, levels, which):
         S = _oracle_targets(levels)[which]
-        beta = solve_beta_for_entropy(Spectrum.from_levels(levels), S)
+        beta = isentropic_point(Spectrum.from_levels(levels), S).beta
         assert math.isfinite(beta)
         ref = decimal_gibbs(levels, beta)[2]
         assert abs(ref - Decimal(S)) <= Decimal("1e-12") * Decimal(S), (beta, float(ref))
@@ -180,7 +179,7 @@ class TestDecimalOracle:
     @pytest.mark.parametrize("levels", ORACLE_LEVELS)
     def test_gibbs_point_matches(self, levels, which):
         s = Spectrum.from_levels(levels)
-        beta = solve_beta_for_entropy(s, _oracle_targets(levels)[which])
+        beta = isentropic_point(s, _oracle_targets(levels)[which]).beta
         gp = gibbs_point(s, beta)
         for got, ref in zip((gp.logZ, gp.energy, gp.entropy), decimal_gibbs(levels, beta)):
             assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref, (beta, got, float(ref))
@@ -207,7 +206,7 @@ class TestOneSolve:
         s = Spectrum.from_levels(levels)
         S = _oracle_targets(levels)[which]
         point = astuple(isentropic_point(s, S))
-        assert _bits(point) == _bits(astuple(gibbs_point(s, solve_beta_for_entropy(s, S))))
+        assert _bits(point) == _bits(astuple(gibbs_point(s, isentropic_point(s, S).beta)))
 
     @pytest.mark.parametrize(
         "energies, S, beta",

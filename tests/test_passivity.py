@@ -9,7 +9,6 @@ from npassive.gibbs import gibbs_populations
 from npassive.passivity import (
     classify_complete_passivity,
     ergotropy_1,
-    ergotropy_general,
     is_k_structurally_stable,
     is_n_passive,
     n_ergotropy,
@@ -170,29 +169,6 @@ class TestRearrangementErgotropy:
         for _ in range(300):
             pops = rng.dirichlet(np.ones(3))
             assert ergotropy_1(S012, tuple(pops)) >= -1e-15
-
-
-class TestErgotropyGeneral:
-    def test_identity_overlap(self):
-        pops = (0.2, 0.3, 0.5)
-        assert ergotropy_general(pops, S012.energies, np.eye(3)) == pytest.approx(
-            ergotropy_1(S012, pops)
-        )
-
-    def test_swap_overlap(self):
-        swap = [[0, 1], [1, 0]]
-        # passive (0.7, 0.3) seen through a swap has energy 0.7
-        val = ergotropy_general((0.7, 0.3), (0.0, 1.0), swap)
-        assert val == pytest.approx(0.7 - 0.3)
-
-    def test_uniform_overlap(self):
-        P = np.full((3, 3), 1 / 3)
-        val = ergotropy_general((0.5, 0.3, 0.2), S012.energies, P)
-        assert val == pytest.approx(1.0 - 0.7)
-
-    def test_non_stochastic_rejected(self):
-        with pytest.raises(ValueError):
-            ergotropy_general((0.5, 0.5), (0, 1), [[0.9, 0.2], [0.1, 0.8]])
 
 
 class TestNErgotropy:

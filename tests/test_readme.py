@@ -1,8 +1,12 @@
-"""The README's module table names only what its modules define."""
+"""The README's module table names what its modules define, and every
+function the package exports."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
+
+import npassive
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +30,16 @@ def test_table_names_exist():
         mod = importlib.import_module(module)
         missing = [name for name in names if not hasattr(mod, name)]
         assert not missing, (module, missing)
+
+
+def test_public_functions_are_in_the_table():
+    # the reverse direction: each function npassive exports is named in its module's row
+    rows = dict(module_table())
+    unlisted = [
+        name
+        for name, obj in vars(npassive).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and name not in rows.get(obj.__module__, ())
+    ]
+    assert not unlisted, unlisted
