@@ -357,8 +357,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= getattr(args, "tol", 0.0) < math.inf:
-            raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
         return args.func(args)
     except (ValueError, EnumerationCapError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flattening import flatten
-from .spectra import DiagonalState, Spectrum, check_size
+from .spectra import DiagonalState, Spectrum, _check_tol, check_size
 
 DEFAULT_MAX_DEN = 10**6
 DEFAULT_RATIO_TOL = 1e-9
@@ -46,6 +46,7 @@ def rational_ratio_detect(
     """Best rational p/q with q <= max_den matching x within tol, if any."""
     if not (math.isfinite(x) and x > 1):
         raise ValueError("ratio must be finite and > 1")
+    _check_tol(tol)
     frac = Fraction(x).limit_denominator(max_den)
     if abs(x - float(frac)) <= tol and frac > 1:
         return RationalRatio(p=frac.numerator, q=frac.denominator)
@@ -97,6 +98,7 @@ def n_star(
     L = s.num_levels
     if L < 3:
         raise ValueError("N* needs at least three distinct levels")
+    _check_tol(tol)
     check_size(math.comb(L, 3), "all-triples diagnostic")
     consecutive = [(i, i + 1, i + 2) for i in range(L - 2)]
     ratios = list(_detect_many(_level_ratios(s, consecutive), max_den, tol))
@@ -127,6 +129,8 @@ def triple_forces_gibbs(
     a, b, c = triple
     if not (0 <= a < b < c < s.num_levels):
         raise ValueError("triple must hold increasing distinct-level indices")
+    _check_tol(tol)
+    _check_tol(ratio_tol, "ratio_tol")
     (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol)
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")

@@ -3,7 +3,8 @@ three-level saturation construction.
 
 The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
-nothing extra.
+nothing extra.  A built state is accepted by the one order-N verdict,
+``passivity.is_n_passive``, at the tolerance ``_passive_tol``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 
 from .bounds import BoundViolationError, alpha_max
 from .gibbs import _log_populations, gibbs_point, isentropic_point
-from .passivity import _check_tol, _cuts, _row_sums
-from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, check_size,
-                      state_energy, state_entropy)
+from .passivity import _cuts, is_n_passive
+from .spectra import (DiagonalState, Spectrum, _energy, _entropy, check_size, state_energy,
+                      state_entropy)
 
 DEFAULT_B_MAX = 30.0
 # saturation_construct's relative offset of r from N/(m+1), and its tries
@@ -58,22 +59,10 @@ class InfeasibleSaturationError(RuntimeError):
     """The requested saturation fraction is outside the parameter window."""
 
 
-def verify_level_passive(s: Spectrum, rho: DiagonalState, N: int, tol: float | None = None) -> bool:
-    """Order-N passivity of rho from the cuts over its classes (its levels, for
-    an order-1 stable state), which are exhaustive: every generator v of
-    ``_cuts`` needs v . ln(lambda) <= tol, so a cut that is a sum of k
-    generators is held to k*tol.  A cut with a positive count on an empty
-    class never binds, and one with a negative count there fails.
-    """
-    f = _fold(s, rho)
-    if tol is None:
-        scale = max(1.0, max(abs(x) for x in f.log_populations if math.isfinite(x)))
-        tol = 1e-8 * N * scale
-    _check_tol(tol)
-    V = _cuts(f.energies, N)
-    # by the zero-count rule of _row_sums a cut's zero entries skip an empty
-    # class's -inf, and a +inf, -inf mix is NaN, which never fails
-    return not np.any(_row_sums(V, f.log_populations) > tol)
+def _passive_tol(rho: DiagonalState, N: int) -> float:
+    """1e-8*N*max(1, largest finite |ln(lambda)|): the log-weight tolerance
+    that absorbs the rounding of a state built on the passive cone's boundary."""
+    return 1e-8 * N * max(1.0, max(abs(x) for x in rho.log_populations if math.isfinite(x)))
 
 
 def sample_n_passive(
@@ -254,9 +243,8 @@ def max_alpha_scan(
             for E, lnp_k in zip(_energy(eps, np.exp(logg + lnp)).tolist(), lnp):
                 if E > best_E:
                     rho = DiagonalState.from_levels(s, lnp_k)
-                    if verify_level_passive(s, rho, N):
-                        best_E = E
-                        best = rho
+                    if is_n_passive(s, rho, N, tol=_passive_tol(rho, N)):
+                        best_E, best = E, rho
         rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy, state=best))
     return rows
 
@@ -331,7 +319,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
             continue
         spectrum = Spectrum(((0.0, 1), (1.0, g1), (r, g2)))
         rho = DiagonalState.from_levels(spectrum, (ln_l0, ln_xi, ln_l2))
-        if not verify_level_passive(spectrum, rho, N):
+        if not is_n_passive(spectrum, rho, N, tol=_passive_tol(rho, N)):
             raise InfeasibleSaturationError(
                 "constructed state failed the order-N passivity scan"
             )

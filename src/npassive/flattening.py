@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .gibbs import ENTROPY_TOL, _isentropic_point, _state_point
-from .spectra import DiagonalState, Spectrum, _entropy_gap, _fold, state_energy
+from .spectra import DiagonalState, Spectrum, _check_tol, _entropy_gap, _fold, state_energy
 
 MAJORIZE_TOL = 1e-12
 
@@ -110,6 +110,7 @@ def majorizes(P, Q, tol: float = MAJORIZE_TOL) -> str:
     tol but never strictly greater; 'strict' requires at least one strictly
     greater prefix.
     """
+    _check_tol(tol)
     p = sorted((float(x) for x in P), reverse=True)
     q = sorted((float(x) for x in Q), reverse=True)
     if len(p) != len(q):
@@ -137,6 +138,7 @@ def gibbs_crossing_witness(
     one backward pass keeping the lowest level above each that holds a c.
     """
     f = _fold(s, rho)
+    _check_tol(tol)
     gp = _state_point(s, rho)
     beta, logZ = gp.beta, gp.logZ
     if not math.isfinite(beta):
@@ -172,6 +174,7 @@ def same_level_log_gap_ok(
     levels = _levels(s, rho)
     if N < 2:
         raise ValueError("needs N >= 2")
+    _check_tol(tol)
     logZ = _state_point(s, rho).logZ
     for (e, g), run in levels:
         if e <= 0 or g < 2:
@@ -189,6 +192,7 @@ def ground_spread_witness(
     ground = [x for _, x, _ in _levels(s, rho)[0][1]]
     if N < 2:
         raise ValueError("needs N >= 2")
+    _check_tol(tol)
     if min(ground) == -math.inf:
         return None
     spread = max(ground) - min(ground)

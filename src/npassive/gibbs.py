@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import DiagonalState, Spectrum, _energy, _entropy, _entropy_gap
+from .spectra import DiagonalState, Spectrum, _check_tol, _energy, _entropy, _entropy_gap
 
 ENTROPY_TOL = 1e-12
 
@@ -113,6 +113,7 @@ def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> 
     and 0 once ln d - S_target <= tol*(ln d - ln d0).
     The last 64 (spectrum, S_target - ln d0, tol) are memoized.
     """
+    _check_tol(tol)
     return _isentropic_point(s, S_target - float(s.log_multiplicities[0]), tol)
 
 

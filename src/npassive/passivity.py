@@ -4,23 +4,20 @@ The order-N passivity condition is a family of log-linear inequalities over
 occupation vectors: whenever one vector carries strictly more energy than
 another, its product of populations must not exceed the other's.  All such
 comparisons run in log-space through one kernel, ``_row_sums``, which every
-reader shares (the verdict, stability, ``n_ergotropy``, ``verify_level_passive``)
-and where a zero count contributes nothing even when the population is zero.
+reader shares (the verdict, stability, ``n_ergotropy``) and where a zero
+count contributes nothing even when the population is zero.
 The vectors run over the classes of a state (``spectra._fold``), so a
 level of multiplicity 10**12 holding one population costs one column.
 
-One rule decides which energy sums tie: sorted sums whose consecutive gaps
-are all within ``spectra.default_energy_tol`` form one chained group, so a
-chain of small gaps can tie sums further apart than the tolerance.
-``_energy_groups`` builds the groups and ranks them by energy; a vector is
-higher than another iff its group ranks higher.  The verdict, the stability
-check, the violation witness and the cuts all read those ranks, and
-``normalize_spectrum`` merges raw levels by the same rule at order 1.  One cut
-set serves every reader (the sampler, ``verify_level_passive``,
-``prep1_envelope`` and ``max_alpha_scan``): the differences of ``_cuts``
-between adjacent groups, which generate the cone of every cut.  Each
-generator is held to the reader's tolerance tol, so a cut that is a sum of k
-generators is held to k*tol.
+One rule decides which energy sums tie, ``spectra._tie_breaks``, which
+``normalize_spectrum`` applies at order 1.  ``_energy_groups`` builds its
+chained groups and ranks them by energy; a vector is higher than another iff
+its group ranks higher.  The verdict, the stability check, the violation
+witness and the cuts all read those ranks.  The verdict, the one order-N
+decision (``extremal`` calls it too), holds every pair of vectors to its
+tol.  One cut set serves the readers that need the inequalities themselves
+(the sampler, ``prep1_envelope`` and ``max_alpha_scan``): the differences of
+``_cuts`` between adjacent groups, which generate the cone of every cut.
 """
 
 from __future__ import annotations
@@ -35,9 +32,10 @@ from .spectra import (
     DiagonalState,
     OccupationVector,
     Spectrum,
+    _check_tol,
     _fold,
+    _tie_breaks,
     check_size,
-    default_energy_tol,
     occupations,
     state_energy,
 )
@@ -65,11 +63,6 @@ class CPClass:
     fit_residual: float
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-
-
 def _row_sums(table: np.ndarray, values) -> np.ndarray:
     """Per row, the sum of count*value over the columns, as one matrix product.
 
@@ -86,21 +79,19 @@ def _row_sums(table: np.ndarray, values) -> np.ndarray:
     return table.dot(np.where(finite, v, 0.0)) + inf
 
 
-@lru_cache(maxsize=8)
-def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
+@lru_cache(maxsize=16)
+def _energy_groups(energies: tuple[float, ...], N: int):
     """The order-N occupation table, its row energies, their stable ascending
     order, the starts (in that order) of the chained tie groups, and each
     row's group rank.
 
-    A new group starts wherever consecutive sorted energies differ by more
-    than ``energy_tol``; these groups are the one tie rule of the module.
-    The arrays are read-only and shared.
+    The groups are those of ``spectra._tie_breaks`` at the largest energy.
+    The arrays are read-only and shared, and the last 16 are kept.
     """
     table = occupations(len(energies), N)
     evals = _row_sums(table, energies)
     order = np.argsort(evals, kind="stable")
-    e = evals[order]
-    new = np.concatenate(([True], e[1:] - e[:-1] > energy_tol))
+    new = _tie_breaks(evals[order], max(energies), N)
     starts = np.flatnonzero(new)
     rank = np.empty(len(order), np.int64)
     rank[order] = np.cumsum(new) - 1
@@ -109,13 +100,13 @@ def _energy_groups(energies: tuple[float, ...], N: int, energy_tol: float):
     return table, evals, order, starts, rank
 
 
-def _scan_passive(energies, logpops, N, tol, energy_tol):
+def _scan_passive(energies, logpops, N, tol):
     """Core order-N scan over the energies and log-populations of classes.
 
     Returns None if passive, else the lexicographically first violating
     (higher-energy, lower-energy) pair of raw count tuples.
     """
-    table, _, order, starts, rank = _energy_groups(energies, N, energy_tol)
+    table, _, order, starts, rank = _energy_groups(energies, N)
     lweights = _row_sums(table, logpops)
     w = lweights[order]
     # every group's minimum log-weight must dominate the maximum over all
@@ -129,9 +120,9 @@ def _scan_passive(energies, logpops, N, tol, energy_tol):
                 return tuple(table[i].tolist()), tuple(table[j].tolist())
 
 
-def _scan_stable(energies, logpops, k, tol, energy_tol):
+def _scan_stable(energies, logpops, k, tol):
     """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    table, _, order, starts, _ = _energy_groups(energies, k, energy_tol)
+    table, _, order, starts, _ = _energy_groups(energies, k)
     w = _row_sums(table, logpops)[order]
     lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
     full = lo > -math.inf  # log-weights are finite or -inf
@@ -148,9 +139,7 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     along a chain of one row per group in between, so these rows span every
     cut.  Built in O(M*w) for M rows and next groups of w rows.
     """
-    C, _, order, starts, rank = _energy_groups(
-        energies, N, default_energy_tol(max(energies), N)
-    )
+    C, _, order, starts, rank = _energy_groups(energies, N)
     size = np.concatenate((starts[1:], [len(order)])) - starts
     # every sorted position j below the top group, against the next group
     up = rank[order[: starts[-1]]] + 1
@@ -184,13 +173,7 @@ def is_n_passive(
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_tol(tol)
-    hit = _scan_passive(
-        f.energies,
-        f.log_populations,
-        N,
-        tol,
-        default_energy_tol(s.eps_max, N),
-    )
+    hit = _scan_passive(f.energies, f.log_populations, N, tol)
     if hit is None:
         return PassivityVerdict(True)
     return PassivityVerdict(False, tuple(
@@ -209,13 +192,7 @@ def is_k_structurally_stable(
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_tol(tol)
-    return _scan_stable(
-        f.energies,
-        f.log_populations,
-        k,
-        tol,
-        default_energy_tol(s.eps_max, k),
-    )
+    return _scan_stable(f.energies, f.log_populations, k, tol)
 
 
 def passive_rearrangement(s: Spectrum, populations) -> DiagonalState:
@@ -254,7 +231,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     f = _fold(s, rho)
     if N < 1:
         raise ValueError("N must be >= 1")
-    table, evals, order, *_ = _energy_groups(f.energies, N, default_energy_tol(s.eps_max, N))
+    table, evals, order, *_ = _energy_groups(f.energies, N)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
     log_mult = log_fact[N] - log_fact[table].sum(axis=1) + table.dot(np.log(f.counts))
     lweights = _row_sums(table, f.log_populations)
@@ -312,10 +289,9 @@ def prep1_envelope(
     every occupation-vector comparison among the three levels at order N
     yields a geometric inequality on the middle population; the returned
     interval is the intersection of all of them.  Only the generators of
-    ``_cuts`` are evaluated, each held exactly (tol = 0); a cut that is a sum
-    of k generators is then held to k*tol = 0 too, so in exact arithmetic the
-    interval is the brute-force one, and in floats each end lies a few ulp
-    from it.
+    ``_cuts`` are evaluated, each held exactly; every other cut is a sum of
+    them, so in exact arithmetic the interval is the brute-force one, and in
+    floats each end lies a few ulp from it.
     """
     if not (eps_a < eps_b < eps_c):
         raise ValueError("need eps_a < eps_b < eps_c")

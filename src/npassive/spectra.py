@@ -43,6 +43,12 @@ def check_size(entries: int, what: str, error: type[Exception] = EnumerationCapE
         raise error(f"{what} refused: {entries} entries exceed the cap of {DEFAULT_CAP}")
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """The one tolerance guard: refuse a NaN, negative or infinite tolerance."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Zero-shifted, non-decreasing energy spectrum with degeneracy structure.
@@ -126,29 +132,30 @@ def default_energy_tol(eps_max: float, N: int) -> float:
     return 1e-9 * max(1.0, eps_max * N)
 
 
+def _tie_breaks(e: np.ndarray, eps_max: float, N: int) -> np.ndarray:
+    """The one tie rule: True where a new group starts in the sorted order-N
+    energy sums e, at the first and past each gap above
+    ``default_energy_tol(eps_max, N)``; a run of smaller gaps chains into one
+    group, which can span more than the tolerance."""
+    return np.concatenate(([True], e[1:] - e[:-1] > default_energy_tol(eps_max, N)))
+
+
 def normalize_spectrum(raw_energies) -> Spectrum:
     """Shift, sort, and merge tied levels of a raw energy list.
 
-    Sorted values whose consecutive gaps are all within
-    ``default_energy_tol(eps_max, 1)`` form one distinct level: the order-1
-    tie groups of the passivity checks.  Its energy is the group minimum, so
-    the ground level stays exactly at 0.
+    The levels are the order-1 tie groups of the sorted values
+    (``_tie_breaks``), the rule of the passivity checks.  A level's energy is
+    its group's minimum, so the ground level stays exactly at 0.
     """
     vals = [float(x) for x in raw_energies]
     if not vals:
         raise SpectrumError("empty energy list")
     if any(not math.isfinite(x) for x in vals):
         raise SpectrumError("energies must be finite")
-    vals.sort()
-    vals = [v - vals[0] for v in vals]
-    etol = default_energy_tol(vals[-1], 1)
-    levels: list[tuple[float, int]] = []
-    for prev, v in zip([-math.inf] + vals, vals):
-        if v - prev <= etol:
-            levels[-1] = (levels[-1][0], levels[-1][1] + 1)
-        else:
-            levels.append((v, 1))
-    return Spectrum(tuple(levels))
+    e = np.sort(vals) - min(vals)
+    starts = np.flatnonzero(_tie_breaks(e, e[-1], 1)).tolist()
+    ends = starts[1:] + [len(vals)]
+    return Spectrum(tuple((float(e[a]), b - a) for a, b in zip(starts, ends)))
 
 
 @dataclass(frozen=True, init=False)

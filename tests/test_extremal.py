@@ -17,10 +17,10 @@ from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
     _entropy_on_chord,
+    _passive_tol,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
-    verify_level_passive,
 )
 from npassive.gibbs import _log_populations, gibbs_point, gibbs_populations
 from npassive.passivity import (
@@ -231,7 +231,9 @@ class TestLevelState:
         assert state_entropy(rho) == pytest.approx(state_entropy(dense), rel=1e-15)
         for N in (1, 2, 3):
             assert is_n_passive(s, rho, N) == is_n_passive(s, dense, N)
-            assert verify_level_passive(s, rho, N) == verify_level_passive(s, dense, N)
+            assert is_n_passive(s, rho, N, tol=_passive_tol(rho, N)) == is_n_passive(
+                s, dense, N, tol=_passive_tol(dense, N)
+            )
 
     def test_huge_degeneracy_no_overflow(self):
         s = Spectrum(((0.0, 1), (1.0, 1), (1.001, 10**12)))
@@ -239,24 +241,27 @@ class TestLevelState:
         rho = gibbs_populations(s, 30.0)
         assert math.isfinite(state_energy(s, rho))
         assert math.isfinite(state_entropy(rho))
-        assert verify_level_passive(s, rho, 5)
+        assert is_n_passive(s, rho, 5, tol=_passive_tol(rho, 5))
         with pytest.raises(StateError, match="dense population list refused"):
             rho.populations
 
 
 def test_tolerance_holds_each_generator():
-    # at N = 2 on (0, 1, 1.9) the full cut (-2, 2, 0) = 2 (-1, 1, 0) is redundant
+    # at N = 2 on (0, 1, 1.9) the full cut (-2, 2, 0) = 2 (-1, 1, 0) is no
+    # generator, yet the verdict holds it, like every pair, to t itself
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)])
-    t = 1e-8 * 2 * math.log(3)  # the default tol at N = 2 with max |ln lambda| ~ ln 3
+    t = 1e-8 * 2 * math.log(3)  # the scan's tol at N = 2 with max |ln lambda| ~ ln 3
     rho = level_state(s, (0.0, 0.75 * t, 0.6 * t))
     lnp, levels = np.array(rho.log_populations), tuple(s.level_energies)
-    assert t == pytest.approx(1e-8 * 2 * max(map(abs, lnp)), rel=1e-7)
+    assert t == pytest.approx(_passive_tol(rho, 2), rel=1e-7)
     assert np.max(_cuts(levels, 2) @ lnp) <= t
     assert np.max(oracle.difference_vectors(levels, 2) @ lnp) == pytest.approx(1.5 * t)
-    assert verify_level_passive(s, rho, 2)
+    assert not is_n_passive(s, rho, 2, tol=_passive_tol(rho, 2))
     assert not oracle.verify_level_passive(s, rho, 2)
-    # one generator past t fails the state
-    assert not verify_level_passive(s, level_state(s, (0.0, 1.1 * t, 0.6 * t)), 2)
+    # one generator past t fails the state too
+    past = level_state(s, (0.0, 1.1 * t, 0.6 * t))
+    assert not is_n_passive(s, past, 2, tol=_passive_tol(past, 2))
+    assert not oracle.verify_level_passive(s, past, 2)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
@@ -264,9 +269,9 @@ def test_tolerance_checked(tol):
     # read as a bound, tol = NaN passed this inverted state
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1)])
     inverted = DiagonalState.from_levels(s, (math.log(0.3), math.log(0.7)))
-    assert not verify_level_passive(s, inverted, 2)
+    assert not is_n_passive(s, inverted, 2, tol=_passive_tol(inverted, 2))
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
-        verify_level_passive(s, inverted, 2, tol=tol)
+        is_n_passive(s, inverted, 2, tol=tol)
 
 
 class TestAlphaScan:
@@ -382,7 +387,8 @@ def _scalar_alpha_scan(s, N, beta, resolution, root=_bisect_root):
             if vals[k] == 0.0 or np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
                 lnp = root(s, b1, ts[k], ts[k + 1], vals[k], target)
                 E = float(_energy(eps, np.exp(logg + lnp)))
-                if E > best_E and verify_level_passive(s, DiagonalState.from_levels(s, lnp), N):
+                rho = DiagonalState.from_levels(s, lnp)
+                if E > best_E and is_n_passive(s, rho, N, tol=_passive_tol(rho, N)):
                     best_E, best = E, lnp
     return best_E / gibbs_point(s, beta).energy, DiagonalState.from_levels(s, best)
 
@@ -453,7 +459,7 @@ class TestSaturation:
         res = saturation_construct(2, 1, 0.9)
         assert res.alpha_max == pytest.approx(2.002, abs=1e-3)
         assert res.alpha_measured >= 0.9 * res.alpha_max
-        assert verify_level_passive(res.spectrum, res.state, 2)
+        assert is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state, 2))
         assert abs(res.alpha_pred - res.alpha_measured) <= 0.1 * res.alpha_measured
 
     def test_figure_parameters(self):

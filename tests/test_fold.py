@@ -2,8 +2,8 @@
 
 Dense states whose degenerate levels repeat populations are checked against
 the unfolded slot loops of ``oracle.py``; per-level states at degeneracy
-10**12, where no slot loop can run, against ``verify_level_passive``, the
-Gibbs level functional and closed forms.
+10**12, where no slot loop can run, against the level loop
+``oracle.verify_level_passive``, the Gibbs level functional and closed forms.
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracle
 from npassive.bounds import bound_report, check_bound
-from npassive.extremal import sample_n_passive, verify_level_passive
+from npassive.extremal import sample_n_passive
 from npassive.flattening import flatten, same_level_log_gap_ok
 from npassive.gibbs import ENTROPY_TOL, _log_populations, gibbs_point, gibbs_populations, isentropic_point
 from npassive.passivity import (
@@ -117,7 +117,7 @@ class TestDegeneracy1e12:
         for N in range(2, 9):
             for rho in level_states(s, N):
                 v = is_n_passive(s, rho, N)
-                assert v.passive == verify_level_passive(s, rho, N)
+                assert v.passive == oracle.verify_level_passive(s, rho, N)
                 assert is_k_structurally_stable(s, rho, 1)
                 if not v.passive:
                     entries = [dict(w.entries) for w in v.witness]

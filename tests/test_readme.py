@@ -1,14 +1,25 @@
 """The README's module table names what its modules define, and every
-function the package exports."""
+function the package exports; its Python examples run."""
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import npassive
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# the fenced python blocks, by the README line that opens each
+PYTHON_BLOCKS = {
+    f"line{README.read_text().count(chr(10), 0, m.start()) + 1}": m[1]
+    for m in re.finditer(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+}
 
 
 def module_table():
@@ -43,3 +54,16 @@ def test_public_functions_are_in_the_table():
         and name not in rows.get(obj.__module__, ())
     ]
     assert not unlisted, unlisted
+
+
+def test_readme_has_python_examples():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("block", sorted(PYTHON_BLOCKS))
+def test_python_example_runs(block):
+    code = PYTHON_BLOCKS[block]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
