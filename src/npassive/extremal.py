@@ -3,8 +3,9 @@ three-level saturation construction.
 
 The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
-nothing extra.  A built state is accepted by the one order-N verdict,
-``passivity.is_n_passive``, at the tolerance ``_passive_tol``.
+nothing extra.  A built state is accepted by the one order-N verdict of
+``passivity.is_n_passive``, at the tolerance ``_passive_tol``, read without
+its witness.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from .bounds import BoundViolationError, alpha_max
 from .gibbs import _log_populations, gibbs_point, isentropic_point
-from .passivity import _cuts, is_n_passive
-from .spectra import (DiagonalState, Spectrum, _energy, _entropy, check_size, state_energy,
-                      state_entropy)
+from .passivity import _cuts, _passes_groups
+from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, check_size,
+                      state_energy, state_entropy)
 
 DEFAULT_B_MAX = 30.0
 # saturation_construct's relative offset of r from N/(m+1), and its tries
@@ -63,6 +64,13 @@ def _passive_tol(rho: DiagonalState, N: int) -> float:
     """1e-8*N*max(1, largest finite |ln(lambda)|): the log-weight tolerance
     that absorbs the rounding of a state built on the passive cone's boundary."""
     return 1e-8 * N * max(1.0, max(abs(x) for x in rho.log_populations if math.isfinite(x)))
+
+
+def _accepts(s: Spectrum, rho: DiagonalState, N: int) -> bool:
+    """The verdict of ``is_n_passive`` on a built state at ``_passive_tol``,
+    without the witness that a rejection would pay for."""
+    f = _fold(s, rho)
+    return _passes_groups(f.energies, f.log_populations, N, _passive_tol(rho, N))
 
 
 def sample_n_passive(
@@ -132,9 +140,16 @@ def _entropy_on_chord(s: Spectrum, p, q, t):
     b = p + t*q.
 
     ``p`` and ``q`` hold the levels along their last axis; ``t`` broadcasts
-    against their other axes.
+    against their other axes.  A large batch should hold its levels
+    outermost in memory: b is built level-major, numpy gives each ufunc
+    result the memory order of its inputs, so every level reduction below
+    runs along whole contiguous planes, not one short loop per point.
     """
-    b = p + np.asarray(t)[..., None] * q
+    t = np.asarray(t)[..., None]
+    shape = np.broadcast(p, t, q).shape
+    b = np.empty(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0)
+    np.multiply(t, q, out=b)
+    b += p
     lnp = _log_populations(s.log_multiplicities, b)
     return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
 
@@ -243,7 +258,7 @@ def max_alpha_scan(
             for E, lnp_k in zip(_energy(eps, np.exp(logg + lnp)).tolist(), lnp):
                 if E > best_E:
                     rho = DiagonalState.from_levels(s, lnp_k)
-                    if is_n_passive(s, rho, N, tol=_passive_tol(rho, N)):
+                    if _accepts(s, rho, N):
                         best_E, best = E, rho
         rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy, state=best))
     return rows
@@ -319,7 +334,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
             continue
         spectrum = Spectrum(((0.0, 1), (1.0, g1), (r, g2)))
         rho = DiagonalState.from_levels(spectrum, (ln_l0, ln_xi, ln_l2))
-        if not is_n_passive(spectrum, rho, N, tol=_passive_tol(rho, N)):
+        if not _accepts(spectrum, rho, N):
             raise InfeasibleSaturationError(
                 "constructed state failed the order-N passivity scan"
             )

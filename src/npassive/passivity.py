@@ -100,20 +100,27 @@ def _energy_groups(energies: tuple[float, ...], N: int):
     return table, evals, order, starts, rank
 
 
+def _passes_groups(energies, logpops, N, tol) -> bool:
+    """The order-N verdict over the energies and log-populations of classes,
+    in O(M) with no witness: every group's minimum log-weight must dominate
+    the maximum over all strictly higher groups, to within tol."""
+    table, _, order, starts, _ = _energy_groups(energies, N)
+    w = _row_sums(table, logpops)[order]
+    above = np.maximum.accumulate(np.maximum.reduceat(w, starts)[::-1])[::-1]
+    return not np.any(above[1:] > np.minimum.reduceat(w, starts)[:-1] + tol)
+
+
 def _scan_passive(energies, logpops, N, tol):
     """Core order-N scan over the energies and log-populations of classes.
 
     Returns None if passive, else the lexicographically first violating
-    (higher-energy, lower-energy) pair of raw count tuples.
+    (higher-energy, lower-energy) pair of raw count tuples, found by an
+    O(M^2) walk that only a violation reaches.
     """
-    table, _, order, starts, rank = _energy_groups(energies, N)
-    lweights = _row_sums(table, logpops)
-    w = lweights[order]
-    # every group's minimum log-weight must dominate the maximum over all
-    # strictly higher groups
-    above = np.maximum.accumulate(np.maximum.reduceat(w, starts)[::-1])[::-1]
-    if not np.any(above[1:] > np.minimum.reduceat(w, starts)[:-1] + tol):
+    if _passes_groups(energies, logpops, N, tol):
         return None
+    table, _, _, _, rank = _energy_groups(energies, N)
+    lweights = _row_sums(table, logpops)
     for i in range(len(table)):
         for j in range(len(table)):
             if rank[i] > rank[j] and lweights[i] > lweights[j] + tol:

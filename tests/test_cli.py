@@ -183,6 +183,11 @@ class TestOtherCommands:
         result = strict_json(out)
         assert result["alpha_measured"] <= result["alpha_max"]
 
+    def test_saturate_rejected_state_is_one_line_error(self):
+        code, out, err = run(["saturate", "--n", "300", "--m", "1", "--frac", "0.5"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_saturate_ratio_above_ceiling_is_one_line_error(self, monkeypatch, capsys):
         import npassive.extremal as X
 

@@ -500,6 +500,18 @@ class TestSaturation:
         with pytest.raises(InfeasibleSaturationError):
             saturation_construct(2, 1, 1.0)
 
+    def test_rejection_skips_the_witness_walk(self, monkeypatch):
+        import npassive.passivity as P
+
+        def walk(*args):
+            raise AssertionError("the witness walk ran")
+
+        # m < N - 1 builds a state off the cone's facet, which is rejected;
+        # the O(M^2) witness walk would take seconds at this order
+        monkeypatch.setattr(P, "_scan_passive", walk)
+        with pytest.raises(InfeasibleSaturationError, match="passivity scan"):
+            saturation_construct(300, 1, 0.5)
+
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
             saturation_construct(2, 2, 0.5)
