@@ -26,7 +26,6 @@ class ScanConfig:
     beta_grid: tuple[float, ...] = field(
         default_factory=lambda: tuple(np.geomspace(0.5, 200.0, 24))
     )
-    resolution: int = 120
     out_dir: Path = Path("out")
 
 
@@ -35,7 +34,7 @@ def run(cfg: ScanConfig) -> None:
     for g2 in cfg.degeneracies:
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
         R = spectral_ratio(s)
-        rows = max_alpha_scan(s, cfg.N, list(cfg.beta_grid), resolution=cfg.resolution)
+        rows = max_alpha_scan(s, cfg.N, list(cfg.beta_grid))
         ceiling = alpha_max(cfg.N, R)
         factors = [
             (ceiling, exponential_factor(row.beta_rho, s.eps_max, R, cfg.N)) for row in rows

@@ -204,7 +204,7 @@ def cmd_scan_alpha(args) -> int:
     import numpy as np
 
     grid = np.linspace(args.beta_min, args.beta_max, args.points)
-    rows = extremal_mod.max_alpha_scan(s, args.n, grid, resolution=args.resolution)
+    rows = extremal_mod.max_alpha_scan(s, args.n, grid)
     R = bounds_mod.spectral_ratio(s)
     f_inv = bounds_mod.alpha_max(args.n, R)
     factors = [
@@ -221,7 +221,7 @@ def cmd_scan_alpha(args) -> int:
 def cmd_saturate(args) -> int:
     try:
         res = extremal_mod.saturation_construct(args.n, args.m, args.frac)
-    except (extremal_mod.InfeasibleSaturationError, bounds_mod.BoundViolationError) as exc:
+    except extremal_mod.InfeasibleSaturationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-min", type=float, required=True, dest="beta_min")
     p.add_argument("--beta-max", type=float, required=True, dest="beta_max")
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=200)
+    p.add_argument("--resolution", type=int, default=200, help="ignored: the maximizer is exact")
     add_output(p)
     p.set_defaults(func=cmd_scan_alpha)
 
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
     except (ValueError, EnumerationCapError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except bounds_mod.BoundViolationError as exc:  # a ratio above a proved ceiling
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,21 +5,23 @@ The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
 nothing extra.  A built state is accepted by the one order-N verdict of
 ``passivity.is_n_passive``, at the tolerance ``_passive_tol``, read without
-its witness.
+its witness.  The energy ratio is maximized on the passive cone's extreme rays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bounds import BoundViolationError, alpha_max
-from .gibbs import _log_populations, gibbs_point, isentropic_point
+from .bounds import BoundViolationError, alpha_max, exponential_factor, spectral_ratio
+from .gibbs import (ENTROPY_TOL, _isentropic_point, _log_populations, _thermal_functionals,
+                    gibbs_populations, isentropic_point)
 from .passivity import _cuts, _passes_groups
-from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, check_size,
-                      state_energy, state_entropy)
+from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, state_energy,
+                      state_entropy)
 
 DEFAULT_B_MAX = 30.0
 # saturation_construct's relative offset of r from N/(m+1), and its tries
@@ -135,132 +137,104 @@ def sample_n_passive(
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
 
 
-def _entropy_on_chord(s: Spectrum, p, q, t):
-    """Entropies and log-populations of the level states on the lines
-    b = p + t*q.
+def _entropy_on_chord(s: Spectrum, q, t):
+    """Entropy gaps S - ln d0 and log-populations of the level states at
+    b = t*q, levels along the last axis of ``q``.  The gap is summed over
+    multiplicities relative to g0, as in ``gibbs._thermal_functionals``, so
+    it stays exact far below 1e-16*ln d0."""
+    rel = s.log_multiplicities - s.log_multiplicities[0]
+    lnp = _log_populations(rel, np.asarray(t)[..., None] * q)
+    return _entropy(np.exp(rel + lnp), lnp), lnp - s.log_multiplicities[0]
 
-    ``p`` and ``q`` hold the levels along their last axis; ``t`` broadcasts
-    against their other axes.  A large batch should hold its levels
-    outermost in memory: b is built level-major, numpy gives each ufunc
-    result the memory order of its inputs, so every level reduction below
-    runs along whole contiguous planes, not one short loop per point.
+
+@lru_cache(maxsize=64)
+def _rays(energies: tuple[float, float, float], N: int) -> np.ndarray:
+    """The two extreme rays (0, b1, b2) of the three-level order-N passive
+    cone {b : V[:, 1:] @ b[1:] >= 0}, V = ``_cuts``, by increasing angle;
+    read-only.  The Gibbs ray (eps1, eps2) is inside every cut v, so the
+    boundary direction (v2, -v1) lies clockwise of it by less than pi, and
+    the cone runs from the nearest of these to pi past the farthest.
     """
-    t = np.asarray(t)[..., None]
-    shape = np.broadcast(p, t, q).shape
-    b = np.empty(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0)
-    np.multiply(t, q, out=b)
-    b += p
-    lnp = _log_populations(s.log_multiplicities, b)
-    return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
+    d = _cuts(energies, N)[:, :0:-1] * (1.0, -1.0)
+    angle = np.arctan2(d @ (-energies[2], energies[1]), d @ energies[1:])
+    w = np.array([[0.0, *d[angle.argmax()]], [0.0, *-d[angle.argmin()]]])
+    w.flags.writeable = False
+    return w
 
 
-def _line_roots(s: Spectrum, p, q, lo, hi, lo_pos, S_target: float):
-    """Log-populations of the points S = S_target on the lines b = p + t*q
-    (rows of ``p``), one per bracket lo < t < hi across which S - S_target
-    changes sign; ``lo_pos`` is its sign at lo.
-
-    Safeguarded Newton on ln S - ln S_target, all brackets in lockstep, from
-    the midpoint.  The slope dS/dt = -Cov(b, q) = sum w*q*(ln(lambda) + S)
-    is -w2*(t - <b>) on a chord (q = e2) and -t*Var(q) on a ray (p = 0).  A
-    step that leaves its bracket is replaced by the midpoint.  A root is the
-    last point evaluated, once |S - S_target| <= 1e-13*S_target or its
-    bracket has shrunk to adjacent floats.
+def _line_roots(s: Spectrum, q, t, hi, gap: float):
+    """Log-populations of the points of entropy gap ``gap`` on the rays
+    b = t*q (rows of ``q``), where 0 < t < hi brackets the root: safeguarded
+    Newton on ln(S - ln d0) - ln(gap), all rays in lockstep, from the start
+    points ``t``, with dS/dt = sum w*q*(ln(lambda) + S) and the midpoint for
+    a step out of its bracket.  A root is the last point evaluated, once its
+    gap is within 1e-13*gap or its bracket has shrunk to adjacent floats.
     """
-    t = 0.5 * (lo + hi)
-    lnp = np.empty_like(p)
-    live = np.arange(len(t))
-    # a zero slope or entropy makes the Newton step non-finite: the midpoint
+    lo = np.zeros_like(t)
+    logg = s.log_multiplicities
+    # a zero slope or gap makes the Newton step non-finite: the midpoint
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            if not len(live):
-                break
-            S, lnp_t = _entropy_on_chord(s, p[live], q, t)
-            lnp[live] = lnp_t
-            w = np.exp(s.log_multiplicities + lnp_t)
-            dS = np.add.reduce(w * q * (lnp_t + S[:, None]), axis=-1)
-            # wherever lo moves, S - S_target keeps the sign it had there
-            same = (S > S_target) == lo_pos
-            lo, hi = np.where(same, t, lo), np.where(same, hi, t)
-            nxt = t - np.log(S / S_target) * S / dS
+            G, lnp = _entropy_on_chord(s, q, t)
+            dG = np.add.reduce(np.exp(logg + lnp) * q * (lnp + (logg[0] + G)[:, None]), axis=-1)
+            lo, hi = np.where(G > gap, t, lo), np.where(G > gap, hi, t)
+            nxt = t - np.log(G / gap) * G / dG
             nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            go = (np.abs(S - S_target) > 1e-13 * S_target) & (lo < nxt) & (nxt < hi)
-            live, t, lo, hi, lo_pos = live[go], nxt[go], lo[go], hi[go], lo_pos[go]
+            done = (np.abs(G - gap) <= 1e-13 * gap) | (nxt <= lo) | (hi <= nxt)
+            if done.all():
+                break
+            t = np.where(done, t, nxt)
     return lnp
 
 
-def _chord_roots(s: Spectrum, cuts, beta: float, S_target: float, resolution: int):
-    """Log-populations of every isentropic point found on the feasible chords.
+def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> list[AlphaScanRow]:
+    """Maximize E over order-1 stable, order-N passive states at fixed entropy,
+    exactly, on at most three distinct levels; ``resolution`` is ignored.
 
-    One chord per b1 on a grid; along it b2 = t is confined by the
-    passivity cuts v1*b1 + v2*t >= 0.  Each sign change of S - S_target on
-    a t grid brackets a root, which ``_line_roots`` solves.  Roots come out
-    in (b1, t) grid order.
-    """
-    v1, v2 = cuts
-    b1 = np.linspace(0.0, 1.2 * beta * s.level_energies[1] + 2.0, resolution)
-    # a cut with v2 = 0 is (-k, k, 0), k > 0, which b1 >= 0 always meets
-    up, down = v2 > 0, v2 < 0
-    lo = np.max(-v1[up] * b1[:, None] / v2[up], axis=1, initial=0.0)
-    hi = np.min(-v1[down] * b1[:, None] / v2[down], axis=1, initial=2000.0)
-    keep = hi > lo
-    p = np.zeros((np.count_nonzero(keep), 3))
-    p[:, 1] = b1[keep]
-    q = np.array([0.0, 0.0, 1.0])
-    ts = np.linspace(lo[keep], hi[keep], max(resolution, 64), axis=-1)
-    vals = _entropy_on_chord(s, p[:, None], q, ts)[0] - S_target
-    sign = np.sign(vals)
-    row, col = np.nonzero((vals[:, :-1] == 0.0) | (sign[:, :-1] * sign[:, 1:] < 0))
-    return _line_roots(s, p[row], q, ts[row, col], ts[row, col + 1], vals[row, col] > 0, S_target)
-
-
-def max_alpha_scan(
-    s: Spectrum,
-    N: int,
-    beta_grid,
-    resolution: int = 200,
-) -> list[AlphaScanRow]:
-    """Maximize E over order-1 stable, order-N passive states at fixed entropy.
-
-    Grid method for spectra with at most three distinct levels: sweep the
-    first excited log-population, solve the entropy equality for the second
-    along the feasible chord, keep the best energy.
-
-    Each beta evaluates the whole (b1, t) entropy grid in one batched call
-    and solves every bracket it finds in lockstep, by safeguarded Newton
-    with the bracket's midpoint as the fallback (``_line_roots``).  A root
-    is accepted at a relative entropy error of 1e-13, or once its bracket
-    has shrunk to adjacent floats; the target is the Gibbs entropy under
-    the same level functional.  The roots are then visited in grid order,
-    and each strict energy gain that passes the passivity scan becomes the
-    best.
+    With b0 = 0, the only interior critical points of E on an isentrope are
+    Gibbs states, E's minimum there, so the maximum lies where it meets an
+    extreme ray of the cone (``_rays``).  The entropy falls along a ray, so
+    a ray crosses only if its gap at b = 2000 is below the target, and then
+    once; ``_line_roots`` solves both, from the projections of beta*eps.  If
+    the ray lambda_0 = lambda_1 does not cross, the isentrope leaves through
+    lambda_2 -> 0, and that limit, the lower two levels at the target gap, is
+    its candidate.  The best candidate that ``_accepts`` is returned, else the
+    Gibbs state.  A ratio above min(``alpha_max``, ``exponential_factor``) by
+    more than 1e-9 relative would falsify the theorem: ``BoundViolationError``.
     """
     if s.num_levels > 3:
-        raise NotImplementedError("grid scan supports at most three distinct levels")
+        raise NotImplementedError("the ray maximizer supports at most three distinct levels")
     if N < 1:
         raise ValueError("N must be >= 1")
     rows: list[AlphaScanRow] = []
-    eps = s.level_energies
-    logg = s.log_multiplicities
-    if s.num_levels == 3:  # each beta's chord grid: b1 x t points of three levels
-        check_size(resolution * max(resolution, 64) * 3, f"alpha grid at resolution {resolution}")
-    cuts = _cuts(tuple(eps.tolist()), N)[:, 1:].T if s.num_levels == 3 else None
+    eps, logg = s.level_energies, s.log_multiplicities
+    R = spectral_ratio(s)
+    if s.num_levels == 3:
+        rays = _rays(tuple(eps.tolist()), N)
+        hi = 2000.0 / rays[:, 2]
+        start = (rays @ eps) / np.add.reduce(rays * rays, axis=-1)
     for beta in beta_grid:
-        gp = gibbs_point(s, beta)
-        if gp.energy <= 0:
-            raise ValueError("scan needs beta with positive thermal energy")
-        lnp_gibbs = _log_populations(logg, beta * eps)
-        best = DiagonalState.from_levels(s, lnp_gibbs)
-        w = np.exp(logg + lnp_gibbs)
-        best_E = float(_energy(eps, w))
-        if cuts is not None:
-            S_target = float(_entropy(w, lnp_gibbs))
-            lnp = _chord_roots(s, cuts, beta, S_target, resolution)
-            for E, lnp_k in zip(_energy(eps, np.exp(logg + lnp)).tolist(), lnp):
-                if E > best_E:
-                    rho = DiagonalState.from_levels(s, lnp_k)
-                    if _accepts(s, rho, N):
-                        best_E, best = E, rho
-        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=best_E / gp.energy, state=best))
+        _, E_beta, gap, _ = _thermal_functionals(eps, logg, beta)
+        if not (beta >= 0 and E_beta > 0):
+            raise ValueError("scan needs beta >= 0 with positive thermal energy")
+        alpha, rho = 1.0, gibbs_populations(s, beta)
+        if s.num_levels == 3:
+            reach = _entropy_on_chord(s, rays, hi)[0] < gap
+            lnp = _line_roots(s, rays[reach], np.minimum(beta * start, 0.5 * hi)[reach],
+                              hi[reach], gap)
+            if rays[1, 1] == 0 and not reach[1]:
+                b1 = _isentropic_point(Spectrum(s.distinct_levels[:2]), gap, ENTROPY_TOL).beta
+                lnp = np.vstack([lnp, _log_populations(logg, np.array([0.0, b1 * eps[1], np.inf]))])
+            E = _energy(eps, np.exp(logg + lnp))
+            for k in np.argsort(-E, kind="stable"):
+                cand = DiagonalState.from_levels(s, lnp[k])
+                if E[k] > E_beta and _accepts(s, cand, N):
+                    alpha, rho = float(E[k]) / E_beta, cand
+                    break
+        ceiling = min(alpha_max(N, R), exponential_factor(beta, s.eps_max, R, N))
+        if alpha > ceiling * (1.0 + 1e-9):
+            raise BoundViolationError(f"alpha {alpha} at beta {beta} exceeds its ceiling {ceiling}")
+        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=alpha, state=rho))
     return rows
 
 

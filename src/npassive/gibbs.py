@@ -42,12 +42,9 @@ class GibbsPoint:
 def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-slot log-populations of level weights b (population ~ exp(-b)).
 
-    Levels run along the last axis of ``b``; leading axes are a batch.  A
-    large batch should hold its levels outermost in memory: the results keep
-    that order, and each level reduction then runs along whole contiguous
-    planes of the batch.  The normalizer is m + log1p(sum of the other
-    exp(t_k - m)), so a state whose excited mass is far below 1e-16 keeps
-    its -lambda_0 ln lambda_0 term.
+    Levels run along the last axis of ``b``; leading axes are a batch.  The
+    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
+    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
     """
     terms = logg - b
     m = terms.max(axis=-1, keepdims=True)

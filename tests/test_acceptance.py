@@ -115,7 +115,7 @@ def test_04_alpha_max_and_scan():
     R = spectral_ratio(s)
     amax = alpha_max(5, R)
     ok_value = abs(amax - 1.25031) <= 1e-5
-    rows = max_alpha_scan(s, 5, [0.05, 5.0, 15.0, 30.0], resolution=80)
+    rows = max_alpha_scan(s, 5, [0.05, 5.0, 15.0, 30.0])
     ok_bounded = all(r.alpha <= amax + 1e-9 for r in rows)
     ok_limit = abs(rows[0].alpha - 1.0) <= 5e-3
     report(4, "ratio ceiling 1.25031 reproduced and never exceeded by the scan",

@@ -6,7 +6,9 @@ fail.  A change that renames or reshapes a name the benchmark reads fails
 here instead of in a benchmark run.
 """
 
+import contextlib
 import inspect
+import io
 import sys
 from pathlib import Path
 
@@ -26,15 +28,14 @@ def test_one_deck_runs_clean(name, tmp_path, monkeypatch):
     """One deck runs clean, and every size it hands the size guard stays far
     under the cap, so the guard can never fail a benchmark op.  The largest, uncached: a d = 10,
     N = 5 table of 20,020 entries (passivity_scan); 19,951 cut pairs on
-    [0, 0, 0, 1, 2] at N = 8 (bound_sweep); the chord grids of resolution 40
-    and 8 (alpha_scan, cli_mix)."""
+    [0, 0, 0, 1, 2] at N = 8 (bound_sweep)."""
     sizes = []
 
     def recording(entries, *args):
         sizes.append(entries)
         check_size(entries, *args)
 
-    for module in (spectra, passivity, extremal, cli):
+    for module in (spectra, passivity, cli):
         monkeypatch.setattr(module, "check_size", recording)
     for cache in (spectra.occupations, passivity._energy_groups, passivity._cuts):
         cache.cache_clear()
@@ -60,4 +61,9 @@ def test_names_the_benchmark_reads():
     levels = spectra.Spectrum.from_levels([(0, 1), (1, 1), (1.001, 10**12)])
     (row,) = extremal.max_alpha_scan(levels, 5, [2.0], resolution=8)
     assert len(row.state.log_populations) == 3
+    # the resolution the benchmark passes is accepted and ignored
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1",
+                         "1", "100", "--n", "5", "--beta-min", "2", "--beta-max", "4",
+                         "--points", "1", "--resolution", "8"]) == 0
     assert flattening.flatten(s, rho).delta_S == 0.0

@@ -170,6 +170,24 @@ class TestScanAlpha:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_degenerate_ground_stays_under_the_ceiling(self):
+        # the full entropy lost the gap of the cold states on a doubly
+        # degenerate ground: alpha read 1.738 and 2.8e8 at beta = 40 and 60
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "3", "--degeneracies", "2",
+                              "1", "10", "--n", "4", "--beta-min", "20", "--beta-max", "60",
+                              "--points", "3"])
+        assert (code, err) == (0, "")
+        for row in list(csv.DictReader(io.StringIO(out))):
+            assert 1.0 <= float(row["alpha"]) <= float(row["bound_inverse"])
+
+    def test_ratio_above_ceiling_exits_one(self, monkeypatch):
+        monkeypatch.setattr("npassive.extremal.alpha_max", lambda N, R: 0.5)
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",
+                              "1", "1", "--n", "3", "--beta-min", "1", "--beta-max", "2",
+                              "--points", "2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_saturate(self, capsys):
@@ -190,11 +208,12 @@ class TestOtherCommands:
 
     def test_saturate_ratio_above_ceiling_is_one_line_error(self, monkeypatch, capsys):
         import npassive.extremal as X
+        from npassive.gibbs import gibbs_point
 
         # a too-cold isentropic temperature understates E_beta, so the ratio overshoots
         real = X.isentropic_point
         monkeypatch.setattr(X, "isentropic_point",
-                            lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
+                            lambda s, S: gibbs_point(s, 2.0 * real(s, S).beta))
         assert main(["saturate", "--n", "3", "--m", "2", "--frac", "0.9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -299,18 +318,24 @@ class TestErrorBoundary:
             # on two levels --n 0 divided by zero in a traceback, and -1 printed a CSV
             *(["scan-alpha", "--energies", "0", "1", "--degeneracies", "1", "4", f"--n={n}",
                "--beta-min=1", "--beta-max=2", "--points", "1"] for n in ("0", "-1")),
-            # a 10**12-point beta grid and a 10**6 x 10**6 chord grid ended in
-            # numpy's _ArrayMemoryError traceback with exit 1
-            *(["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "1000",
-               "--n", "5", "--beta-min=1", "--beta-max=2", *extra]
-              for extra in (["--points", "1000000000000"],
-                            ["--points", "1", "--resolution", "1000000"])),
+            # a 10**12-point beta grid ended in numpy's _ArrayMemoryError
+            # traceback with exit 1
+            ["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "1000",
+             "--n", "5", "--beta-min=1", "--beta-max=2", "--points", "1000000000000"],
         ],
     )
     def test_other_commands(self, argv):
         code, out, err = run_small(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_resolution_is_ignored(self):
+        # --resolution 1000000 once asked for a 10**6 x 10**6 chord grid
+        argv = ["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "1000",
+                "--n", "5", "--beta-min=1", "--beta-max=2", "--points", "1"]
+        code, out, err = run_small(argv + ["--resolution", "1000000"])
+        assert (code, err) == (0, "")
+        assert out == run(argv)[1]
 
     def test_wide_table_refused(self, tmp_path):
         # 180,300 rows of 600 slots at N = 2, 825 MiB as int64, passed a row cap of 200,000
@@ -456,7 +481,7 @@ def assert_one_outcome(command, code, out, err):
             assert ": error: " in lines[-1]
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
-    elif command == "saturate" and code == 1:  # an unreachable target, reported on stderr
+    elif command in ("saturate", "scan-alpha") and code == 1:  # reported on stderr
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     else:

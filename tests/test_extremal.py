@@ -1,7 +1,7 @@
 import csv
 import importlib.util
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +16,13 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
-    _entropy_on_chord,
     _passive_tol,
+    _rays,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
 )
-from npassive.gibbs import _log_populations, gibbs_point, gibbs_populations
+from npassive.gibbs import _log_populations, _thermal_functionals, gibbs_point, gibbs_populations
 from npassive.passivity import (
     _cuts,
     is_k_structurally_stable,
@@ -35,6 +35,7 @@ from npassive.spectra import (
     StateError,
     _energy,
     _entropy,
+    _entropy_gap,
     normalize_spectrum,
     state_energy,
     state_entropy,
@@ -285,28 +286,28 @@ class TestAlphaScan:
         s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 1000)])
         N = 5
         amax = alpha_max(N, spectral_ratio(s))
-        rows = max_alpha_scan(s, N, [2.0, 10.0, 30.0], resolution=80)
+        rows = max_alpha_scan(s, N, [2.0, 10.0, 30.0])
         for row in rows:
             assert row.alpha <= amax + 1e-9
             assert row.alpha >= 1.0 - 1e-9
 
     def test_alpha_near_one_at_high_temperature(self):
         s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 1)])
-        (row,) = max_alpha_scan(s, 5, [0.05], resolution=60)
+        (row,) = max_alpha_scan(s, 5, [0.05])
         assert row.alpha == pytest.approx(1.0, abs=5e-3)
 
     def test_rows_satisfy_both_bounds(self):
         s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 100)])
         N = 5
         R = spectral_ratio(s)
-        for row in max_alpha_scan(s, N, [1.0, 8.0, 20.0], resolution=60):
+        for row in max_alpha_scan(s, N, [1.0, 8.0, 20.0]):
             assert row.alpha <= exponential_factor(row.beta_rho, s.eps_max, R, N) + 1e-9
             assert row.alpha <= alpha_max(N, R) + 1e-9
 
     def test_determinism(self):
         s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 10)])
-        a = max_alpha_scan(s, 4, [3.0, 9.0], resolution=50)
-        b = max_alpha_scan(s, 4, [3.0, 9.0], resolution=50)
+        a = max_alpha_scan(s, 4, [3.0, 9.0])
+        b = max_alpha_scan(s, 4, [3.0, 9.0])
         assert [(r.beta_rho, r.alpha, r.state) for r in a] == [
             (r.beta_rho, r.alpha, r.state) for r in b
         ]
@@ -323,14 +324,19 @@ class TestAlphaScan:
             max_alpha_scan(normalize_spectrum(energies), N, [1.0])
 
 
-E2 = np.array([0.0, 0.0, 1.0])
+def _chord_entropy(s, b1, t):
+    """Entropies S and log-populations of the level states b = (0, b1, t):
+    the full entropy, which the grid search this module replaced solved on."""
+    b = np.stack(np.broadcast_arrays(0.0, b1, np.asarray(t, float)), axis=-1)
+    lnp = _log_populations(s.log_multiplicities, b)
+    return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
 
 
 def _bisect_root(s, b1, a, b, fa, target):
-    """Bisection to the scan's stopping rule; log-populations at the last midpoint."""
+    """Bisection to a relative entropy error of 1e-13; log-populations at the last midpoint."""
     for _ in range(100):
         mid = 0.5 * (a + b)
-        fm = float(_entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, mid)[0]) - target
+        fm = float(_chord_entropy(s, b1, mid)[0]) - target
         if abs(fm) <= 1e-13 * target or mid == a or mid == b:
             a = b = mid
             break
@@ -338,32 +344,13 @@ def _bisect_root(s, b1, a, b, fa, target):
             a, fa = mid, fm
         else:
             b = mid
-    return _entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, 0.5 * (a + b))[1]
+    return _chord_entropy(s, b1, 0.5 * (a + b))[1]
 
 
-def _newton_root(s, b1, a, b, fa, target):
-    """The scan's safeguarded Newton step on ln S - ln target, one bracket at a time."""
-    a_pos, t = fa > 0, 0.5 * (a + b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            S, lnp = _entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, t)
-            dS = np.add.reduce(np.exp(s.log_multiplicities + lnp) * E2 * (lnp + S), axis=-1)
-            if (S > target) == a_pos:
-                a = t
-            else:
-                b = t
-            nxt = t - np.log(S / target) * S / dS
-            if not a < nxt < b:
-                nxt = 0.5 * (a + b)
-            if abs(S - target) <= 1e-13 * target or not a < nxt < b:
-                break
-            t = nxt
-    return lnp
-
-
-def _scalar_alpha_scan(s, N, beta, resolution, root=_bisect_root):
-    """Reference chord search, one chord and one bracket at a time, solving each
-    bracket with ``root``."""
+def _scalar_alpha_scan(s, N, beta, resolution):
+    """Reference grid search, independent of the ray solve: b1 on a grid of
+    ``resolution`` points, b2 along each feasible chord on a grid, every
+    bracket bisected, and the best root that ``is_n_passive`` accepts."""
     eps, logg = s.level_energies, s.log_multiplicities
     gibbs = _log_populations(logg, beta * eps)
     target = float(_entropy(np.exp(logg + gibbs), gibbs))
@@ -382,15 +369,47 @@ def _scalar_alpha_scan(s, N, beta, resolution, root=_bisect_root):
         if not feasible or hi <= lo:
             continue
         ts = np.linspace(lo, hi, max(resolution, 64))
-        vals = (_entropy_on_chord(s, np.array([0.0, b1, 0.0]), E2, ts)[0] - target).tolist()
+        vals = (_chord_entropy(s, b1, ts)[0] - target).tolist()
         for k in range(len(ts) - 1):
             if vals[k] == 0.0 or np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
-                lnp = root(s, b1, ts[k], ts[k + 1], vals[k], target)
+                lnp = _bisect_root(s, b1, ts[k], ts[k + 1], vals[k], target)
                 E = float(_energy(eps, np.exp(logg + lnp)))
                 rho = DiagonalState.from_levels(s, lnp)
                 if E > best_E and is_n_passive(s, rho, N, tol=_passive_tol(rho, N)):
                     best_E, best = E, lnp
     return best_E / gibbs_point(s, beta).energy, DiagonalState.from_levels(s, best)
+
+
+def _decimal_gap(s, rho):
+    """S(rho) - ln d0 in decimal arithmetic, from the state's normalized
+    block log-populations."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        mass = [(c, Decimal(x).exp()) for (_, c), x in zip(rho.blocks, rho.log_populations)
+                if x > -math.inf]
+        Z = sum(c * p for c, p in mass)
+        d0 = Decimal(s.d0)
+        return -sum(c * p / Z * (d0 * p / Z).ln() for c, p in mass)
+
+
+def _decimal_target(levels, beta):
+    """The Gibbs entropy gap S_beta - ln d0, from ``decimal_gibbs``."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return decimal_gibbs(levels, beta)[2] - Decimal(levels[0][1]).ln()
+
+
+def _oracle_rays(energies, N):
+    """The extreme directions (b1, b2) of the cone by the pairwise
+    definition: every +-(-v2, v1) of a cut that satisfies every cut, at the
+    smallest and largest angle."""
+    cuts = [v[1:] for v in oracle.adjacent_cuts(energies, N)]
+    feasible = [
+        c for v1, v2 in cuts for c in ((-v2, v1), (v2, -v1))
+        if all(c[0] * u1 + c[1] * u2 >= 0 for u1, u2 in cuts)
+    ]
+    return min(feasible, key=lambda c: math.atan2(c[1], c[0])), \
+        max(feasible, key=lambda c: math.atan2(c[1], c[0]))
 
 
 class TestAlphaScanAccuracy:
@@ -399,7 +418,7 @@ class TestAlphaScanAccuracy:
         levels = [(0.0, 1), (1.0, 1), (1.001, g2)]
         s = Spectrum.from_levels(levels)
         amax = alpha_max(5, spectral_ratio(s))
-        for row in max_alpha_scan(s, 5, [33.8, 45.0, 77.0, 120.0, 165.0], resolution=40):
+        for row in max_alpha_scan(s, 5, [33.8, 45.0, 77.0, 120.0, 165.0]):
             ref = decimal_gibbs(levels, row.beta_rho)[2]
             S = Decimal(state_entropy(row.state))
             assert abs(S - ref) <= Decimal("1e-9") * ref, (row.beta_rho, float(S), float(ref))
@@ -409,15 +428,75 @@ class TestAlphaScanAccuracy:
     @pytest.mark.parametrize("N", [3, 5])
     @pytest.mark.parametrize("resolution", [8, 40])
     def test_batched_scan_matches_scalar_reference(self, g2, N, resolution):
+        # the rays reach at least what a grid search finds, wherever its root
+        # lies on the isentrope
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, g2)])
         betas = [0.5, 5.0, 30.0, 90.0]
-        for beta, row in zip(betas, max_alpha_scan(s, N, betas, resolution=resolution)):
-            alpha, state = _scalar_alpha_scan(s, N, beta, resolution, root=_newton_root)
-            assert row.alpha == alpha
-            assert row.state == state
-            # bisection finds the same roots to the same entropy tolerance
-            alpha_bisect, _ = _scalar_alpha_scan(s, N, beta, resolution)
-            assert abs(row.alpha - alpha_bisect) <= 1e-11 * alpha_bisect
+        for beta, row in zip(betas, max_alpha_scan(s, N, betas)):
+            alpha, state = _scalar_alpha_scan(s, N, beta, resolution)
+            target = _thermal_functionals(s.level_energies, s.log_multiplicities, beta)[2]
+            if abs(_entropy_gap(s, state) - target) <= 1e-13 * target:
+                assert row.alpha >= alpha * (1 - 1e-12), (beta, row.alpha, alpha)
+
+    @pytest.mark.parametrize("d0", [2, 5])
+    def test_degenerate_ground_keeps_the_gap(self, d0):
+        # on (0, 1, 3) with g = (2, 1, 10) at N = 4 the solve on the full
+        # entropy lost a gap below 1e-16*ln d0: alpha = 1.738 and 2.8e8 at
+        # beta = 40 and 60, above N/(N-R) = 4
+        levels = [(0.0, d0), (1.0, 1), (3.0, 10)]
+        s = Spectrum.from_levels(levels)
+        R = spectral_ratio(s)
+        for row in max_alpha_scan(s, 4, [2.0, 20.0, 40.0, 60.0, 80.0]):
+            ref = _decimal_target(levels, row.beta_rho)
+            assert abs(_decimal_gap(s, row.state) - ref) <= Decimal("1e-9") * ref, row.beta_rho
+            ceiling = min(alpha_max(4, R), exponential_factor(row.beta_rho, s.eps_max, R, 4))
+            assert 1.0 <= row.alpha <= ceiling
+
+    def test_escaping_ray_takes_the_limit_state(self):
+        # r > N makes lambda_0 = lambda_1 an extreme ray, whose gap stays
+        # above the target up to b = 2000: the isentrope leaves the cone
+        # through lambda_2 -> 0.  The chord grid gave 1.0432, the rays alone 1.0060.
+        levels = [(0.0, 2), (1.0, 10), (3.2425, 10**5)]
+        s = Spectrum.from_levels(levels)
+        (row,) = max_alpha_scan(s, 3, [4.899])
+        assert row.state.log_populations[2] == -math.inf
+        assert row.alpha >= 1.0432
+        ref = _decimal_target(levels, 4.899)
+        assert abs(_decimal_gap(s, row.state) - ref) <= Decimal("1e-9") * ref
+        assert is_n_passive(s, row.state, 3, tol=_passive_tol(row.state, 3))
+
+    @pytest.mark.parametrize("N, m, alpha", [(2, 1, 1.83546), (3, 2, 1.38586), (5, 4, 1.13982)])
+    def test_reaches_the_saturation_states(self, N, m, alpha):
+        # the grid search gave 1.577, 1.275 and 1.130 at resolution 200
+        res = saturation_construct(N, m, 0.9)
+        (row,) = max_alpha_scan(res.spectrum, N, [res.beta_rho])
+        assert row.alpha >= res.alpha_measured * (1 - 1e-9)
+        assert row.alpha == pytest.approx(alpha, abs=5e-6)
+        assert is_n_passive(res.spectrum, row.state, N, tol=_passive_tol(row.state, N))
+
+    @pytest.mark.parametrize(
+        "energies, N",
+        [((0.0, 1.0, 1.9), N) for N in (1, 2, 3, 5, 8)]
+        + [((0.0, 1.0, 1.001), 5), ((0.0, 1.0, 3.2425), 3), ((0.0, 1.0, 3.2425), 5),
+           ((0.0, 1.0, 2.0), 4), ((0.0, 0.4, 1.0), 6)],
+    )
+    def test_rays_are_the_feasible_extremes(self, energies, N):
+        rays = _rays(energies, N)
+        assert rays[:, 0].tolist() == [0.0, 0.0]
+        for w, c in zip(rays[:, 1:], _oracle_rays(energies, N)):
+            assert w[0] * c[1] - w[1] * c[0] == 0 and w @ c > 0
+
+    def test_ceiling_is_asserted(self, monkeypatch):
+        import npassive.extremal as X
+
+        monkeypatch.setattr(X, "alpha_max", lambda N, R: 0.5)
+        with pytest.raises(BoundViolationError):
+            max_alpha_scan(Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)]), 3, [1.0])
+
+    def test_resolution_is_ignored(self):
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, 1000)])
+        rows = [max_alpha_scan(s, 5, [2.0, 30.0], resolution=r) for r in (0, 8, 10**6)]
+        assert rows[0] == rows[1] == rows[2]
 
 
 def test_alpha_scan_curves_script(tmp_path):
@@ -479,7 +558,7 @@ class TestSaturation:
 
         real = X.isentropic_point
         monkeypatch.setattr(X, "isentropic_point",
-                            lambda s, S: X.gibbs_point(s, 2.0 * real(s, S).beta))
+                            lambda s, S: gibbs_point(s, 2.0 * real(s, S).beta))
         with pytest.raises(BoundViolationError):
             saturation_construct(3, 2, 0.9)
 

@@ -1,6 +1,6 @@
 """The level functionals give the same bits whatever the memory order of their
-batch, and the chord evaluation of ``max_alpha_scan`` keeps its levels
-outermost in memory.
+batch, and the ray evaluation of ``max_alpha_scan`` gives a batch the bits of
+its rows.
 
 numpy reduces an axis of fewer than 8 entries left to right in either
 layout, so a level-major batch (the level axis has the largest stride) and
@@ -58,14 +58,11 @@ def test_functionals_ignore_the_layout(L, batch, seed):
 def test_chord_grid_matches_its_rows(L, a, n, seed):
     rng = np.random.default_rng(seed)
     s = spectrum(rng, L)
-    p = rng.uniform(-20.0, 20.0, (a, 1, L))
-    q = rng.uniform(-2.0, 2.0, L)
+    q = rng.uniform(-2.0, 2.0, (a, 1, L))
     t = rng.uniform(-10.0, 10.0, (a, n))
-    S, lnp = _entropy_on_chord(s, p, q, t)
+    S, lnp = _entropy_on_chord(s, q, t)
     assert S.shape == (a, n) and lnp.shape == (a, n, L)
-    # the level axis is outermost in memory
-    assert lnp.strides[-1] > max(lnp.strides[:-1])
     for i in range(a):
-        S_i, lnp_i = _entropy_on_chord(s, p[i, 0], q, t[i])
+        S_i, lnp_i = _entropy_on_chord(s, q[i, 0], t[i])
         assert S[i].tobytes() == S_i.tobytes()
         assert lnp[i].tobytes() == lnp_i.tobytes()

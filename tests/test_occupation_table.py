@@ -262,7 +262,7 @@ def test_level_passivity_matches_reference(levels, N):
 def test_level_passivity_matches_reference_on_scan_candidates():
     s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 10**6)])
     for beta in (2.0, 20.0, 90.0):
-        (row,) = max_alpha_scan(s, 5, [beta], resolution=40)
+        (row,) = max_alpha_scan(s, 5, [beta])
         for shift in (0.0, 1e-3, -1e-3, 0.05, -0.05):
             b = -np.array(row.state.log_populations) - np.array([0.0, shift, -shift])
             rho = _level_state(s, b)
@@ -332,10 +332,6 @@ class TestCap:
     def test_cut_pairs(self):
         # 43,758 table rows, but 325,740,400 pairs between adjacent tie groups
         assert_refused_small(sample_n_passive, normalize_spectrum([0] * 8 + [1]), 10, 1, seed=1)
-
-    def test_alpha_grid(self):
-        s = Spectrum.from_levels([(0, 1), (1, 1), (1.001, 1000)])
-        assert_refused_small(max_alpha_scan, s, 5, [2.0], resolution=817)
 
 
 def test_three_levels_at_large_order():

@@ -15,10 +15,11 @@ import npassive
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-# the fenced python blocks, by the README line that opens each
+# the fenced python blocks, by their order in the README, so that an edit
+# elsewhere in it keeps every test id
 PYTHON_BLOCKS = {
-    f"line{README.read_text().count(chr(10), 0, m.start()) + 1}": m[1]
-    for m in re.finditer(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    f"block{k}": m[1]
+    for k, m in enumerate(re.finditer(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S))
 }
 
 
