@@ -70,14 +70,16 @@ def _lcm(found) -> int | None:
     return math.lcm(*ps)
 
 
-def _detect_many(ratios, max_den, tol):
-    """Each ratio's RationalRatio (None if undetected), lazily."""
+def _detect_many(ratios, max_den, tol, seen: dict):
+    """Each ratio's RationalRatio (None if undetected), lazily; a ratio value
+    already in ``seen`` is read from it, not detected again."""
     for ratio, exact in ratios:
-        if exact:
+        if ratio not in seen and exact:
             frac = Fraction(ratio)
-            yield RationalRatio(p=frac.numerator, q=frac.denominator)
-        else:
-            yield rational_ratio_detect(ratio, max_den, tol)
+            seen[ratio] = RationalRatio(p=frac.numerator, q=frac.denominator)
+        elif ratio not in seen:
+            seen[ratio] = rational_ratio_detect(ratio, max_den, tol)
+        yield seen[ratio]
 
 
 def n_star(
@@ -93,7 +95,8 @@ def n_star(
     irrational at the working precision.  The lcm over *all* level triples is
     reported alongside as a diagnostic (non-consecutive triples are not
     covered by the consecutive criterion); its C(L, 3) triples pass
-    ``check_size``, and detection stops at the first undetected one.
+    ``check_size``, each distinct ratio value is detected once, and the
+    diagnostic stops at the first undetected triple.
     """
     L = s.num_levels
     if L < 3:
@@ -101,13 +104,14 @@ def n_star(
     _check_tol(tol)
     check_size(math.comb(L, 3), "all-triples diagnostic")
     consecutive = [(i, i + 1, i + 2) for i in range(L - 2)]
-    ratios = list(_detect_many(_level_ratios(s, consecutive), max_den, tol))
+    seen = {}
+    ratios = list(_detect_many(_level_ratios(s, consecutive), max_den, tol, seen))
     triples = tuple(
         (r.p, r.q, i) if r is not None else None
         for i, r in enumerate(ratios)
     )
     every = itertools.combinations(range(L), 3)
-    all_lcm = _lcm(_detect_many(_level_ratios(s, every), max_den, tol))
+    all_lcm = _lcm(_detect_many(_level_ratios(s, every), max_den, tol, seen))
     return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=all_lcm)
 
 
@@ -131,7 +135,7 @@ def triple_forces_gibbs(
         raise ValueError("triple must hold increasing distinct-level indices")
     _check_tol(tol)
     _check_tol(ratio_tol, "ratio_tol")
-    (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol)
+    (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol, {})
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")
     la, lb, lc = (means[k][0] for k in triple)

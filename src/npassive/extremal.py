@@ -199,8 +199,10 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     the ray lambda_0 = lambda_1 does not cross, the isentrope leaves through
     lambda_2 -> 0, and that limit, the lower two levels at the target gap, is
     its candidate.  The best candidate that ``_accepts`` is returned, else the
-    Gibbs state.  A ratio above min(``alpha_max``, ``exponential_factor``) by
-    more than 1e-9 relative would falsify the theorem: ``BoundViolationError``.
+    Gibbs state, built only then.  The rays, their caps and the gaps there
+    are set up once per call, so each beta pays only for its own solve.  A
+    ratio above min(``alpha_max``, ``exponential_factor``) by more than 1e-9
+    relative would falsify the theorem: ``BoundViolationError``.
     """
     if s.num_levels > 3:
         raise NotImplementedError("the ray maximizer supports at most three distinct levels")
@@ -213,13 +215,14 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
         rays = _rays(tuple(eps.tolist()), N)
         hi = 2000.0 / rays[:, 2]
         start = (rays @ eps) / np.add.reduce(rays * rays, axis=-1)
+        gap_hi = _entropy_on_chord(s, rays, hi)[0]
     for beta in beta_grid:
         _, E_beta, gap, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
-        alpha, rho = 1.0, gibbs_populations(s, beta)
+        alpha, rho = 1.0, None
         if s.num_levels == 3:
-            reach = _entropy_on_chord(s, rays, hi)[0] < gap
+            reach = gap_hi < gap
             lnp = _line_roots(s, rays[reach], np.minimum(beta * start, 0.5 * hi)[reach],
                               hi[reach], gap)
             if rays[1, 1] == 0 and not reach[1]:
@@ -234,7 +237,8 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
         ceiling = min(alpha_max(N, R), exponential_factor(beta, s.eps_max, R, N))
         if alpha > ceiling * (1.0 + 1e-9):
             raise BoundViolationError(f"alpha {alpha} at beta {beta} exceeds its ceiling {ceiling}")
-        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=alpha, state=rho))
+        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=alpha,
+                                 state=rho if rho is not None else gibbs_populations(s, beta)))
     return rows
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,13 @@ from npassive.spectra import (
     Spectrum,
     normalize_spectrum,
 )
+
+
+def _all_triples_lcm_oracle(levels):
+    """The lcm over level triples a < b < c of the reduced numerator of
+    (c - a)/(b - a), on integer levels."""
+    return math.lcm(*((c - a) // math.gcd(c - a, b - a)
+                      for a, b, c in itertools.combinations(list(levels), 3)))
 
 
 class TestRationalDetect:
@@ -75,8 +84,10 @@ class TestNStar:
             n_star(normalize_spectrum([0, 1]))
 
     def test_all_triples_stop_at_the_first_undetected(self, monkeypatch):
-        # triple (0, 1, 2) of (0, 1, 1 + phi, 3, 4, ...) is undetected, so the
-        # diagonal is decided after the L - 2 consecutive triples and one more
+        # the L - 2 consecutive triples of (0, 1, 1 + phi, 3, 4, ...) have four
+        # distinct ratios (1 + phi, 2/phi, 2 + phi, then 2), each detected
+        # once; the diagonal's first triple (0, 1, 2) is the first consecutive
+        # one, already undetected, so it stops there without a detection
         detect, seen = comm.rational_ratio_detect, []
         monkeypatch.setattr(comm, "rational_ratio_detect",
                             lambda x, *args: seen.append(x) or detect(x, *args))
@@ -84,7 +95,32 @@ class TestNStar:
         phi = (1 + 5**0.5) / 2
         res = n_star(normalize_spectrum([0, 1, 1 + phi, *range(3, L)]), max_den=50)
         assert res.all_triples_lcm is None
-        assert len(seen) == (L - 2) + 1
+        assert res.triples == (None, None, None, *((2, 1, i) for i in range(3, L - 2)))
+        assert seen == pytest.approx([1 + phi, 2 / phi, 2 + phi, 2.0], rel=1e-12)
+
+    def test_each_distinct_ratio_detected_once(self, monkeypatch):
+        # the ladder 0..149 has 551,300 triples but 6,817 distinct gap ratios
+        detect, seen = comm.rational_ratio_detect, []
+        monkeypatch.setattr(comm, "rational_ratio_detect",
+                            lambda x, *args: seen.append(x) or detect(x, *args))
+        res = n_star(normalize_spectrum(list(range(150))))
+        assert len(seen) <= 6817 and len(set(seen)) == len(seen)
+        assert res.all_triples_lcm == _all_triples_lcm_oracle(range(150))
+
+    @pytest.mark.parametrize("L", [3, 4, 7, 12, 25, 40])
+    def test_all_triples_lcm_on_integer_ladders(self, L):
+        res = n_star(normalize_spectrum(list(range(L))))
+        assert res.all_triples_lcm == _all_triples_lcm_oracle(range(L))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_triples_lcm_on_rational_spectra(self, seed):
+        rng = random.Random(seed)
+        raw = {Fraction(rng.randint(0, 60), rng.randint(1, 6)) for _ in range(rng.randint(3, 9))}
+        if len(raw) < 3:
+            raw |= {Fraction(100), Fraction(101), Fraction(103)}
+        res = n_star(Spectrum.from_rationals(sorted(raw)))
+        den = math.lcm(*(x.denominator for x in raw))
+        assert res.all_triples_lcm == _all_triples_lcm_oracle(sorted(int(x * den) for x in raw))
 
     def test_all_triples_capped(self):
         L = 230

@@ -498,6 +498,23 @@ class TestAlphaScanAccuracy:
         rows = [max_alpha_scan(s, 5, [2.0, 30.0], resolution=r) for r in (0, 8, 10**6)]
         assert rows[0] == rows[1] == rows[2]
 
+    @pytest.mark.parametrize("levels, N, beta, fallback", [
+        ([(0.0, 1), (1.0, 1), (1.9, 1)], 3, 150.0, True),
+        ([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.5, True),
+        ([(0.0, 1), (1.0, 1), (1.001, 1000)], 5, 30.0, False),
+    ])
+    def test_gibbs_state_built_only_on_fallback(self, levels, N, beta, fallback, monkeypatch):
+        # the row is the Gibbs state, at alpha 1, exactly when no ray
+        # candidate is accepted, and only then is that state built
+        import npassive.extremal as X
+
+        built = []
+        monkeypatch.setattr(X, "gibbs_populations", lambda *a: built.append(a) or gibbs_populations(*a))
+        s = Spectrum.from_levels(levels)
+        (row,) = max_alpha_scan(s, N, [beta])
+        assert built == ([(s, beta)] if fallback else [])
+        assert (row.alpha == 1.0 and row.state == gibbs_populations(s, beta)) == fallback
+
 
 def test_alpha_scan_curves_script(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "alpha_scan_curves.py"
