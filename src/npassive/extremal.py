@@ -157,21 +157,32 @@ def _line_roots(s: Spectrum, q, t, hi, gap: float):
     points ``t``, with dS/dt = sum w*q*(ln(lambda) + S) and the midpoint for
     a step out of its bracket.  A root is the last point evaluated, once its
     gap is within 1e-13*gap or its bracket has shrunk to adjacent floats.
+    ``t`` and the caps ``hi`` are sequences of floats, and the bracket is
+    one Python float per ray: on a row or two, numpy's per-call cost would
+    outweigh its arithmetic.
     """
-    lo = np.zeros_like(t)
+    t, hi = list(t), list(hi)
+    lo = [0.0] * len(t)
     logg = s.log_multiplicities
     # a zero slope or gap makes the Newton step non-finite: the midpoint
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
             G, lnp = _entropy_on_chord(s, q, t)
             dG = np.add.reduce(np.exp(logg + lnp) * q * (lnp + (logg[0] + G)[:, None]), axis=-1)
-            lo, hi = np.where(G > gap, t, lo), np.where(G > gap, hi, t)
-            nxt = t - np.log(G / gap) * G / dG
-            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            done = (np.abs(G - gap) <= 1e-13 * gap) | (nxt <= lo) | (hi <= nxt)
-            if done.all():
+            steps = (np.log(G / gap) * G / dG).tolist()
+            done = True
+            for k, (g, step) in enumerate(zip(G.tolist(), steps)):
+                if g > gap:
+                    lo[k] = t[k]
+                else:
+                    hi[k] = t[k]
+                nxt = t[k] - step
+                if not lo[k] < nxt < hi[k]:
+                    nxt = 0.5 * (lo[k] + hi[k])
+                if not (abs(g - gap) <= 1e-13 * gap or nxt <= lo[k] or hi[k] <= nxt):
+                    t[k], done = nxt, False
+            if done:
                 break
-            t = np.where(done, t, nxt)
     return lnp
 
 
@@ -202,18 +213,19 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     if s.num_levels == 3:
         rays = _rays(tuple(eps.tolist()), N)
         hi = 2000.0 / rays[:, 2]
-        start = (rays @ eps) / np.add.reduce(rays * rays, axis=-1)
-        gap_hi = _entropy_on_chord(s, rays, hi)[0]
+        start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
+        gap_hi = _entropy_on_chord(s, rays, hi)[0].tolist()
+        hi = hi.tolist()
     for beta in beta_grid:
         _, E_beta, gap, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
         alpha, rho = 1.0, None
         if s.num_levels == 3:
-            reach = gap_hi < gap
-            lnp = _line_roots(s, rays[reach], np.minimum(beta * start, 0.5 * hi)[reach],
-                              hi[reach], gap)
-            if rays[1, 1] == 0 and not reach[1]:
+            reach = [k for k in (0, 1) if gap_hi[k] < gap]
+            lnp = _line_roots(s, rays[reach], [min(beta * start[k], 0.5 * hi[k]) for k in reach],
+                              [hi[k] for k in reach], gap)
+            if rays[1, 1] == 0 and 1 not in reach:
                 b1 = _isentropic_point(Spectrum(s.distinct_levels[:2]), gap, ENTROPY_TOL).beta
                 lnp = np.vstack([lnp, _log_populations(logg, np.array([0.0, b1 * eps[1], np.inf]))])
             E = _energy(eps, np.exp(logg + lnp))
@@ -237,14 +249,14 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
 
     Spectrum: levels (0, 1, r) with degeneracies (1, 1, g2) and r chosen so
     the inverse gap ratio 1/r falls in (m/N, (m+1)/N].  Each rung of the
-    ladder beta = 30*max(1, (N/r)*ln(r*alpha_max)), times 1.5 per rung, sets
-    ln g2 = beta*(r - 1/alpha_t) - ln(r*alpha_t), so that a cold state can
-    park weight on the top level while keeping the first excited population
-    large, and takes the scan's one row at that beta: its state, accepted at
-    ``_passive_tol``, and its ratio, checked against the ceiling (else
-    ``BoundViolationError``).  The ladder stops past beta =
-    ``BETA_INF_FACTOR``, where the thermal energy underflows on eps_1 = 1;
-    then ``InfeasibleSaturationError`` names the best ratio found.
+    ladder beta = min(30*max(1, (N/r)*ln(r*alpha_max)), ``BETA_INF_FACTOR``),
+    times 1.5 per rung, sets ln g2 = beta*(r - 1/alpha_t) - ln(r*alpha_t), so
+    that a cold state can park weight on the top level while keeping the
+    first excited population large, and takes the scan's one row at that
+    beta: its state, accepted at ``_passive_tol``, and its ratio, checked
+    against the ceiling (else ``BoundViolationError``).  The ladder stops
+    past beta = ``BETA_INF_FACTOR``, where the thermal energy underflows on
+    eps_1 = 1; then ``InfeasibleSaturationError`` names the best ratio found.
     """
     if not (1 <= m < N):
         raise ValueError("need 1 <= m < N")
@@ -257,7 +269,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
     a_sup = N / (m * r)
     # the ratio that g2 is tuned for
     alpha_t = max(1.02, min(0.98 * a_sup, 0.5 * (alpha_target_frac * a_max + a_sup)))
-    beta = 30.0 * max(1.0, (N / r) * math.log(r * a_max))
+    beta = min(30.0 * max(1.0, (N / r) * math.log(r * a_max)), BETA_INF_FACTOR)
     best = 1.0  # the Gibbs state's ratio
     while beta <= BETA_INF_FACTOR:
         lng2 = beta * (r - 1.0 / alpha_t) - math.log(r * alpha_t)

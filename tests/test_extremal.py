@@ -16,13 +16,21 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
+    _entropy_on_chord,
+    _line_roots,
     _passive_tol,
     _rays,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
 )
-from npassive.gibbs import _log_populations, _thermal_functionals, gibbs_point, gibbs_populations
+from npassive.gibbs import (
+    BETA_INF_FACTOR,
+    _log_populations,
+    _thermal_functionals,
+    gibbs_point,
+    gibbs_populations,
+)
 from npassive.passivity import (
     _cuts,
     is_k_structurally_stable,
@@ -518,6 +526,125 @@ class TestAlphaScanAccuracy:
         assert (row.alpha == 1.0 and row.state == gibbs_populations(s, beta)) == fallback
 
 
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+ALPHA_SCAN_SPECTRA = [[(0.0, 1), (1.0, 1), (1.001, g2)] for g2 in (10**3, 10**6, 10**9, 10**12)]
+
+# (levels, N, beta, alpha, log-populations) as float.hex: the four spectra of
+# the benchmark's alpha_scan at N = 5, the lambda_2 -> 0 limit row of
+# test_escaping_ray_takes_the_limit_state, and a degenerate ground
+ALPHA_SCAN_PINS = [
+    (ALPHA_SCAN_SPECTRA[0], 5, 0.5, "0x1.0000adf75a515p+0",
+     ("-0x1.9aa448668d89ep+2", "-0x1.b3f21780b123dp+2", "-0x1.ba458b473a0a5p+2")),
+    (ALPHA_SCAN_SPECTRA[0], 5, 5.0, "0x1.000cf7f2138c6p+0",
+     ("-0x1.05a1be8857c5cp+1", "-0x1.8314acc63f301p+2", "-0x1.c325a026c4036p+2")),
+    (ALPHA_SCAN_SPECTRA[0], 5, 30.0, "0x1.0d1ef62f87315p+0",
+     ("-0x1.a46b1cb764c07p-34", "-0x1.8451d91ae00c9p+4", "-0x1.e5664f61966b5p+4")),
+    (ALPHA_SCAN_SPECTRA[0], 5, 90.0, "0x1.14feffdea5b8dp+0",
+     ("-0x1.144e93363c190p-120", "-0x1.4c67c27522c68p+6", "-0x1.9f81b3126b782p+6")),
+    (ALPHA_SCAN_SPECTRA[0], 5, 200.0, "0x1.08e2ea6b5fe4fp+0",
+     ("-0x1.242bba70b4c04p-279", "-0x1.8283059d59af7p+7", "-0x1.e323c704b01b5p+7")),
+    (ALPHA_SCAN_SPECTRA[1], 5, 0.5, "0x1.0000002c9c940p+0",
+     ("-0x1.aa48d9f0bccf8p+3", "-0x1.b6ef1e449fd56p+3", "-0x1.ba18af599896ep+3")),
+    (ALPHA_SCAN_SPECTRA[1], 5, 5.0, "0x1.000003549597dp+0",
+     ("-0x1.19fbefbc9fc63p+3", "-0x1.9a13e94750740p+3", "-0x1.ba19e7a9fc9f7p+3")),
+    (ALPHA_SCAN_SPECTRA[1], 5, 30.0, "0x1.00046885d19ccp+0",
+     ("-0x1.860e3401da437p-24", "-0x1.806368b3d9c84p+4", "-0x1.e07c42dab8018p+4")),
+    (ALPHA_SCAN_SPECTRA[1], 5, 90.0, "0x1.2db0cf13d20bcp+0",
+     ("-0x1.25908aedc8798p-110", "-0x1.307573b32fd3bp+6", "-0x1.7c92d09ffbc8ap+6")),
+    (ALPHA_SCAN_SPECTRA[1], 5, 200.0, "0x1.12b4641d4cd13p+0",
+     ("-0x1.2789e03bb0ff6p-269", "-0x1.74a03d8e5de7bp+7", "-0x1.d1c84cf1f561ap+7")),
+    (ALPHA_SCAN_SPECTRA[2], 5, 0.5, "0x1.000000000b432p+0",
+     ("-0x1.43aa36ed68aeep+4", "-0x1.49fda3f245536p+4", "-0x1.4b927f337c7c8p+4")),
+    (ALPHA_SCAN_SPECTRA[2], 5, 5.0, "0x1.00000000da44fp+0",
+     ("-0x1.f7070a092be86p+3", "-0x1.3b8f807d4a1d4p+4", "-0x1.4b927f5b77278p+4")),
+    (ALPHA_SCAN_SPECTRA[2], 5, 30.0, "0x1.00000120fcc97p+0",
+     ("-0x1.7cdec16d33204p-14", "-0x1.8062ad5307f65p+4", "-0x1.e07b40d9dddd1p+4")),
+    (ALPHA_SCAN_SPECTRA[2], 5, 90.0, "0x1.0313d737e856cp+0",
+     ("-0x1.ebec352650497p-101", "-0x1.207573486d0c0p+6", "-0x1.6892d01a884f0p+6")),
+    (ALPHA_SCAN_SPECTRA[2], 5, 200.0, "0x1.1d486c54728e9p+0",
+     ("-0x1.2bb9ae24f8e94p-259", "-0x1.66bc1fe2fd4d7p+7", "-0x1.c06b27dbbca0dp+7")),
+    (ALPHA_SCAN_SPECTRA[3], 5, 0.5, "0x1.0000000000000p+0",
+     ("-0x1.b2169d4f45ca7p+4", "-0x1.ba169d4f45ca7p+4", "-0x1.ba18a9990028ap+4")),
+    (ALPHA_SCAN_SPECTRA[3], 5, 5.0, "0x1.0000000000679p+0",
+     ("-0x1.6a0e6c28666e1p+4", "-0x1.ba18a9990a452p+4", "-0x1.ba18a9990a452p+4")),
+    (ALPHA_SCAN_SPECTRA[3], 5, 30.0, "0x1.0000000049faap+0",
+     ("-0x1.640766b8f628fp-4", "-0x1.81c65539bcd26p+4", "-0x1.e1dee8ae7dc97p+4")),
+    (ALPHA_SCAN_SPECTRA[3], 5, 90.0, "0x1.0000d2bd82d21p+0",
+     ("-0x1.daa9ac13dc514p-91", "-0x1.2049c5bd4bbc1p+6", "-0x1.685c372c9eab1p+6")),
+    (ALPHA_SCAN_SPECTRA[3], 5, 200.0, "0x1.28b604daba336p+0",
+     ("-0x1.306cfdf67f4e2p-249", "-0x1.58d73e74cfcbep+7", "-0x1.af0d0e1203beep+7")),
+    ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 3, 4.899, "0x1.0b3e481b13e6dp+0",
+     ("-0x1.8159ecd68b88dp-1", "-0x1.49dcb89b21ee4p+2", "-inf")),
+    ([(0.0, 2), (1.0, 1), (3.0, 10)], 4, 2.0, "0x1.11853ac1af706p+0",
+     ("-0x1.80cf2482b31c6p-1", "-0x1.b391175e52924p+1", "-0x1.837732cdfc2ebp+2")),
+    ([(0.0, 2), (1.0, 1), (3.0, 10)], 4, 20.0, "0x1.00000054197acp+0",
+     ("-0x1.62e42ff87de21p-1", "-0x1.4b17218b1b954p+4", "-0x1.458b90cb399dcp+5")),
+    ([(0.0, 2), (1.0, 1), (3.0, 10)], 4, 40.0, "0x1.0000000000001p+0",
+     ("-0x1.62e42fefa39efp-1", "-0x1.458b90bfbe8e8p+5", "-0x1.42c5c85fdf474p+6")),
+]
+
+
+class TestAlphaScanPins:
+    @pytest.mark.parametrize("levels, N, beta, alpha, lnp", ALPHA_SCAN_PINS)
+    def test_rows_are_pinned_bit_exactly(self, levels, N, beta, alpha, lnp):
+        (row,) = max_alpha_scan(Spectrum.from_levels(levels), N, [beta])
+        assert (row.alpha.hex(), _bits(row.state.log_populations)) == (alpha, lnp)
+
+    def test_one_call_over_the_grid_gives_the_same_rows(self):
+        # the rays, caps and cap gaps set up once per call serve every beta
+        for levels in ALPHA_SCAN_SPECTRA:
+            pins = [p for p in ALPHA_SCAN_PINS if p[0] is levels]
+            rows = max_alpha_scan(Spectrum.from_levels(levels), 5, [p[2] for p in pins])
+            got = [(r.alpha.hex(), _bits(r.state.log_populations)) for r in rows]
+            assert got == [(p[3], p[4]) for p in pins]
+
+
+class TestLineRoots:
+    S = Spectrum.from_levels(ALPHA_SCAN_SPECTRA[0])
+    GAP = _thermal_functionals(S.level_energies, S.log_multiplicities, 30.0)[2]
+    ZERO = np.zeros((1, 3))  # a constant gap, above GAP, and zero slope
+
+    @pytest.fixture
+    def points(self, monkeypatch):
+        import npassive.extremal as X
+
+        ts = []
+        monkeypatch.setattr(X, "_entropy_on_chord",
+                            lambda s, q, t: ts.append(list(t)) or _entropy_on_chord(s, q, t))
+        return ts
+
+    def test_no_reaching_ray(self, points):
+        lnp = _line_roots(self.S, np.zeros((0, 3)), [], [], self.GAP)
+        assert lnp.shape == (0, 3)
+        assert points == [[]]
+
+    def test_non_finite_step_takes_the_midpoint(self, points):
+        _line_roots(self.S, self.ZERO, [1.0], [4.0], self.GAP)
+        assert points[:3] == [[1.0], [2.5], [3.25]]
+
+    def test_bracket_of_adjacent_floats_stops(self, points):
+        lnp = _line_roots(self.S, self.ZERO, [1.0], [4.0], self.GAP)
+        (last,) = points[-1]
+        assert len(points) < 100
+        assert np.nextafter(last, np.inf) == 4.0 and points[-2] != points[-1]
+        assert lnp.tolist() == _entropy_on_chord(self.S, self.ZERO, [last])[1].tolist()
+
+    def test_rays_solve_in_lockstep(self, points):
+        # a ray that has converged is evaluated again, at its root, until
+        # the slowest one stops, and its answer is the one it gets alone
+        ray = _rays(tuple(self.S.level_energies.tolist()), 5)[:1]
+        alone = _line_roots(self.S, ray, [15.0], [2000.0], self.GAP)
+        steps = len(points)
+        both = _line_roots(self.S, np.vstack([ray, self.ZERO]), [15.0, 1.0], [2000.0, 4.0], self.GAP)
+        assert steps < len(points) - steps
+        assert _bits(both[0]) == _bits(alone[0])
+        G = _entropy_on_chord(self.S, ray, [points[-1][0]])[0][0]
+        assert abs(G - self.GAP) <= 1e-13 * self.GAP
+
+
 def test_alpha_scan_curves_script(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "alpha_scan_curves.py"
     spec = importlib.util.spec_from_file_location("alpha_scan_curves", path)
@@ -612,6 +739,25 @@ class TestSaturation:
         monkeypatch.setattr(P, "_scan_passive", walk)
         with pytest.raises(InfeasibleSaturationError, match="best ratio"):
             saturation_construct(300, 1, 0.5)
+
+    @pytest.mark.parametrize("N, m", [(100, 25), (300, 75), (300, 150)])
+    def test_ladder_starts_by_beta_inf(self, N, m):
+        # the first rung 30*(N/r)*ln(r*alpha_max) lies above BETA_INF_FACTOR
+        # here, and the ladder once refused, with no rung run, a target that
+        # the Gibbs state meets
+        res = saturation_construct(N, m, 0.5)
+        assert res.beta_rho == BETA_INF_FACTOR
+        assert 0.5 * res.alpha_max <= res.alpha_measured == pytest.approx(1.0, abs=1e-9)
+        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state, N))
+
+    @pytest.mark.parametrize("N, m, alpha, beta", [
+        (2, 1, "0x1.d601b09476326p+0", "0x1.f40186e404813p+5"),
+        (3, 2, "0x1.62d245822c4c0p+0", "0x1.b715344d99164p+5"),
+        (5, 4, "0x1.23e749d6c895dp+0", "0x1.0d00b0bc909b1p+5"),
+    ])
+    def test_ladder_below_beta_inf_is_pinned(self, N, m, alpha, beta):
+        res = saturation_construct(N, m, 0.9)
+        assert (res.alpha_measured.hex(), res.beta_rho.hex()) == (alpha, beta)
 
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
