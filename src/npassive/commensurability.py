@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .flattening import flatten
 from .spectra import DiagonalState, Spectrum, _check_tol, check_size
 
@@ -84,29 +82,6 @@ def _detect_many(ratios, max_den, tol, seen: dict):
         yield seen[ratio]
 
 
-def _all_triples_lcm(s: Spectrum, max_den: int, tol: float, seen: dict) -> int | None:
-    """The lcm of the numerators over all level triples a < b < c, or None.
-    Exact levels go triple by triple, stopping at the first undetected one.
-    Float levels form each base a's ratios with numpy and find the distinct
-    values by one sort (``np.unique`` would import ``numpy.ma``); each is
-    read from ``seen`` or detected once, and none is detected when ``seen``
-    already holds an undetected one."""
-    L = s.num_levels
-    if s.rational_levels is not None:
-        every = itertools.combinations(range(L), 3)
-        return _lcm(_detect_many(_level_ratios(s, every), max_den, tol, seen))
-    eps, parts = s.level_energies, []
-    for a in range(L - 2):
-        d = eps[a + 1:] - eps[a]
-        parts.append((d[:, None] / d)[np.tril_indices(len(d), -1)])
-    ratios = np.concatenate(parts)
-    ratios.sort()
-    ratios = ratios[np.append(True, ratios[1:] != ratios[:-1])].tolist()
-    if any(seen.get(x, 0) is None for x in ratios):
-        return None
-    return _lcm(_detect_many(((x, False) for x in ratios), max_den, tol, seen))
-
-
 def n_star(
     s: Spectrum, max_den: int = DEFAULT_MAX_DEN, tol: float = DEFAULT_RATIO_TOL
 ) -> NStarResult:
@@ -121,7 +96,7 @@ def n_star(
     reported alongside as a diagnostic (non-consecutive triples are not
     covered by the consecutive criterion); its C(L, 3) triples pass
     ``check_size``, each distinct ratio value is detected once, and the
-    diagnostic detects nothing more once a consecutive ratio is undetected.
+    diagnostic stops at the first undetected triple.
     """
     L = s.num_levels
     if L < 3:
@@ -135,8 +110,9 @@ def n_star(
         (r.p, r.q, i) if r is not None else None
         for i, r in enumerate(ratios)
     )
-    return NStarResult(n_star=_lcm(ratios), triples=triples,
-                       all_triples_lcm=_all_triples_lcm(s, max_den, tol, seen))
+    every = itertools.combinations(range(L), 3)
+    all_lcm = _lcm(_detect_many(_level_ratios(s, every), max_den, tol, seen))
+    return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=all_lcm)
 
 
 def triple_forces_gibbs(

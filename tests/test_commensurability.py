@@ -122,22 +122,6 @@ class TestNStar:
         den = math.lcm(*(x.denominator for x in raw))
         assert res.all_triples_lcm == _all_triples_lcm_oracle(sorted(int(x * den) for x in raw))
 
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("max_den", [50, 10**6])
-    def test_float_diagnostic_matches_the_per_triple_walk(self, seed, max_den):
-        # the float path detects distinct ratios from numpy; the walk over
-        # every triple in Python is its reference, None included
-        rng = random.Random(seed)
-        L = rng.randint(3, 30)
-        if seed % 2:
-            raw = {rng.randint(0, 60) / rng.randint(1, 6) for _ in range(L)} | {0.0, 1.0, 2.5}
-        else:
-            raw = {0.0, *(rng.random() for _ in range(L))}
-        s = normalize_spectrum(sorted(raw))
-        every = itertools.combinations(range(s.num_levels), 3)
-        walk = comm._lcm(comm._detect_many(comm._level_ratios(s, every), max_den, 1e-9, {}))
-        assert n_star(s, max_den=max_den).all_triples_lcm == walk
-
     def test_all_triples_capped(self):
         L = 230
         assert math.comb(L, 3) > DEFAULT_CAP >= math.comb(L - 1, 3)
