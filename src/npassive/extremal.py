@@ -82,11 +82,21 @@ def sample_n_passive(
     A step draws a Gaussian u and moves to a uniform point x + t u of the chord
     in G x + h >= 0 (the generators ``_cuts`` and the box), which is
     -1/max(w) < t < -1/min(w) for w = G u / (G x + h), then clips x to the box.
+    The walk takes ``burn_in`` steps, then keeps every ``thin``-th point.
+    A step allocates nothing: the product and the ratio go to fixed buffers,
+    and the chord ends, the step and the clip are Python floats, as on a few
+    coordinates numpy's per-call cost would outweigh its arithmetic.
     """
     if s.num_levels < 2:
         raise ValueError("single-level spectra have no passivity structure to sample")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if not (0 < b_max < math.inf):
+        raise ValueError("b_max must be finite and > 0")
     energies = tuple(s.level_energies.tolist()) if stable else s.energies
     V = _cuts(energies, N)
     eps_free = np.array(energies[1:])
@@ -102,27 +112,38 @@ def sample_n_passive(
     rng = np.random.default_rng(seed)
     # rows (x, 1) and (u, 0); x starts at a thermal point, strictly inside the cone
     xu = np.array([[*(b_max / (2.0 * s.eps_max) * eps_free), 1.0], [0.0] * (n_free + 1)])
-    x, u = xu[0, :-1], xu[1, :-1]
-    kept = []
+    xrow, u = xu[0, :-1], xu[1, :-1]
+    x, box = xrow.tolist(), list(zip(lower.tolist(), upper.tolist()))
+    # the product (G x + h, G u) and the ratio w, written in place each step
+    r_gu = np.empty((2, GhT.shape[1]))
+    gx, gu = r_gu
+    w = np.empty(GhT.shape[1])
+    kept = np.zeros((count, n_free + 1))  # rows b, slot 0 gauge-fixed
+    # bound once: their lookups are a measurable share of a step
+    normal, uniform, dot, divide = rng.standard_normal, rng.random, np.dot, np.divide
+    wmax, wmin = np.maximum.reduce, np.minimum.reduce
     # a row with G x + h = 0 gives w = +-inf, which puts that chord end at t = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(burn_in + count * thin):
-            rng.standard_normal(out=u)
-            r_gu = np.dot(xu, GhT)
-            w = r_gu[1] / r_gu[0]
-            # the box rows give w both signs, so t_lo <= 0 <= t_hi
-            t_lo = -1.0 / np.maximum.reduce(w)
-            t_hi = -1.0 / np.minimum.reduce(w)
+            normal(out=u)
+            dot(xu, GhT, out=r_gu)
+            divide(gu, gx, out=w)
+            # the box rows give w both signs, so t_lo <= 0 <= t_hi, and for
+            # u != 0 neither max(w) nor min(w) is 0
+            t_lo = -1.0 / float(wmax(w))
+            t_hi = -1.0 / float(wmin(w))
             if t_hi > t_lo:
                 # numpy's own uniform(t_lo, t_hi), without its argument handling
-                t = t_lo + (t_hi - t_lo) * rng.random()
+                t = t_lo + (t_hi - t_lo) * uniform()
                 # np.clip's result: a bound replaces x unless x is strictly inside it
-                np.minimum(upper, np.maximum(lower, x + t * u), out=x)
+                x = [lo if (v := xk + t * uk) <= lo else hi if v >= hi else v
+                     for (lo, hi), xk, uk in zip(box, x, u.tolist())]
+                xrow[:] = x
             if step >= burn_in and (step - burn_in) % thin == thin - 1:
-                kept.append(np.concatenate([[0.0], x]))  # b, slot 0 gauge-fixed
+                kept[(step - burn_in) // thin, 1:] = x
     if stable:
         return [DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b)) for b in kept]
-    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
+    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
 
 
 def _entropy_on_chord(s: Spectrum, q, t):
@@ -262,7 +283,8 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
         raise ValueError("need 1 <= m < N")
     if not (0 <= alpha_target_frac <= 1):
         raise ValueError("alpha_target_frac must lie in [0, 1]")
-    r = (N / (m + 1)) * (1.0 + DELTA_R)
+    # the offset stays below 1/m, else r leaves the window once m >= 1000
+    r = (N / (m + 1)) * (1.0 + min(DELTA_R, 0.5 / m))
     if not (m / N < 1.0 / r <= (m + 1) / N):
         raise InfeasibleSaturationError("gap ratio 1/r escaped (m/N, (m+1)/N]")
     a_max = alpha_max(N, r)

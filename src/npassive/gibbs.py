@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import DiagonalState, Spectrum, _check_tol, _energy, _entropy, _entropy_gap
+from .spectra import DiagonalState, Spectrum, _check_tol, _entropy_gap
 
 ENTROPY_TOL = 1e-12
 
@@ -62,15 +62,38 @@ def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
     entropy gap above ln g0 is a sum of non-negative terms and stays exact
     far below 1e-16; logZ = ln g0 - lnp[0] because eps[0] = 0.  The level
     populations are exponentiated once and E, Var E and S read from them.
+
+    This is ``_log_populations`` followed by ``_energy`` and ``_entropy`` on
+    one beta, in Python floats: on a few levels numpy's per-call cost would
+    outweigh its arithmetic.  exp and log1p stay numpy ufuncs, and every sum
+    runs left to right from 0.0, as numpy's ``add.reduce`` does below 8
+    terms (not ``sum()``, which compensates from Python 3.12 on), so on
+    fewer than 8 levels the result is the array path's to the bit; from 8
+    levels up numpy sums pairwise, and the two may differ in the last bits.
     """
     if math.isinf(beta):
         return float(logg[0]), 0.0, 0.0, 0.0
-    rel = logg - logg[0]
-    lnp = _log_populations(rel, beta * eps)
-    p = np.exp(rel + lnp)
-    energy = float(_energy(eps, p))
-    var = float(_energy((eps - energy) ** 2, p))
-    return float(logg[0] - lnp[0]), energy, float(_entropy(p, lnp)), var
+    e, g = eps.tolist(), logg.tolist()
+    rel = [x - g[0] for x in g]
+    b = [float(beta) * x for x in e]
+    terms = [r - x for r, x in zip(rel, b)]
+    m = max(terms)
+    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
+    rest = 0.0
+    for t, x in zip(terms, np.exp([t - m for t in terms]).tolist()):
+        rest += 0.0 if t == m else x
+    rest += terms.count(m) - 1
+    c = m + float(np.log1p(rest))
+    lnp = [-x - c for x in b]
+    p = np.exp([r + x for r, x in zip(rel, lnp)]).tolist()
+    energy = gap = 0.0
+    for pk, ek, lk in zip(p, e, lnp):
+        energy += pk * ek
+        gap += pk * lk
+    var = 0.0
+    for pk, ek in zip(p, e):
+        var += pk * ((ek - energy) * (ek - energy))
+    return g[0] - lnp[0], energy, -gap, var
 
 
 def _point(beta: float, logg: np.ndarray, functionals) -> GibbsPoint:

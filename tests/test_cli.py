@@ -201,6 +201,16 @@ class TestOtherCommands:
         result = strict_json(out)
         assert result["alpha_measured"] <= result["alpha_max"]
 
+    def test_saturate_past_order_1000(self):
+        # both exited 1 with "gap ratio 1/r escaped" while r's offset exceeded 1/m
+        code, out, err = run(["saturate", "--n", "1100", "--m", "1099", "--frac", "0.5"])
+        assert code == 0 and err == ""
+        result = strict_json(out)
+        assert 0.5 * result["alpha_max"] <= result["alpha_measured"] <= result["alpha_max"]
+        code, out, err = run(["saturate", "--n", "1500", "--m", "1499", "--frac", "0.5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: occupation table") and err.count("\n") == 1
+
     def test_saturate_rejected_state_is_one_line_error(self):
         # (3, 1) exited 1 on an envelope state that failed the passivity scan
         for n, m, frac in [("300", "1", "0.5"), ("3", "1", "0.9")]:

@@ -128,6 +128,84 @@ class TestSampler:
         for rho, pops in zip(got, expected):
             assert np.max(np.abs(np.log(rho.populations) - np.log(pops))) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"thin": 0}, {"thin": -1}, {"burn_in": -1}, {"b_max": -1.0}, {"b_max": 0.0},
+         {"b_max": math.nan}, {"b_max": math.inf}],
+        ids=["thin=0", "thin=-1", "burn_in=-1", "b_max=-1", "b_max=0", "b_max=nan", "b_max=inf"],
+    )
+    def test_bad_walk_arguments_rejected(self, kwargs):
+        # thin < 1 once returned no state, and with the kept rows set aside
+        # up front would return uniform ones; b_max = -1 returned states
+        # whose populations rise with energy, and b_max = nan failed only in
+        # the state's own finiteness check
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            sample_n_passive(normalize_spectrum([0, 1, 1.9]), 2, 5, seed=1, **kwargs)
+
+    def test_no_burn_in_keeps_every_thin_step(self):
+        s = normalize_spectrum([0, 1, 1.9])
+        a = sample_n_passive(s, 2, 3, seed=4, burn_in=0, thin=1)
+        b = sample_n_passive(s, 2, 4, seed=4, burn_in=0, thin=1)
+        assert len(a) == 3 and [x.populations for x in a] == [x.populations for x in b[:3]]
+
+
+def _sample_n_passive_arrays(s, N, count, seed, stable=False, b_max=DEFAULT_B_MAX,
+                             burn_in=200, thin=10):
+    """``sample_n_passive`` with each step on numpy arrays: a fresh product,
+    ratio and clipped point per step, the chord ends as numpy scalars, and the
+    kept points stacked at the end.  The reference that the allocation-free
+    step must match bit for bit on whatever numpy the tests run with."""
+    energies = tuple(s.level_energies.tolist()) if stable else s.energies
+    V = _cuts(energies, N)
+    eps_free = np.array(energies[1:])
+    n_free = len(eps_free)
+    lower = np.where(eps_free > 0, 0.0, -b_max)
+    upper = np.full(n_free, b_max)
+    GhT = np.block([[V[:, 1:].T, np.eye(n_free), -np.eye(n_free)],
+                    [np.zeros(len(V)), -lower, upper]])
+    rng = np.random.default_rng(seed)
+    xu = np.array([[*(b_max / (2.0 * s.eps_max) * eps_free), 1.0], [0.0] * (n_free + 1)])
+    x, u = xu[0, :-1], xu[1, :-1]
+    kept = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(burn_in + count * thin):
+            rng.standard_normal(out=u)
+            r_gu = np.dot(xu, GhT)
+            w = r_gu[1] / r_gu[0]
+            t_lo = -1.0 / np.maximum.reduce(w)
+            t_hi = -1.0 / np.minimum.reduce(w)
+            if t_hi > t_lo:
+                t = t_lo + (t_hi - t_lo) * rng.random()
+                np.minimum(upper, np.maximum(lower, x + t * u), out=x)
+            if step >= burn_in and (step - burn_in) % thin == thin - 1:
+                kept.append(np.concatenate([[0.0], x]))
+    if stable:
+        return [DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b)) for b in kept]
+    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
+
+
+class TestSamplerBitIdentity:
+    """Every cell of the benchmark's bound_sweep, dense and stable, at N = 2..8."""
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    @pytest.mark.parametrize("stable", [False, True], ids=["dense", "stable"])
+    @pytest.mark.parametrize("energies", [[0, 1, 1.9], [0, 1, 2, 3.5], [0, 0, 1, 2],
+                                          [0, 0, 0, 1, 2]])
+    def test_samples_match_the_array_step(self, energies, stable, seed):
+        s = normalize_spectrum(energies)
+        for N in range(2, 9):
+            got = sample_n_passive(s, N, 8, seed + N, stable=stable)
+            want = _sample_n_passive_arrays(s, N, 8, seed + N, stable=stable)
+            assert [_bits(r.log_populations) for r in got] == [_bits(r.log_populations) for r in want]
+            assert [_bits(r.populations) for r in got] == [_bits(r.populations) for r in want]
+
+    def test_short_walk_matches_the_array_step(self):
+        s = normalize_spectrum([0, 0, 1, 2])
+        got = sample_n_passive(s, 3, 5, 17, b_max=4.0, burn_in=0, thin=1)
+        want = _sample_n_passive_arrays(s, 3, 5, 17, b_max=4.0, burn_in=0, thin=1)
+        assert [_bits(r.populations) for r in got] == [_bits(r.populations) for r in want]
+
 
 class TestDifferenceVectors:
     """``_cuts`` holds exactly the generators of the pairwise definition."""
@@ -755,6 +833,21 @@ class TestSaturation:
         want, calls = _with_array_bracket(monkeypatch, run)
         assert calls >= 1 and got[1] < BETA_INF_FACTOR
         assert got == want
+
+    @pytest.mark.parametrize("N, m", [(1001, 1000), (1100, 1099)])
+    def test_offset_keeps_the_gap_ratio_in_its_window(self, N, m):
+        # r = N/(m+1)*(1 + DELTA_R) left (m/N, (m+1)/N] once m >= 1000, and
+        # the construction refused with "gap ratio 1/r escaped"
+        res = saturation_construct(N, m, 0.5)
+        r = res.spectrum.eps_max
+        assert m / N < 1.0 / r <= (m + 1) / N
+        assert 0.5 * res.alpha_max <= res.alpha_measured == pytest.approx(1.000001, abs=1e-6)
+        assert res.beta_rho == pytest.approx(45.0, abs=0.05)
+
+    def test_table_cap_is_the_limit_past_order_1000(self):
+        # r now stays in its window; the order-N occupation table is the limit
+        with pytest.raises(EnumerationCapError, match="cap"):
+            saturation_construct(1500, 1499, 0.5)
 
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,24 @@ ORACLE_LEVELS = [
 ]
 
 
+def _random_levels(L, seed):
+    """L levels with energies in (0, 5] and multiplicities up to 1e12; half
+    of them small, so the top weights can tie at beta = 0."""
+    rng = np.random.default_rng(seed)
+    eps = np.concatenate(([0.0], np.sort(rng.uniform(1e-3, 5.0, L - 1))))
+    g = np.where(rng.random(L) < 0.5, rng.integers(1, 4, L), np.round(10.0 ** rng.uniform(0, 12, L)))
+    return [(float(e), int(k)) for e, k in zip(eps, g)]
+
+
+RANDOM_LEVELS = [_random_levels(L, 2300 + 100 * L + k) for L in range(2, 8) for k in range(20)]
+
+# from 8 levels up numpy's add.reduce sums pairwise, so the thermal
+# functionals' left-to-right sums may differ from the array path in the last
+# bits; this spectrum is held to the decimal oracle only
+TEN_LEVELS = [(0.0, 1), (0.5, 2), (0.7, 1), (1.0, 5), (1.4, 1), (1.9, 3), (2.5, 10**6),
+              (3.1, 1), (3.8, 7), (4.6, 10**12)]
+
+
 def _oracle_targets(levels):
     """Entropies from deep low temperature up to just below ln d."""
     return [1e-24, 1e-13, 1e-6, math.log(sum(g for _, g in levels)) - 1e-9]
@@ -167,7 +185,7 @@ class TestDecimalOracle:
     """Against a 200-digit stdlib-decimal Gibbs state."""
 
     @pytest.mark.parametrize("which", range(4))
-    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS + [TEN_LEVELS])
     def test_solve_is_isentropic(self, levels, which):
         S = _oracle_targets(levels)[which]
         beta = isentropic_point(Spectrum.from_levels(levels), S).beta
@@ -176,7 +194,7 @@ class TestDecimalOracle:
         assert abs(ref - Decimal(S)) <= Decimal("1e-12") * Decimal(S), (beta, float(ref))
 
     @pytest.mark.parametrize("which", range(4))
-    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS + [TEN_LEVELS])
     def test_gibbs_point_matches(self, levels, which):
         s = Spectrum.from_levels(levels)
         beta = isentropic_point(s, _oracle_targets(levels)[which]).beta
@@ -192,11 +210,14 @@ def _bits(values):
 class TestOneSolve:
     """The solver's Gibbs point is the one gibbs_point gives at its beta."""
 
-    @pytest.mark.parametrize("beta", ["0", "1e-8", "1", "50/eps_max", "inf"])
-    @pytest.mark.parametrize("levels", ORACLE_LEVELS)
+    # below 8 levels the functional's left-to-right sums are numpy's add.reduce,
+    # so it equals the array path bit for bit; see TEN_LEVELS for more levels
+    @pytest.mark.parametrize("beta", ["0", "1e-8", "1", "50/eps_max", "300/eps_max",
+                                      "700/eps_max", "inf"])
+    @pytest.mark.parametrize("levels", ORACLE_LEVELS + RANDOM_LEVELS)
     def test_functional_matches_three_exp_reference(self, levels, beta):
         s = Spectrum.from_levels(levels)
-        b = 50.0 / s.eps_max if beta == "50/eps_max" else float(beta)
+        b = float(beta[:-8]) / s.eps_max if beta.endswith("/eps_max") else float(beta)
         args = (s.level_energies, s.log_multiplicities, b)
         assert _bits(_thermal_functionals(*args)) == _bits(oracle.thermal_functionals(*args))
 
