@@ -88,7 +88,9 @@ def _load_state_file(path, need_populations=True):
 
 
 def _emit(obj, output=None):
-    """Write obj as strict JSON, every non-finite float as "inf", "-inf" or "nan"."""
+    """Write obj as strict JSON, every non-finite float as "inf", "-inf" or
+    "nan", and integers of any size: the interpreter's limit on the digits of
+    an int-to-str conversion, where it has one, is lifted for the dump."""
 
     def strict(x):
         if isinstance(x, float) and not math.isfinite(x):
@@ -99,7 +101,14 @@ def _emit(obj, output=None):
             return [strict(v) for v in x]
         return x
 
-    text = json.dumps(strict(obj), indent=2, allow_nan=False)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(strict(obj), indent=2, allow_nan=False)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")

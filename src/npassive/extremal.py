@@ -20,10 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import BoundViolationError, alpha_max, exponential_factor, spectral_ratio
-from .gibbs import (BETA_INF_FACTOR, ENTROPY_TOL, _isentropic_point, _log_populations,
-                    _thermal_functionals, gibbs_populations)
+from .gibbs import (BETA_INF_FACTOR, ENTROPY_TOL, _isentrope_root, _isentropic_point,
+                    _log_populations, _thermal_functionals, gibbs_populations)
 from .passivity import _cuts, _passes_groups
-from .spectra import DiagonalState, Spectrum, _energy, _entropy, _fold
+from .spectra import DiagonalState, Spectrum, _energy, _fold, default_energy_tol
 
 DEFAULT_B_MAX = 30.0
 # saturation_construct's relative offset of r from N/(m+1)
@@ -146,65 +146,24 @@ def sample_n_passive(
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
 
 
-def _entropy_on_chord(s: Spectrum, q, t):
-    """Entropy gaps S - ln d0 and log-populations of the level states at
-    b = t*q, levels along the last axis of ``q``.  The gap is summed over
-    multiplicities relative to g0, as in ``gibbs._thermal_functionals``, so
-    it stays exact far below 1e-16*ln d0."""
-    rel = s.log_multiplicities - s.log_multiplicities[0]
-    lnp = _log_populations(rel, np.asarray(t)[..., None] * q)
-    return _entropy(np.exp(rel + lnp), lnp), lnp - s.log_multiplicities[0]
-
-
 @lru_cache(maxsize=64)
 def _rays(energies: tuple[float, float, float], N: int) -> np.ndarray:
     """The two extreme rays (0, b1, b2) of the three-level order-N passive
     cone {b : V[:, 1:] @ b[1:] >= 0}, V = ``_cuts``, by increasing angle;
     read-only.  The Gibbs ray (eps1, eps2) is inside every cut v, so the
     boundary direction (v2, -v1) lies clockwise of it by less than pi, and
-    the cone runs from the nearest of these to pi past the farthest.
+    the cone runs from the nearest of these to pi past the farthest.  If
+    every order-N energy sum ties, there is no cut and no ray: ValueError.
     """
     d = _cuts(energies, N)[:, :0:-1] * (1.0, -1.0)
+    if not len(d):
+        tol = default_energy_tol(energies[2], N)
+        raise ValueError(f"the order-{N} energy sums of the levels {list(energies)} all tie "
+                         f"(energy tol {tol:g}): the passive cone has no extreme ray")
     angle = np.arctan2(d @ (-energies[2], energies[1]), d @ energies[1:])
     w = np.array([[0.0, *d[angle.argmax()]], [0.0, *-d[angle.argmin()]]])
     w.flags.writeable = False
     return w
-
-
-def _line_roots(s: Spectrum, q, t, hi, gap: float):
-    """Log-populations of the points of entropy gap ``gap`` on the rays
-    b = t*q (rows of ``q``), where 0 < t < hi brackets the root: safeguarded
-    Newton on ln(S - ln d0) - ln(gap), all rays in lockstep, from the start
-    points ``t``, with dS/dt = sum w*q*(ln(lambda) + S) and the midpoint for
-    a step out of its bracket.  A root is the last point evaluated, once its
-    gap is within 1e-13*gap or its bracket has shrunk to adjacent floats.
-    ``t`` and the caps ``hi`` are sequences of floats, and the bracket is
-    one Python float per ray: on a row or two, numpy's per-call cost would
-    outweigh its arithmetic.
-    """
-    t, hi = list(t), list(hi)
-    lo = [0.0] * len(t)
-    logg = s.log_multiplicities
-    # a zero slope or gap makes the Newton step non-finite: the midpoint
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            G, lnp = _entropy_on_chord(s, q, t)
-            dG = np.add.reduce(np.exp(logg + lnp) * q * (lnp + (logg[0] + G)[:, None]), axis=-1)
-            steps = (np.log(G / gap) * G / dG).tolist()
-            done = True
-            for k, (g, step) in enumerate(zip(G.tolist(), steps)):
-                if g > gap:
-                    lo[k] = t[k]
-                else:
-                    hi[k] = t[k]
-                nxt = t[k] - step
-                if not lo[k] < nxt < hi[k]:
-                    nxt = 0.5 * (lo[k] + hi[k])
-                if not (abs(g - gap) <= 1e-13 * gap or nxt <= lo[k] or hi[k] <= nxt):
-                    t[k], done = nxt, False
-            if done:
-                break
-    return lnp
 
 
 def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> list[AlphaScanRow]:
@@ -215,14 +174,18 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     Gibbs states, E's minimum there, so the maximum lies where it meets an
     extreme ray of the cone (``_rays``).  The entropy falls along a ray, so
     a ray crosses only if its gap at b = 2000 is below the target, and then
-    once; ``_line_roots`` solves both, from the projections of beta*eps.  If
-    the ray lambda_0 = lambda_1 does not cross, the isentrope leaves through
-    lambda_2 -> 0, and that limit, the lower two levels at the target gap, is
-    its candidate.  The best candidate that ``_accepts`` is returned, else the
-    Gibbs state, built only then.  The rays, their caps and the gaps there
-    are set up once per call, so each beta pays only for its own solve.  A
-    ratio above min(``alpha_max``, ``exponential_factor``) by more than 1e-9
-    relative would falsify the theorem: ``BoundViolationError``.
+    once; ``gibbs._isentrope_root``, the Gibbs inversion's own Newton, solves
+    each from the projection of beta*eps, to 1e-13 of the target's distance
+    from the nearer end of [ln d0, ln d].  A target at ln d or above (beta ->
+    0) leaves only the uniform state, the Gibbs one, and no ray is solved.
+    If the ray lambda_0 = lambda_1 does not cross, the isentrope leaves
+    through lambda_2 -> 0, and that limit, the lower two levels at the
+    target gap, is its candidate.  The best candidate that ``_accepts`` is
+    returned, else the Gibbs state, built only then.  The rays, their caps
+    and the gaps there are set up once per call, so each beta pays only for
+    its own solve.  A ratio above min(``alpha_max``, ``exponential_factor``)
+    by more than 1e-9 relative would falsify the theorem:
+    ``BoundViolationError``.
     """
     if s.num_levels > 3:
         raise NotImplementedError("the ray maximizer supports at most three distinct levels")
@@ -233,19 +196,20 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     R = spectral_ratio(s)
     if s.num_levels == 3:
         rays = _rays(tuple(eps.tolist()), N)
-        hi = 2000.0 / rays[:, 2]
+        rel, span = logg - logg[0], math.log(s.d) - float(logg[0])
+        hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
-        gap_hi = _entropy_on_chord(s, rays, hi)[0].tolist()
-        hi = hi.tolist()
+        gap_hi = [_thermal_functionals(q, logg, h)[2] for q, h in zip(rays, hi)]
     for beta in beta_grid:
         _, E_beta, gap, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
         alpha, rho = 1.0, None
-        if s.num_levels == 3:
+        if s.num_levels == 3 and gap < span:
             reach = [k for k in (0, 1) if gap_hi[k] < gap]
-            lnp = _line_roots(s, rays[reach], [min(beta * start[k], 0.5 * hi[k]) for k in reach],
-                              [hi[k] for k in reach], gap)
+            t = [_isentrope_root(rays[k], logg, gap, span, min(beta * start[k], 0.5 * hi[k]),
+                                 hi[k], 1e-13)[0] for k in reach]
+            lnp = _log_populations(rel, np.array(t)[:, None] * rays[reach]) - logg[0]
             if rays[1, 1] == 0 and 1 not in reach:
                 b1 = _isentropic_point(Spectrum(s.distinct_levels[:2]), gap, ENTROPY_TOL).beta
                 lnp = np.vstack([lnp, _log_populations(logg, np.array([0.0, b1 * eps[1], np.inf]))])

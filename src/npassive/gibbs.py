@@ -1,9 +1,11 @@
 """Thermal-state functionals and the inverse problem beta(entropy).
 
 All functionals are evaluated level-wise from (energy, log-multiplicity)
-pairs, so astronomically degenerate spectra cost nothing extra.  The one
-entropy-to-beta solve, ``isentropic_point``, exploits the strict monotonicity
-of S_beta and returns the Gibbs point at the beta it accepts.
+pairs, so astronomically degenerate spectra cost nothing extra.  One
+safeguarded Newton, ``_isentrope_root``, finds where the entropy of the
+level state b = t*q meets a target along a ray q: ``isentropic_point``
+solves it on q = eps and returns the Gibbs point at the beta it accepts, and
+``extremal.max_alpha_scan`` on the extreme rays of the passive cone.
 """
 
 from __future__ import annotations
@@ -119,18 +121,11 @@ def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
 
 
 def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> GibbsPoint:
-    """The Gibbs point whose entropy is S_target, found by safeguarded Newton.
-
-    Newton runs on the log of the distance from S_beta to the nearer end of
-    [ln d0, ln d]: ln(S - ln d0) is near-linear in beta at low temperature,
-    ln(ln d - S) near-linear in ln beta at high temperature, and both have
-    slopes from dS/dbeta = -beta*Var_beta(E).  A step that leaves the bracket
-    known to hold the root is replaced by bisection.  A beta is accepted once
-    |S_beta - S_target| <= tol times the distance to the nearer end:
-    tol*(S_target - ln d0) in the lower half of the range, which stays
-    relative at S << 1, and tol*(ln d - S_target) in the upper half, but no
-    less than 4 ulp of ln d - ln d0, the rounding of the entropy there.  The
-    point is built from the functionals evaluated at the accepted beta.
+    """The Gibbs point whose entropy is S_target: ``_isentrope_root`` on the
+    ray b = beta*eps, accepted within tol times the distance from S_target to
+    the nearer end of [ln d0, ln d], and seeded by the two-level law near
+    ln d0 or the high-temperature law near ln d.  The point is built from the
+    functionals evaluated at the accepted beta.
     beta is +inf when the target is the minimum-entropy limit ln(d0), or when
     even beta = BETA_INF_FACTOR/eps_max leaves more entropy than the target,
     and 0 once ln d - S_target <= tol*(ln d - ln d0).
@@ -159,35 +154,55 @@ def _isentropic_point(s: Spectrum, gap: float, tol: float) -> GibbsPoint:
         return gibbs_point(s, 0.0)
     if gap <= 0:
         return gibbs_point(s, math.inf)
-    low = gap <= 0.5 * span
-    if low:  # two-level law gap = G1*exp(-x)*(1 + x), x = beta*eps_1, as S -> ln d0
+    if gap <= 0.5 * span:  # two-level law gap = G1*exp(-x)*(1 + x), x = beta*eps_1, as S -> ln d0
         x = max(float(logg[1] - logg[0]) - math.log(gap), 1.0)
         beta = (x + math.log1p(x)) / float(eps[1])
     else:  # ln d - S = beta^2 Var_0(E)/2 as beta -> 0
         beta = math.sqrt(2.0 * (span - gap) / _thermal_functionals(eps, logg, 0.0)[3])
+    beta, f = _isentrope_root(eps, logg, gap, span, beta, BETA_INF_FACTOR / s.eps_max, tol)
+    return _point(beta, logg, f)
+
+
+def _isentrope_root(q: np.ndarray, logg: np.ndarray, gap: float, span: float,
+                    t: float, cap: float, tol: float):
+    """(t, ``_thermal_functionals(q, logg, t)``) at the point of entropy gap
+    ``gap`` on the ray of level weights b = t*q, found by safeguarded Newton
+    from ``t``; span = ln d - ln d0, the gap at t = 0, and 0 < gap < span.
+
+    Newton runs on the log of the distance from the gap to the nearer end of
+    [0, span]: ln(S - ln d0) is near-linear in t at low temperature,
+    ln(ln d - S) near-linear in ln t at high temperature, and both have
+    slopes from dS/dt = -t*Var(q).  A step that leaves the bracket known to
+    hold the root is replaced by bisection, and none goes past ``cap``.  t
+    is accepted once |S - S_target| <= tol times the distance to the nearer
+    end: tol*gap in the lower half of the range, which stays relative at
+    S << 1, and tol*(span - gap) in the upper half, but no less than 4 ulp of
+    span, the rounding of the entropy there; or once the bracket has shrunk
+    to adjacent floats.  t is +inf if the gap at the cap is above the target.
+    """
+    low = gap <= 0.5 * span
     sign, ln_dist = (1.0, math.log(gap)) if low else (-1.0, math.log(span - gap))
     accept = tol * gap if low else max(tol * (span - gap), 4 * math.ulp(span))
-    cap = BETA_INF_FACTOR / s.eps_max
-    lo, hi, beta = 0.0, math.inf, min(beta, cap)
+    lo, hi, t = 0.0, math.inf, min(t, cap)
     for _ in range(100):
-        f = _thermal_functionals(eps, logg, beta)
-        _, _, gap_b, var = f
-        if abs(gap_b - gap) <= accept:
-            return _point(beta, logg, f)
-        if gap_b > gap and beta == cap:
-            return gibbs_point(s, math.inf)
-        lo, hi = (beta, hi) if gap_b > gap else (lo, beta)
-        dist = gap_b if low else span - gap_b
+        f = _thermal_functionals(q, logg, t)
+        _, _, gap_t, var = f
+        if abs(gap_t - gap) <= accept:
+            return t, f
+        if gap_t > gap and t == cap:
+            return math.inf, _thermal_functionals(q, logg, math.inf)
+        lo, hi = (t, hi) if gap_t > gap else (lo, t)
+        dist = gap_t if low else span - gap_t
         nxt = math.inf
         if dist > 0 and var > 0:
-            nxt = beta + sign * (math.log(dist) - ln_dist) * dist / (beta * var)
+            nxt = t + sign * (math.log(dist) - ln_dist) * dist / (t * var)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         nxt = min(nxt, cap)
         if not lo < nxt < hi:  # the bracket has shrunk to adjacent floats
-            return _point(beta, logg, f)
-        beta = nxt
-    return gibbs_point(s, beta)
+            return t, f
+        t = nxt
+    return t, _thermal_functionals(q, logg, t)
 
 
 def isoentropic_energy(s: Spectrum, rho: DiagonalState) -> tuple[float, float]:

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -188,6 +190,16 @@ class TestScanAlpha:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_all_tied_levels_exit_two(self):
+        # every order-3 energy sum ties, so the cone has no cut: numpy's
+        # "attempt to get argmax of an empty sequence" came out of the ray search
+        code, out, err = run(["scan-alpha", "--energies", "0", "1e-10", "2e-10", "--degeneracies",
+                              "1", "1", "5", "--n", "3", "--beta-min", "1", "--beta-max", "2",
+                              "--points", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the order-3 energy sums") and err.count("\n") == 1
+        assert "all tie" in err
+
 
 class TestOtherCommands:
     def test_saturate(self, capsys):
@@ -237,6 +249,24 @@ class TestOtherCommands:
     def test_nstar_floats(self, capsys):
         assert main(["nstar", "--energies", "0", "1", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["n_star"] == 3
+
+    def test_nstar_prints_a_large_lcm(self):
+        # the lcm over all triples has 4,365 digits here, and the dump
+        # exited 2 on Python's 4,300-digit limit for int-to-str conversion
+        rng = random.Random(8)
+        levels = [0.0, *sorted(rng.uniform(0.2, 3.0) for _ in range(19))]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        code, out, err = run(["nstar", "--energies", *map(repr, levels)])
+        assert (code, err) == (0, "")
+        if limit:
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+        try:
+            result = strict_json(out)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert result["all_triples_lcm"] >= 10**4300
 
     def test_classify_cp(self, fixture_state, capsys):
         assert main(["classify-cp", "--state", fixture_state]) == 1

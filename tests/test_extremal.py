@@ -16,8 +16,6 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
-    _entropy_on_chord,
-    _line_roots,
     _passive_tol,
     _rays,
     max_alpha_scan,
@@ -26,6 +24,7 @@ from npassive.extremal import (
 )
 from npassive.gibbs import (
     BETA_INF_FACTOR,
+    _isentrope_root,
     _log_populations,
     _thermal_functionals,
     gibbs_point,
@@ -510,6 +509,23 @@ class TestAlphaScanAccuracy:
             assert abs(S - ref) <= Decimal("1e-9") * ref, (row.beta_rho, float(S), float(ref))
             assert row.alpha <= amax + 1e-9
 
+    @pytest.mark.parametrize("g2", [2, 10, 10**3, 10**6, 10**12])
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_rows_are_isentropic_at_high_temperature(self, g2, N):
+        # ln d - S is the small quantity here: a ray solved on ln(S - ln d0)
+        # to 1e-13*(S - ln d0) missed it by up to 1.3e-6 relative
+        levels = [(0.0, 1), (1.0, 1), (1.001, g2)]
+        s = Spectrum.from_levels(levels)
+        betas = [0.01, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0]
+        for beta, row in zip(betas, max_alpha_scan(s, N, betas)):
+            with localcontext() as ctx:
+                ctx.prec = 100
+                top = Decimal(s.d).ln()
+                ref = top - decimal_gibbs(levels, beta)[2]
+                got = top - Decimal(s.d0).ln() - _decimal_gap(s, row.state)
+            if row.alpha != 1.0 and ref >= Decimal("1e-6"):
+                assert abs(got - ref) <= Decimal("1e-7") * ref, (beta, float(got), float(ref))
+
     @pytest.mark.parametrize("g2", [10, 10**3, 10**12])
     @pytest.mark.parametrize("N", [3, 5])
     @pytest.mark.parametrize("resolution", [8, 40])
@@ -574,6 +590,14 @@ class TestAlphaScanAccuracy:
         for w, c in zip(rays[:, 1:], _oracle_rays(energies, N)):
             assert w[0] * c[1] - w[1] * c[0] == 0 and w @ c > 0
 
+    def test_all_tied_levels_are_refused(self):
+        # every order-3 energy sum ties within 1e-9, so the cone has no cut,
+        # and the ray search took the argmax of an empty sequence
+        s = Spectrum.from_levels([(0.0, 1), (1e-10, 1), (2e-10, 5)])
+        with pytest.raises(ValueError, match="energy sums of the levels .* all tie") as exc:
+            max_alpha_scan(s, 3, [1.0])
+        assert "\n" not in str(exc.value)
+
     def test_ceiling_is_asserted(self, monkeypatch):
         import npassive.extremal as X
 
@@ -587,8 +611,10 @@ class TestAlphaScanAccuracy:
         assert rows[0] == rows[1] == rows[2]
 
     @pytest.mark.parametrize("levels, N, beta, fallback", [
-        ([(0.0, 1), (1.0, 1), (1.9, 1)], 3, 150.0, True),
-        ([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.5, True),
+        # the target gap rounds above ln d - ln d0: only the uniform state is left
+        ([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.05, True),
+        # both rays keep more entropy than the target up to their caps
+        ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 5, 700.0, True),
         ([(0.0, 1), (1.0, 1), (1.001, 1000)], 5, 30.0, False),
     ])
     def test_gibbs_state_built_only_on_fallback(self, levels, N, beta, fallback, monkeypatch):
@@ -608,16 +634,26 @@ def _bits(values):
     return tuple(float(v).hex() for v in values)
 
 
-def _line_roots_arrays(s, q, t, hi, gap):
-    """``_line_roots`` with its bracket held as numpy arrays of one entry per
-    ray: the reference that the Python-float bracket must match bit for bit
-    on whatever numpy the tests run with."""
+def _entropy_on_chord(logg, q, t):
+    """Entropy gaps S - ln d0 and log-populations, less ln g0, of the level
+    states at b = t*q, levels along the last axis of ``q``: the batch
+    evaluator of the lockstep ray solve that ``_isentrope_root`` replaced."""
+    rel = logg - logg[0]
+    lnp = _log_populations(rel, np.asarray(t)[..., None] * q)
+    return _entropy(np.exp(rel + lnp), lnp), lnp - logg[0]
+
+
+def _line_roots_arrays(logg, q, t, hi, gap):
+    """The roots t of the rays b = t*q (rows of ``q``) by the lockstep solve
+    that ``_isentrope_root`` replaced, its bracket held as numpy arrays:
+    safeguarded Newton on ln(S - ln d0) - ln(gap) inside 0 < t < hi, with
+    the midpoint for a step out of its bracket, stopped at 1e-13*gap or on a
+    bracket of adjacent floats."""
     t, hi = np.asarray(t, dtype=float), np.asarray(hi, dtype=float)
     lo = np.zeros_like(t)
-    logg = s.log_multiplicities
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            G, lnp = _entropy_on_chord(s, q, t)
+            G, lnp = _entropy_on_chord(logg, q, t)
             dG = np.add.reduce(np.exp(logg + lnp) * q * (lnp + (logg[0] + G)[:, None]), axis=-1)
             lo, hi = np.where(G > gap, t, lo), np.where(G > gap, hi, t)
             nxt = t - np.log(G / gap) * G / dG
@@ -626,18 +662,29 @@ def _line_roots_arrays(s, q, t, hi, gap):
             if done.all():
                 break
             t = np.where(done, t, nxt)
-    return lnp
+    return t
 
 
 def _with_array_bracket(monkeypatch, run):
-    """``run()`` with the array reference in place of ``_line_roots``, and
-    the number of calls the reference took."""
+    """``run()`` with each ray of ``max_alpha_scan`` solved by the array
+    reference in place of ``_isentrope_root``, and the number of rays solved."""
     import npassive.extremal as X
 
     calls = []
+
+    def reference(q, logg, gap, span, t, cap, tol):
+        calls.append(1)
+        return float(_line_roots_arrays(logg, q[None], [t], [cap], gap)[0]), None
+
     with monkeypatch.context() as mp:
-        mp.setattr(X, "_line_roots", lambda *a: calls.append(1) or _line_roots_arrays(*a))
+        mp.setattr(X, "_isentrope_root", reference)
         return run(), len(calls)
+
+
+def _assert_isentropic(s, rho, beta):
+    """rho's entropy gap is the Gibbs one at beta to 1e-9 relative, in decimal."""
+    ref = _decimal_target(s.distinct_levels, beta)
+    assert abs(_decimal_gap(s, rho) - ref) <= Decimal("1e-9") * ref, beta
 
 
 def _rows(rows):
@@ -657,14 +704,21 @@ ALPHA_SCAN_CASES = [
 
 
 class TestAlphaScanBitIdentity:
+    """The rows against the array-bracket ray solve that the shared Newton
+    replaced, and one call over a grid against one call per beta, bitwise."""
+
     @pytest.mark.parametrize("levels, N, betas", ALPHA_SCAN_CASES)
     def test_rows_match_the_array_bracket(self, monkeypatch, levels, N, betas):
+        # the criterion of test_batched_scan_matches_scalar_reference: at
+        # least the reference's ratio, to 1e-12, on an isentropic state
         s = Spectrum.from_levels(levels)
-        got = [_rows(max_alpha_scan(s, N, [b])) for b in betas]
+        got = [row for b in betas for row in max_alpha_scan(s, N, [b])]
         want, calls = _with_array_bracket(
-            monkeypatch, lambda: [_rows(max_alpha_scan(s, N, [b])) for b in betas])
-        assert calls == len(betas)
-        assert got == want
+            monkeypatch, lambda: [row for b in betas for row in max_alpha_scan(s, N, [b])])
+        assert calls >= len(betas)
+        for beta, row, ref in zip(betas, got, want):
+            assert row.alpha >= ref.alpha * (1 - 1e-12), (beta, row.alpha, ref.alpha)
+            _assert_isentropic(s, row.state, beta)
 
     @pytest.mark.parametrize("levels, N, betas", ALPHA_SCAN_CASES[:4])
     def test_one_call_over_the_grid_gives_the_same_rows(self, levels, N, betas):
@@ -675,46 +729,50 @@ class TestAlphaScanBitIdentity:
 
 
 class TestLineRoots:
-    S = Spectrum.from_levels(ALPHA_SCAN_CASES[0][0])
-    GAP = _thermal_functionals(S.level_energies, S.log_multiplicities, 30.0)[2]
-    ZERO = np.zeros((1, 3))  # a constant gap, above GAP, and zero slope
+    """``_isentrope_root``, the root on the line b = t*q that solves both the
+    Gibbs inversion and the rays of ``max_alpha_scan``, on a stub functional:
+    gap 1.0 below t = 3 and 0.5 from there on, and zero variance, so every
+    Newton step is non-finite and no point comes within tol of the target."""
 
     @pytest.fixture
     def points(self, monkeypatch):
-        import npassive.extremal as X
+        import npassive.gibbs as G
 
         ts = []
-        monkeypatch.setattr(X, "_entropy_on_chord",
-                            lambda s, q, t: ts.append(list(t)) or _entropy_on_chord(s, q, t))
+
+        def functionals(q, logg, t):
+            ts.append(t)
+            return 0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0
+
+        monkeypatch.setattr(G, "_thermal_functionals", functionals)
         return ts
 
-    def test_no_reaching_ray(self, points):
-        lnp = _line_roots(self.S, np.zeros((0, 3)), [], [], self.GAP)
-        assert lnp.shape == (0, 3)
-        assert points == [[]]
+    @staticmethod
+    def solve():
+        return _isentrope_root(np.zeros(3), np.zeros(3), 0.75, 2.0, 1.0, 4.0, 1e-13)
+
+    def test_no_reaching_ray(self, monkeypatch):
+        # the fallback cases of test_gibbs_state_built_only_on_fallback
+        import npassive.extremal as X
+
+        calls = []
+        monkeypatch.setattr(X, "_isentrope_root", lambda *a: calls.append(a) or _isentrope_root(*a))
+        for levels, N, beta in [([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.05),
+                                ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 5, 700.0)]:
+            (row,) = max_alpha_scan(Spectrum.from_levels(levels), N, [beta])
+            assert row.alpha == 1.0
+        assert calls == []
 
     def test_non_finite_step_takes_the_midpoint(self, points):
-        _line_roots(self.S, self.ZERO, [1.0], [4.0], self.GAP)
-        assert points[:3] == [[1.0], [2.5], [3.25]]
+        # the first midpoint, (1 + inf)/2, stops at the cap
+        self.solve()
+        assert points[:4] == [1.0, 4.0, 2.5, 3.25]
 
     def test_bracket_of_adjacent_floats_stops(self, points):
-        lnp = _line_roots(self.S, self.ZERO, [1.0], [4.0], self.GAP)
-        (last,) = points[-1]
-        assert len(points) < 100
-        assert np.nextafter(last, np.inf) == 4.0 and points[-2] != points[-1]
-        assert lnp.tolist() == _entropy_on_chord(self.S, self.ZERO, [last])[1].tolist()
-
-    def test_rays_solve_in_lockstep(self, points):
-        # a ray that has converged is evaluated again, at its root, until
-        # the slowest one stops, and its answer is the one it gets alone
-        ray = _rays(tuple(self.S.level_energies.tolist()), 5)[:1]
-        alone = _line_roots(self.S, ray, [15.0], [2000.0], self.GAP)
-        steps = len(points)
-        both = _line_roots(self.S, np.vstack([ray, self.ZERO]), [15.0, 1.0], [2000.0, 4.0], self.GAP)
-        assert steps < len(points) - steps
-        assert _bits(both[0]) == _bits(alone[0])
-        G = _entropy_on_chord(self.S, ray, [points[-1][0]])[0][0]
-        assert abs(G - self.GAP) <= 1e-13 * self.GAP
+        t, f = self.solve()
+        assert len(points) < 100 and t == points[-1]
+        assert t in (3.0, math.nextafter(3.0, 0.0)) and points[-2] != t
+        assert f == (0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0)
 
 
 def test_alpha_scan_curves_script(tmp_path):
@@ -825,14 +883,12 @@ class TestSaturation:
     @pytest.mark.parametrize("N, m", [(2, 1), (3, 2), (5, 4)])
     def test_ladder_below_beta_inf_matches_the_array_bracket(self, monkeypatch, N, m):
         # the first rung lies below BETA_INF_FACTOR, so the ladder is unmoved
-        def run():
-            res = saturation_construct(N, m, 0.9)
-            return res.alpha_measured.hex(), res.beta_rho, _bits(res.state.log_populations)
-
-        got = run()
-        want, calls = _with_array_bracket(monkeypatch, run)
-        assert calls >= 1 and got[1] < BETA_INF_FACTOR
-        assert got == want
+        got = saturation_construct(N, m, 0.9)
+        want, calls = _with_array_bracket(monkeypatch, lambda: saturation_construct(N, m, 0.9))
+        assert calls >= 1 and got.beta_rho == want.beta_rho < BETA_INF_FACTOR
+        assert got.spectrum == want.spectrum
+        assert got.alpha_measured >= want.alpha_measured * (1 - 1e-12)
+        _assert_isentropic(got.spectrum, got.state, got.beta_rho)
 
     @pytest.mark.parametrize("N, m", [(1001, 1000), (1100, 1099)])
     def test_offset_keeps_the_gap_ratio_in_its_window(self, N, m):

@@ -1,6 +1,5 @@
 """The level functionals give the same bits whatever the memory order of their
-batch, and the ray evaluation of ``max_alpha_scan`` gives a batch the bits of
-its rows.
+batch.
 
 numpy reduces an axis of fewer than 8 entries left to right in either
 layout, so a level-major batch (the level axis has the largest stride) and
@@ -13,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npassive.extremal import _entropy_on_chord
 from npassive.gibbs import _log_populations
 from npassive.spectra import Spectrum, _energy, _entropy
 
@@ -50,19 +48,3 @@ def test_functionals_ignore_the_layout(L, batch, seed):
     assert _entropy(w, lnp0).tobytes() == _entropy(level_major(w), level_major(lnp0)).tobytes()
     eps = s.level_energies
     assert _energy(eps, w).tobytes() == _energy(eps, level_major(w)).tobytes()
-
-
-@given(L=st.integers(2, 5), a=st.integers(2, 8), n=st.integers(2, 40),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_chord_grid_matches_its_rows(L, a, n, seed):
-    rng = np.random.default_rng(seed)
-    s = spectrum(rng, L)
-    q = rng.uniform(-2.0, 2.0, (a, 1, L))
-    t = rng.uniform(-10.0, 10.0, (a, n))
-    S, lnp = _entropy_on_chord(s, q, t)
-    assert S.shape == (a, n) and lnp.shape == (a, n, L)
-    for i in range(a):
-        S_i, lnp_i = _entropy_on_chord(s, q[i, 0], t[i])
-        assert S[i].tobytes() == S_i.tobytes()
-        assert lnp[i].tobytes() == lnp_i.tobytes()
