@@ -3,12 +3,13 @@ three-level saturation construction.
 
 The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
-nothing extra.  A built state is accepted by the one order-N verdict of
-``passivity.is_n_passive``, at the tolerance ``_passive_tol``, read without
-its witness.  The energy ratio is maximized on the passive cone's extreme rays,
-and a saturation state is a row of that maximizer: the first, on a ladder of
-three-level spectra up to beta = ``BETA_INF_FACTOR``, whose ratio reaches the
-requested share of the ceiling.
+nothing extra, and ``gibbs._thermal_functionals`` normalizes each.  A built
+state is accepted by the one order-N verdict of ``passivity.is_n_passive``,
+at the tolerance ``_passive_tol``, read without its witness.  The energy
+ratio is maximized on the passive cone's extreme rays, and a saturation
+state is a row of that maximizer: the first, on a ladder of three-level
+spectra up to beta = ``BETA_INF_FACTOR``, whose ratio reaches the requested
+share of the ceiling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bounds import BoundViolationError, alpha_max, exponential_factor, spectral_ratio
 from .gibbs import (BETA_INF_FACTOR, ENTROPY_TOL, _isentrope_root, _isentropic_point,
-                    _log_populations, _thermal_functionals, gibbs_populations)
+                    _thermal_functionals, gibbs_populations)
 from .passivity import _cuts, _passes_groups
 from .spectra import DiagonalState, Spectrum, _energy, _fold, default_energy_tol
 
@@ -142,7 +143,9 @@ def sample_n_passive(
             if step >= burn_in and (step - burn_in) % thin == thin - 1:
                 kept[(step - burn_in) // thin, 1:] = x
     if stable:
-        return [DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b)) for b in kept]
+        logg = s.log_multiplicities
+        return [DiagonalState.from_levels(s, np.subtract(_thermal_functionals(b, logg, 1.0)[4], logg[0]))
+                for b in kept]
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
 
 
@@ -176,17 +179,20 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     a ray crosses only if its gap at b = 2000 is below the target, and then
     once; ``gibbs._isentrope_root``, the Gibbs inversion's own Newton, solves
     each from the projection of beta*eps, to 1e-13 of the target's distance
-    from the nearer end of [ln d0, ln d].  A target at ln d or above (beta ->
+    from the nearer end of [ln d0, ln d]; its candidate is the state that
+    the root's functionals normalized.  A target at ln d or above (beta ->
     0) leaves only the uniform state, the Gibbs one, and no ray is solved.
     If the ray lambda_0 = lambda_1 does not cross, the isentrope leaves
     through lambda_2 -> 0, and that limit, the lower two levels at the
-    target gap, is its candidate.  The best candidate that ``_accepts`` is
-    returned, else the Gibbs state, built only then.  The rays, their caps
-    and the gaps there are set up once per call, so each beta pays only for
-    its own solve.  A ratio above min(``alpha_max``, ``exponential_factor``)
+    target gap and lambda_2 = 0, is its candidate.  The best candidate that
+    ``_accepts`` is returned, else the Gibbs state, built only then.  The
+    rays, their caps and the gaps there are set up once per call, so each
+    beta pays only for its own solve.  One level has no ray: ValueError.  A ratio above min(``alpha_max``, ``exponential_factor``)
     by more than 1e-9 relative would falsify the theorem:
     ``BoundViolationError``.
     """
+    if s.num_levels < 2:
+        raise ValueError(f"the ray maximizer needs two or three distinct levels, not {s.num_levels}")
     if s.num_levels > 3:
         raise NotImplementedError("the ray maximizer supports at most three distinct levels")
     if N < 1:
@@ -196,23 +202,23 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     R = spectral_ratio(s)
     if s.num_levels == 3:
         rays = _rays(tuple(eps.tolist()), N)
-        rel, span = logg - logg[0], math.log(s.d) - float(logg[0])
+        span = math.log(s.d) - float(logg[0])
         hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
         gap_hi = [_thermal_functionals(q, logg, h)[2] for q, h in zip(rays, hi)]
     for beta in beta_grid:
-        _, E_beta, gap, _ = _thermal_functionals(eps, logg, beta)
+        _, E_beta, gap, _, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
         alpha, rho = 1.0, None
         if s.num_levels == 3 and gap < span:
             reach = [k for k in (0, 1) if gap_hi[k] < gap]
-            t = [_isentrope_root(rays[k], logg, gap, span, min(beta * start[k], 0.5 * hi[k]),
-                                 hi[k], 1e-13)[0] for k in reach]
-            lnp = _log_populations(rel, np.array(t)[:, None] * rays[reach]) - logg[0]
+            lnp = [_isentrope_root(rays[k], logg, gap, span, min(beta * start[k], 0.5 * hi[k]),
+                                   hi[k], 1e-13)[1][4] for k in reach]
             if rays[1, 1] == 0 and 1 not in reach:
                 b1 = _isentropic_point(Spectrum(s.distinct_levels[:2]), gap, ENTROPY_TOL).beta
-                lnp = np.vstack([lnp, _log_populations(logg, np.array([0.0, b1 * eps[1], np.inf]))])
+                lnp.append(_thermal_functionals(eps[:2], logg[:2], b1)[4] + [-math.inf])
+            lnp = np.subtract(lnp, logg[0]).reshape(-1, 3)
             E = _energy(eps, np.exp(logg + lnp))
             for k in np.argsort(-E, kind="stable"):
                 cand = DiagonalState.from_levels(s, lnp[k])

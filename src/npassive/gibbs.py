@@ -6,6 +6,9 @@ safeguarded Newton, ``_isentrope_root``, finds where the entropy of the
 level state b = t*q meets a target along a ray q: ``isentropic_point``
 solves it on q = eps and returns the Gibbs point at the beta it accepts, and
 ``extremal.max_alpha_scan`` on the extreme rays of the passive cone.
+``_thermal_functionals`` is the one normalizer of a level state: the Gibbs
+state, the stable samples and the ray candidates all take their
+log-populations from it.
 """
 
 from __future__ import annotations
@@ -41,40 +44,27 @@ class GibbsPoint:
     entropy: float
 
 
-def _log_populations(logg: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-slot log-populations of level weights b (population ~ exp(-b)).
-
-    Levels run along the last axis of ``b``; leading axes are a batch.  The
-    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
-    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
-    """
-    terms = logg - b
-    m = terms.max(axis=-1, keepdims=True)
-    top = terms == m
-    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
-    rest = np.where(top, 0.0, np.exp(terms - m)).sum(axis=-1, keepdims=True)
-    rest += top.sum(axis=-1, keepdims=True) - 1
-    return -b - (m + np.log1p(rest))
-
-
 def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
-    """(logZ, E, S - ln g0, Var E) for populations proportional to g*exp(-beta*eps).
+    """(logZ, E, S - ln g0, Var E, lnp) for populations proportional to
+    g*exp(-beta*eps): the one normalizer of a level state.
 
-    The ground multiplicity g0 is divided out of the level weights, so the
-    entropy gap above ln g0 is a sum of non-negative terms and stays exact
-    far below 1e-16; logZ = ln g0 - lnp[0] because eps[0] = 0.  The level
+    lnp is the list ln(lambda_k) + ln g0 of per-slot log-populations; a
+    caller subtracts ln g0 for the state itself.  The ground multiplicity g0
+    is divided out of the level weights, so the entropy gap above ln g0 is a
+    sum of non-negative terms and stays exact far below 1e-16, and logZ =
+    ln g0 - lnp[0] because eps[0] = 0.  The normalizer is m + log1p(sum of
+    the other exp(t_k - m)) over the terms t_k, so a state whose excited
+    mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.  The level
     populations are exponentiated once and E, Var E and S read from them.
+    At beta = inf only level 0, the one with eps = 0, is populated.
 
-    This is ``_log_populations`` followed by ``_energy`` and ``_entropy`` on
-    one beta, in Python floats: on a few levels numpy's per-call cost would
+    Python floats throughout: on a few levels numpy's per-call cost would
     outweigh its arithmetic.  exp and log1p stay numpy ufuncs, and every sum
     runs left to right from 0.0, as numpy's ``add.reduce`` does below 8
-    terms (not ``sum()``, which compensates from Python 3.12 on), so on
-    fewer than 8 levels the result is the array path's to the bit; from 8
-    levels up numpy sums pairwise, and the two may differ in the last bits.
+    terms (not ``sum()``, which compensates from Python 3.12 on).
     """
     if math.isinf(beta):
-        return float(logg[0]), 0.0, 0.0, 0.0
+        return float(logg[0]), 0.0, 0.0, 0.0, [0.0] + [-math.inf] * (len(logg) - 1)
     e, g = eps.tolist(), logg.tolist()
     rel = [x - g[0] for x in g]
     b = [float(beta) * x for x in e]
@@ -95,11 +85,11 @@ def _thermal_functionals(eps: np.ndarray, logg: np.ndarray, beta: float):
     var = 0.0
     for pk, ek in zip(p, e):
         var += pk * ((ek - energy) * (ek - energy))
-    return g[0] - lnp[0], energy, -gap, var
+    return g[0] - lnp[0], energy, -gap, var, lnp
 
 
 def _point(beta: float, logg: np.ndarray, functionals) -> GibbsPoint:
-    logZ, energy, gap, _ = functionals
+    logZ, energy, gap, _, _ = functionals
     return GibbsPoint(beta=beta, logZ=logZ, energy=energy, entropy=float(logg[0]) + gap)
 
 
@@ -115,9 +105,9 @@ def gibbs_populations(s: Spectrum, beta: float) -> DiagonalState:
     """The thermal state exp(-beta*eps_j)/Z, one block per level of the spectrum."""
     if not beta >= 0:
         raise ValueError("beta must be >= 0 (or +inf)")
-    eps = s.level_energies
-    b = np.where(eps > 0, math.inf, 0.0) if math.isinf(beta) else beta * eps
-    return DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b))
+    logg = s.log_multiplicities
+    lnp = _thermal_functionals(s.level_energies, logg, beta)[4]
+    return DiagonalState.from_levels(s, np.subtract(lnp, logg[0]))
 
 
 def isentropic_point(s: Spectrum, S_target: float, tol: float = ENTROPY_TOL) -> GibbsPoint:
@@ -186,7 +176,7 @@ def _isentrope_root(q: np.ndarray, logg: np.ndarray, gap: float, span: float,
     lo, hi, t = 0.0, math.inf, min(t, cap)
     for _ in range(100):
         f = _thermal_functionals(q, logg, t)
-        _, _, gap_t, var = f
+        _, _, gap_t, var, _ = f
         if abs(gap_t - gap) <= accept:
             return t, f
         if gap_t > gap and t == cap:

@@ -17,8 +17,10 @@ tolerance form one chained group, and a vector is higher than another iff
 its group ranks higher.  ``tie_ranks`` is plain Python and shares no code
 with the library's grouping.  ``difference_vectors`` is every cut and
 ``adjacent_cuts`` the pairwise definition of the generators the library
-reads.  ``thermal_functionals`` is the Gibbs level functional as it was
-before it exponentiated the populations once.  ``gibbs_crossing_pair`` and
+reads.  ``log_populations`` is the numpy normalizer of level states that
+the library's Python-float functional replaced, and ``thermal_functionals``
+the Gibbs level functional on it as it was before it exponentiated the
+populations once.  ``gibbs_crossing_pair`` and
 ``same_level_log_gap_ok`` are the pairwise loops of the flattening
 predicates, which the library decides in one pass per level.
 """
@@ -29,7 +31,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from npassive.gibbs import _log_populations
 from npassive.spectra import default_energy_tol, state_energy
 
 
@@ -260,16 +261,33 @@ def prep1_envelope_exact(N, eps_a, eps_b, eps_c, lam_a, lam_c):
     return tuple(ends)
 
 
+def log_populations(logg, b):
+    """Per-slot log-populations of level weights b (population ~ exp(-b)).
+
+    Levels run along the last axis of ``b``; leading axes are a batch.  The
+    normalizer is m + log1p(sum of the other exp(t_k - m)), so a state whose
+    excited mass is far below 1e-16 keeps its -lambda_0 ln lambda_0 term.
+    """
+    terms = logg - b
+    m = terms.max(axis=-1, keepdims=True)
+    top = terms == m
+    # exp(0) = 1 for each tied maximum; all but one of them stay in the sum
+    rest = np.where(top, 0.0, np.exp(terms - m)).sum(axis=-1, keepdims=True)
+    rest += top.sum(axis=-1, keepdims=True) - 1
+    return -b - (m + np.log1p(rest))
+
+
 def thermal_functionals(eps, logg, beta):
-    """(logZ, E, S - ln g0, Var E) with one exp of the populations per sum."""
+    """(logZ, E, S - ln g0, Var E, lnp) with one exp of the populations per
+    sum; lnp is the list ln(lambda) + ln g0."""
     if math.isinf(beta):
-        return float(logg[0]), 0.0, 0.0, 0.0
+        return float(logg[0]), 0.0, 0.0, 0.0, [0.0] + [-math.inf] * (len(logg) - 1)
     rel = logg - logg[0]
-    lnp = _log_populations(rel, beta * eps)
+    lnp = log_populations(rel, beta * eps)
     energy = float((np.exp(rel + lnp) * eps).sum(axis=-1))
     var = float((np.exp(rel + lnp) * (eps - energy) ** 2).sum(axis=-1))
     entropy = float(-(np.exp(rel + lnp) * lnp).sum(axis=-1))
-    return float(logg[0] - lnp[0]), energy, entropy, var
+    return float(logg[0] - lnp[0]), energy, entropy, var, lnp.tolist()
 
 
 def gibbs_crossing_pair(energies, populations, beta, logZ, tol):

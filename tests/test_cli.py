@@ -200,6 +200,13 @@ class TestScanAlpha:
         assert err.startswith("error: the order-3 energy sums") and err.count("\n") == 1
         assert "all tie" in err
 
+    def test_one_level_exit_two(self):
+        # the error names the level count, not beta
+        code, out, err = run(["scan-alpha", "--energies", "0", "--degeneracies", "3", "--n", "2",
+                              "--beta-min", "1", "--beta-max", "2", "--points", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: the ray maximizer needs two or three distinct levels, not 1\n"
+
 
 class TestOtherCommands:
     def test_saturate(self, capsys):

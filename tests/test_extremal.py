@@ -25,7 +25,6 @@ from npassive.extremal import (
 from npassive.gibbs import (
     BETA_INF_FACTOR,
     _isentrope_root,
-    _log_populations,
     _thermal_functionals,
     gibbs_point,
     gibbs_populations,
@@ -151,10 +150,11 @@ class TestSampler:
 
 def _sample_n_passive_arrays(s, N, count, seed, stable=False, b_max=DEFAULT_B_MAX,
                              burn_in=200, thin=10):
-    """``sample_n_passive`` with each step on numpy arrays: a fresh product,
-    ratio and clipped point per step, the chord ends as numpy scalars, and the
-    kept points stacked at the end.  The reference that the allocation-free
-    step must match bit for bit on whatever numpy the tests run with."""
+    """The walk of ``sample_n_passive`` with each step on numpy arrays: a
+    fresh product, ratio and clipped point per step, and the chord ends as
+    numpy scalars.  The reference that the allocation-free step must match
+    bit for bit on whatever numpy the tests run with; returns the kept
+    points b, slot (or level) 0 at b = 0."""
     energies = tuple(s.level_energies.tolist()) if stable else s.energies
     V = _cuts(energies, N)
     eps_free = np.array(energies[1:])
@@ -179,9 +179,12 @@ def _sample_n_passive_arrays(s, N, count, seed, stable=False, b_max=DEFAULT_B_MA
                 np.minimum(upper, np.maximum(lower, x + t * u), out=x)
             if step >= burn_in and (step - burn_in) % thin == thin - 1:
                 kept.append(np.concatenate([[0.0], x]))
-    if stable:
-        return [DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, b)) for b in kept]
-    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
+    return kept
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of the larger of the two."""
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
 class TestSamplerBitIdentity:
@@ -192,17 +195,30 @@ class TestSamplerBitIdentity:
     @pytest.mark.parametrize("energies", [[0, 1, 1.9], [0, 1, 2, 3.5], [0, 0, 1, 2],
                                           [0, 0, 0, 1, 2]])
     def test_samples_match_the_array_step(self, energies, stable, seed):
+        # a stable point is normalized by the thermal functionals at beta = 1,
+        # so its bits pin the walk; it stays within 4 ulp of the oracle's
+        # array normalizer
         s = normalize_spectrum(energies)
+        logg = s.log_multiplicities
         for N in range(2, 9):
             got = sample_n_passive(s, N, 8, seed + N, stable=stable)
-            want = _sample_n_passive_arrays(s, N, 8, seed + N, stable=stable)
+            kept = _sample_n_passive_arrays(s, N, 8, seed + N, stable=stable)
+            if stable:
+                want = [DiagonalState.from_levels(
+                    s, np.subtract(_thermal_functionals(b, logg, 1.0)[4], logg[0])) for b in kept]
+                for r, b in zip(got, kept):
+                    ref = oracle.log_populations(logg, b).tolist()
+                    assert max(map(_ulps, r.log_populations, ref)) <= 4, (N, b)
+            else:
+                want = [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
             assert [_bits(r.log_populations) for r in got] == [_bits(r.log_populations) for r in want]
             assert [_bits(r.populations) for r in got] == [_bits(r.populations) for r in want]
 
     def test_short_walk_matches_the_array_step(self):
         s = normalize_spectrum([0, 0, 1, 2])
         got = sample_n_passive(s, 3, 5, 17, b_max=4.0, burn_in=0, thin=1)
-        want = _sample_n_passive_arrays(s, 3, 5, 17, b_max=4.0, burn_in=0, thin=1)
+        kept = _sample_n_passive_arrays(s, 3, 5, 17, b_max=4.0, burn_in=0, thin=1)
+        want = [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-np.array(kept))]
         assert [_bits(r.populations) for r in got] == [_bits(r.populations) for r in want]
 
 
@@ -303,7 +319,7 @@ class TestAdjacentCuts:
 
 def level_state(s, lnp):
     """The per-level state with log-populations lnp, shifted to sum to 1."""
-    return DiagonalState.from_levels(s, _log_populations(s.log_multiplicities, -np.asarray(lnp)))
+    return DiagonalState.from_levels(s, oracle.log_populations(s.log_multiplicities, -np.asarray(lnp)))
 
 
 class TestLevelState:
@@ -397,6 +413,11 @@ class TestAlphaScan:
             (r.beta_rho, r.alpha, r.state) for r in b
         ]
 
+    def test_one_level_rejected(self):
+        # its thermal energy is 0 at every beta: the error names the level count
+        with pytest.raises(ValueError, match="two or three distinct levels, not 1"):
+            max_alpha_scan(Spectrum.from_levels([(0.0, 3)]), 2, [1.0, 2.0])
+
     def test_many_levels_rejected(self):
         s = normalize_spectrum([0, 1, 2, 3])
         with pytest.raises(NotImplementedError):
@@ -413,7 +434,7 @@ def _chord_entropy(s, b1, t):
     """Entropies S and log-populations of the level states b = (0, b1, t):
     the full entropy, which the grid search this module replaced solved on."""
     b = np.stack(np.broadcast_arrays(0.0, b1, np.asarray(t, float)), axis=-1)
-    lnp = _log_populations(s.log_multiplicities, b)
+    lnp = oracle.log_populations(s.log_multiplicities, b)
     return _entropy(np.exp(s.log_multiplicities + lnp), lnp), lnp
 
 
@@ -437,7 +458,7 @@ def _scalar_alpha_scan(s, N, beta, resolution):
     ``resolution`` points, b2 along each feasible chord on a grid, every
     bracket bisected, and the best root that ``is_n_passive`` accepts."""
     eps, logg = s.level_energies, s.log_multiplicities
-    gibbs = _log_populations(logg, beta * eps)
+    gibbs = oracle.log_populations(logg, beta * eps)
     target = float(_entropy(np.exp(logg + gibbs), gibbs))
     best_E, best = float(_energy(eps, np.exp(logg + gibbs))), gibbs
     V = oracle.difference_vectors(tuple(eps), N)
@@ -639,7 +660,7 @@ def _entropy_on_chord(logg, q, t):
     states at b = t*q, levels along the last axis of ``q``: the batch
     evaluator of the lockstep ray solve that ``_isentrope_root`` replaced."""
     rel = logg - logg[0]
-    lnp = _log_populations(rel, np.asarray(t)[..., None] * q)
+    lnp = oracle.log_populations(rel, np.asarray(t)[..., None] * q)
     return _entropy(np.exp(rel + lnp), lnp), lnp - logg[0]
 
 
@@ -667,14 +688,16 @@ def _line_roots_arrays(logg, q, t, hi, gap):
 
 def _with_array_bracket(monkeypatch, run):
     """``run()`` with each ray of ``max_alpha_scan`` solved by the array
-    reference in place of ``_isentrope_root``, and the number of rays solved."""
+    reference in place of ``_isentrope_root``, the oracle's functionals at its
+    root, and the number of rays solved."""
     import npassive.extremal as X
 
     calls = []
 
     def reference(q, logg, gap, span, t, cap, tol):
         calls.append(1)
-        return float(_line_roots_arrays(logg, q[None], [t], [cap], gap)[0]), None
+        root = float(_line_roots_arrays(logg, q[None], [t], [cap], gap)[0])
+        return root, oracle.thermal_functionals(q, logg, root)
 
     with monkeypatch.context() as mp:
         mp.setattr(X, "_isentrope_root", reference)
@@ -742,7 +765,7 @@ class TestLineRoots:
 
         def functionals(q, logg, t):
             ts.append(t)
-            return 0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0
+            return 0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0, []
 
         monkeypatch.setattr(G, "_thermal_functionals", functionals)
         return ts
@@ -772,7 +795,7 @@ class TestLineRoots:
         t, f = self.solve()
         assert len(points) < 100 and t == points[-1]
         assert t in (3.0, math.nextafter(3.0, 0.0)) and points[-2] != t
-        assert f == (0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0)
+        assert f == (0.0, 0.0, 1.0 if t < 3.0 else 0.5, 0.0, [])
 
 
 def test_alpha_scan_curves_script(tmp_path):

@@ -50,8 +50,8 @@ def _random_levels(L, seed):
 RANDOM_LEVELS = [_random_levels(L, 2300 + 100 * L + k) for L in range(2, 8) for k in range(20)]
 
 # from 8 levels up numpy's add.reduce sums pairwise, so the thermal
-# functionals' left-to-right sums may differ from the array path in the last
-# bits; this spectrum is held to the decimal oracle only
+# functionals' left-to-right sums may differ from the oracle's array
+# reference in the last bits; this spectrum is held to the decimal oracle only
 TEN_LEVELS = [(0.0, 1), (0.5, 2), (0.7, 1), (1.0, 5), (1.4, 1), (1.9, 3), (2.5, 10**6),
               (3.1, 1), (3.8, 7), (4.6, 10**12)]
 
@@ -211,7 +211,8 @@ class TestOneSolve:
     """The solver's Gibbs point is the one gibbs_point gives at its beta."""
 
     # below 8 levels the functional's left-to-right sums are numpy's add.reduce,
-    # so it equals the array path bit for bit; see TEN_LEVELS for more levels
+    # so all five outputs, the log-populations too, equal the oracle's array
+    # reference bit for bit; see TEN_LEVELS for more levels
     @pytest.mark.parametrize("beta", ["0", "1e-8", "1", "50/eps_max", "300/eps_max",
                                       "700/eps_max", "inf"])
     @pytest.mark.parametrize("levels", ORACLE_LEVELS + RANDOM_LEVELS)
@@ -219,7 +220,21 @@ class TestOneSolve:
         s = Spectrum.from_levels(levels)
         b = float(beta[:-8]) / s.eps_max if beta.endswith("/eps_max") else float(beta)
         args = (s.level_energies, s.log_multiplicities, b)
-        assert _bits(_thermal_functionals(*args)) == _bits(oracle.thermal_functionals(*args))
+        got, want = _thermal_functionals(*args), oracle.thermal_functionals(*args)
+        assert _bits(got[:4]) == _bits(want[:4])
+        assert _bits(got[4]) == _bits(want[4])
+
+    def test_state_and_point_share_the_normalizer(self):
+        # one normalizer: the state's ground log-population is -logZ of the
+        # point at the same beta, to the bit (2-5 levels, g up to 1e12)
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            L = int(rng.integers(2, 6))
+            eps = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 2.0, L - 1))))
+            s = Spectrum(tuple((float(e), int(g)) for e, g in zip(eps, 10 ** rng.integers(0, 13, L))))
+            beta = float(10 ** rng.uniform(-3, 2.5))
+            lnp0 = gibbs_populations(s, beta).log_populations[0]
+            assert lnp0.hex() == (-gibbs_point(s, beta).logZ).hex(), (s, beta)
 
     @pytest.mark.parametrize("which", range(4))
     @pytest.mark.parametrize("levels", ORACLE_LEVELS)
