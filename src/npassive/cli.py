@@ -2,13 +2,17 @@
 
 Exit codes: 0 = success / property holds, 1 = property fails (not passive,
 bound violated), 2 = input error.  Every input error, whichever layer
-raises it, leaves ``main`` as one ``error:`` line on stderr.
+raises it, leaves ``main`` as one ``error:`` line on stderr.  Each command
+returns its report and exit code; ``main`` alone writes the report, to
+``--output`` or to stdout, and an ``--output`` it cannot write is an input
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -87,10 +91,12 @@ def _load_state_file(path, need_populations=True):
     return spectrum, rho
 
 
-def _emit(obj, output=None):
-    """Write obj as strict JSON, every non-finite float as "inf", "-inf" or
-    "nan", and integers of any size: the interpreter's limit on the digits of
-    an int-to-str conversion, where it has one, is lifted for the dump."""
+def _emit(payload, output=None):
+    """Write payload to the file output, or else to stdout as it is at call
+    time.  A str is written as it is.  Anything else is written as strict
+    JSON, every non-finite float as "inf", "-inf" or "nan", and integers of
+    any size: the interpreter's limit on the digits of an int-to-str
+    conversion, where it has one, is lifted for the dump."""
 
     def strict(x):
         if isinstance(x, float) and not math.isfinite(x):
@@ -101,22 +107,25 @@ def _emit(obj, output=None):
             return [strict(v) for v in x]
         return x
 
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        text = json.dumps(strict(obj), indent=2, allow_nan=False)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    if isinstance(payload, str):
+        text = payload
     else:
-        print(text)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(strict(payload), indent=2, allow_nan=False) + "\n"
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+    if output:
+        with open(output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state)
     verdict = pass_mod.is_n_passive(s, rho, args.n, tol=args.tol)
     out = {
@@ -134,21 +143,19 @@ def cmd_check(args) -> int:
             "k": args.stability,
             "stable": pass_mod.is_k_structurally_stable(s, rho, args.stability),
         }
-    _emit(out, args.output)
-    return 0 if verdict.passive else 1
+    return out, 0 if verdict.passive else 1
 
 
-def cmd_ergotropy(args) -> int:
+def cmd_ergotropy(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state)
     out = {"ergotropy_1": pass_mod.ergotropy_1(s, rho.populations)}
     if args.n is not None:
         out["n"] = args.n
         out["n_ergotropy"] = pass_mod.n_ergotropy(s, rho, args.n)
-    _emit(out, args.output)
-    return 0
+    return out, 0
 
 
-def cmd_gibbs(args) -> int:
+def cmd_gibbs(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state, need_populations=False)
     if (args.beta is None) == (args.entropy is None):
         raise InputError("give exactly one of --beta / --entropy")
@@ -156,11 +163,10 @@ def cmd_gibbs(args) -> int:
         gp = gibbs_mod.gibbs_point(s, math.inf if args.beta == "inf" else float(args.beta))
     else:
         gp = gibbs_mod.isentropic_point(s, args.entropy)
-    _emit(dataclasses.asdict(gp), args.output)
-    return 0
+    return dataclasses.asdict(gp), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state)
     rep = bounds_mod.bound_report(s, rho, args.n)
     out = dataclasses.asdict(rep)
@@ -172,24 +178,18 @@ def cmd_bounds(args) -> int:
                                   ("Inverse", rep.bound_inverse))
             if value is not None
         ]
-        _emit({"rows": rows}, args.output)
-    else:
-        _emit(out, args.output)
-    return 0 if rep.slack >= -bounds_mod.SLACK_TOL else 1
+        out = {"rows": rows}
+    return out, 0 if rep.slack >= -bounds_mod.SLACK_TOL else 1
 
 
-def cmd_flatten(args) -> int:
+def cmd_flatten(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state)
     res = flat_mod.flatten(s, rho)
-    _emit(
-        {
-            "flattened": list(res.flattened.populations),
-            "delta_S": res.delta_S,
-            "delta_S0": res.delta_S0,
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "flattened": list(res.flattened.populations),
+        "delta_S": res.delta_S,
+        "delta_S0": res.delta_S0,
+    }, 0
 
 
 def emit_scan_csv(rows, factor_rows, stream):
@@ -201,7 +201,7 @@ def emit_scan_csv(rows, factor_rows, stream):
         )
 
 
-def cmd_scan_alpha(args) -> int:
+def cmd_scan_alpha(args) -> tuple[object, int]:
     if len(args.energies) != len(args.degeneracies):
         raise InputError("--energies and --degeneracies need equal length")
     s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
@@ -219,34 +219,23 @@ def cmd_scan_alpha(args) -> int:
     factors = [
         (f_inv, bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, args.n)) for row in rows
     ]
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            emit_scan_csv(rows, factors, fh)
-    else:
-        emit_scan_csv(rows, factors, sys.stdout)
-    return 0
+    buf = io.StringIO()
+    emit_scan_csv(rows, factors, buf)
+    return buf.getvalue(), 0
 
 
-def cmd_saturate(args) -> int:
-    try:
-        res = extremal_mod.saturation_construct(args.n, args.m, args.frac)
-    except extremal_mod.InfeasibleSaturationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(
-        {
-            "levels": [[e, g] for e, g in res.spectrum.distinct_levels],
-            "log_populations": list(res.state.log_populations),
-            "alpha_measured": res.alpha_measured,
-            "alpha_max": res.alpha_max,
-            "beta_rho": res.beta_rho,
-        },
-        args.output,
-    )
-    return 0
+def cmd_saturate(args) -> tuple[object, int]:
+    res = extremal_mod.saturation_construct(args.n, args.m, args.frac)
+    return {
+        "levels": [[e, g] for e, g in res.spectrum.distinct_levels],
+        "log_populations": list(res.state.log_populations),
+        "alpha_measured": res.alpha_measured,
+        "alpha_max": res.alpha_max,
+        "beta_rho": res.beta_rho,
+    }, 0
 
 
-def cmd_nstar(args) -> int:
+def cmd_nstar(args) -> tuple[object, int]:
     if (args.energies is None) == (args.rational is None):
         raise InputError("give exactly one of --energies / --rational")
     if args.rational is not None:
@@ -258,25 +247,17 @@ def cmd_nstar(args) -> int:
     else:
         s = normalize_spectrum(args.energies)
     res = comm_mod.n_star(s, max_den=args.max_den, tol=args.tol)
-    _emit(
-        {
-            "n_star": res.n_star,
-            "triples": [
-                {"p": t[0], "q": t[1], "index": t[2]} if t else None
-                for t in res.triples
-            ],
-            "all_triples_lcm": res.all_triples_lcm,
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "n_star": res.n_star,
+        "triples": [{"p": t[0], "q": t[1], "index": t[2]} if t else None for t in res.triples],
+        "all_triples_lcm": res.all_triples_lcm,
+    }, 0
 
 
-def cmd_classify_cp(args) -> int:
+def cmd_classify_cp(args) -> tuple[object, int]:
     s, rho = _load_state_file(args.state)
     cls = pass_mod.classify_complete_passivity(s, rho, tol=args.tol)
-    _emit(dataclasses.asdict(cls), args.output)
-    return 0 if cls.tag != "NotCP" else 1
+    return dataclasses.asdict(cls), 0 if cls.tag != "NotCP" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,13 +345,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except (ValueError, EnumerationCapError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except bounds_mod.BoundViolationError as exc:  # a ratio above a proved ceiling
+    # a ratio above a proved ceiling, or no saturating state on the ladder
+    except (bounds_mod.BoundViolationError, extremal_mod.InfeasibleSaturationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:
+        where = args.output or "stdout"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -206,7 +206,7 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
         hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
         gap_hi = [_thermal_functionals(q, logg, h)[2] for q, h in zip(rays, hi)]
-    for beta in beta_grid:
+    for beta in map(float, beta_grid):
         _, E_beta, gap, _, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
@@ -228,7 +228,7 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
         ceiling = min(alpha_max(N, R), exponential_factor(beta, s.eps_max, R, N))
         if alpha > ceiling * (1.0 + 1e-9):
             raise BoundViolationError(f"alpha {alpha} at beta {beta} exceeds its ceiling {ceiling}")
-        rows.append(AlphaScanRow(beta_rho=float(beta), alpha=alpha,
+        rows.append(AlphaScanRow(beta_rho=beta, alpha=alpha,
                                  state=rho if rho is not None else gibbs_populations(s, beta)))
     return rows
 

@@ -162,44 +162,3 @@ def gibbs_crossing_witness(
     if pair is None:
         raise RegimeError("no crossing pair found: state violates the hypothesis class")
     return pair
-
-
-def same_level_log_gap_ok(
-    s: Spectrum, rho: DiagonalState, N: int, tol: float = 1e-9
-) -> bool:
-    """Within every positive-energy level, log-population gaps stay below
-    -(ln Z + ln lambda_j)/(N-1) for each ordered pair (i, j); for each j the
-    pair that binds has i the level's least population.
-    """
-    levels = _levels(s, rho)
-    if N < 2:
-        raise ValueError("needs N >= 2")
-    _check_tol(tol)
-    logZ = _state_point(s, rho).logZ
-    for (e, g), run in levels:
-        if e <= 0 or g < 2:
-            continue
-        least = min(x for _, x, _ in run)
-        if least == -math.inf or any(x - least >= -(logZ + x) / (N - 1) + tol for _, x, _ in run):
-            return False
-    return True
-
-
-def ground_spread_witness(
-    s: Spectrum, rho: DiagonalState, N: int, tol: float = 1e-9
-) -> float | None:
-    """Smallest positive energy eps_a with ground log-spread < beta*eps_a/(N-1)."""
-    ground = [x for _, x, _ in _levels(s, rho)[0][1]]
-    if N < 2:
-        raise ValueError("needs N >= 2")
-    _check_tol(tol)
-    if min(ground) == -math.inf:
-        return None
-    spread = max(ground) - min(ground)
-    beta = _state_point(s, rho).beta
-    if not math.isfinite(beta):
-        return None
-    for e, _ in s.distinct_levels:
-        if e > 0 and spread < beta * e / (N - 1) + tol:
-            return e
-    return None

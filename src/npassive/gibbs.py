@@ -183,9 +183,9 @@ def _isentrope_root(q: np.ndarray, logg: np.ndarray, gap: float, span: float,
             return math.inf, _thermal_functionals(q, logg, math.inf)
         lo, hi = (t, hi) if gap_t > gap else (lo, t)
         dist = gap_t if low else span - gap_t
-        nxt = math.inf
-        if dist > 0 and var > 0:
-            nxt = t + sign * (math.log(dist) - ln_dist) * dist / (t * var)
+        nxt, slope = math.inf, t * var
+        if dist > 0 and slope > 0:
+            nxt = t + sign * (math.log(dist) - ln_dist) * dist / slope
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         nxt = min(nxt, cap)

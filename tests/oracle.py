@@ -20,9 +20,12 @@ with the library's grouping.  ``difference_vectors`` is every cut and
 reads.  ``log_populations`` is the numpy normalizer of level states that
 the library's Python-float functional replaced, and ``thermal_functionals``
 the Gibbs level functional on it as it was before it exponentiated the
-populations once.  ``gibbs_crossing_pair`` and
-``same_level_log_gap_ok`` are the pairwise loops of the flattening
-predicates, which the library decides in one pass per level.
+populations once.  ``gibbs_crossing_pair`` is the pairwise loop of
+``gibbs_crossing_witness``, which the library decides in one pass per level.
+``same_level_log_gap_ok`` and ``ground_spread_witness`` are the paper's two
+flattening lemmas on dense states, and their only implementation: the
+library checks a flattened state through its passivity verdict and
+``is_k_structurally_stable`` instead.
 """
 
 import math
@@ -319,6 +322,20 @@ def same_level_log_gap_ok(levels, level_populations, logZ, N, tol):
                 if math.log(lj) - math.log(li) >= -(logZ + math.log(lj)) / (N - 1) + tol:
                     return False
     return True
+
+
+def ground_spread_witness(energies, populations, d0, beta, N, tol):
+    """The smallest positive slot energy eps_a with max - min of ln(lambda)
+    over the d0 ground slots below beta*eps_a/(N-1) + tol; None when a ground
+    slot is empty, beta is infinite or no energy qualifies."""
+    ground = [math.log(p) for p in populations[:d0] if p > 0]
+    if len(ground) < d0 or not math.isfinite(beta):
+        return None
+    spread = max(ground) - min(ground)
+    for e in energies:
+        if e > 0 and spread < beta * e / (N - 1) + tol:
+            return e
+    return None
 
 
 def classify_slots(energies, populations, d0, tol):

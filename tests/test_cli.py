@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from npassive.cli import main
@@ -200,6 +200,15 @@ class TestScanAlpha:
         assert err.startswith("error: the order-3 energy sums") and err.count("\n") == 1
         assert "all tie" in err
 
+    def test_numpy_grid_prints_no_warning(self):
+        # exit 0, but numpy's "overflow encountered in scalar divide" on stderr
+        code, out, err = run(["scan-alpha", "--energies", "0", "0.7", "1", "--degeneracies", "1",
+                              "1", "1000000000000", "--n", "8",
+                              "--beta-min", "0.05794373236001465", "--beta-max", "0.06",
+                              "--points", "2"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+
     def test_one_level_exit_two(self):
         # the error names the level count, not beta
         code, out, err = run(["scan-alpha", "--energies", "0", "--degeneracies", "3", "--n", "2",
@@ -263,8 +272,10 @@ class TestOtherCommands:
         rng = random.Random(8)
         levels = [0.0, *sorted(rng.uniform(0.2, 3.0) for _ in range(19))]
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        code, out, err = run(["nstar", "--energies", *map(repr, levels)])
+        argv = ["nstar", "--energies", *map(repr, levels)]
+        code, out, err = run(argv)
         assert (code, err) == (0, "")
+        assert_output_is_stdout(argv, code, out, err)
         if limit:
             assert sys.get_int_max_str_digits() == limit
             sys.set_int_max_str_digits(0)
@@ -539,14 +550,49 @@ def assert_one_outcome(command, code, out, err):
             strict_json(out)
 
 
+def assert_output_is_stdout(argv, code, out, err):
+    """argv with ``--output`` writes the file with exactly the bytes of stdout
+    (code, out, err), with the same exit code and stderr; a run that printed
+    nothing creates no file.  A path that cannot be opened for writing, in a
+    missing directory or a directory itself, exits 2 with one line instead of
+    the report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        assert run([*argv, "--output", str(path)]) == (code, "", err)
+        assert (path.read_bytes() if path.exists() else b"") == out.encode()
+        assert out or not path.exists()
+        for bad in (Path(tmp) / "no" / "such" / "x.json", Path(tmp)):
+            bad_code, bad_out, bad_err = run([*argv, "--output", str(bad)])
+            if out:
+                assert (bad_code, bad_out) == (2, "")
+                assert bad_err.startswith(f"error: cannot write {bad}: ")
+                assert bad_err.count("\n") == 1
+            else:
+                assert (bad_code, bad_out, bad_err) == (code, out, err)
+
+
+FIXTURE_STATE = ({"energies": [0, 1, 1.9], "populations": [0.5, 0.35, 0.15]}, None)
+
+
+# every state command writes through --output at least once per run
+@example(state=FIXTURE_STATE, argv=["check", "--n", "2"], to_file=True)
+@example(state=FIXTURE_STATE, argv=["ergotropy", "--n", "2"], to_file=True)
+@example(state=FIXTURE_STATE, argv=["gibbs", "--beta", "inf"], to_file=True)
+@example(state=FIXTURE_STATE, argv=["bounds", "--n", "2", "--table"], to_file=True)
+@example(state=({"energies": [0, 0, 1], "populations": [0.55, 0.25, 0.2]}, None),
+         argv=["flatten"], to_file=True)
+@example(state=FIXTURE_STATE, argv=["classify-cp"], to_file=True)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(state=state_data(), argv=state_argv())
-def test_fuzz_state_commands(state, argv):
+@given(state=state_data(), argv=state_argv(), to_file=st.booleans())
+def test_fuzz_state_commands(state, argv, to_file):
     data, flaw = state
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         path.write_text(json.dumps(data))
-        code, out, err = run([argv[0], "--state", str(path), *argv[1:]])
+        argv = [argv[0], "--state", str(path), *argv[1:]]
+        code, out, err = run(argv)
+        if to_file:
+            assert_output_is_stdout(argv, code, out, err)
     assert_one_outcome(argv[0], code, out, err)
     if flaw in TYPE_FLAWS:
         assert code == 2
@@ -609,10 +655,19 @@ def other_argv(draw):
     return argv
 
 
+# every other command writes through --output at least once per run; the
+# second saturate call exits 1 with an error line and writes nothing
+@example(argv=["scan-alpha", "--energies", "0", "1", "1.001", "--degeneracies", "1", "1", "10",
+               "--n=4", "--beta-min=2", "--beta-max=6", "--points=3"], to_file=True)
+@example(argv=["saturate", "--n=2", "--m=1", "--frac=0.9"], to_file=True)
+@example(argv=["saturate", "--n=3", "--m=1", "--frac=0.9"], to_file=True)
+@example(argv=["nstar", "--rational=0 1 3/2 2"], to_file=True)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=other_argv())
-def test_fuzz_other_commands(argv):
+@given(argv=other_argv(), to_file=st.booleans())
+def test_fuzz_other_commands(argv, to_file):
     code, out, err = run(argv)
+    if to_file:
+        assert_output_is_stdout(argv, code, out, err)
     assert_one_outcome(argv[0], code, out, err)
     if any(arg.partition("=")[2] in ("nan", "inf", "-inf") and arg.startswith(NON_FINITE_REJECTED)
            for arg in argv):

@@ -418,6 +418,14 @@ class TestAlphaScan:
         with pytest.raises(ValueError, match="two or three distinct levels, not 1"):
             max_alpha_scan(Spectrum.from_levels([(0.0, 3)]), 2, [1.0, 2.0])
 
+    def test_numpy_grid_solves_on_python_floats(self):
+        # a numpy beta reached the Newton step, whose quotient overflowed with
+        # numpy's RuntimeWarning at the first of these two points
+        s = Spectrum.from_levels([(0.0, 1), (0.7, 1), (1.0, 10**12)])
+        rows = max_alpha_scan(s, 8, np.linspace(0.05794373236001465, 0.06, 2))
+        assert [type(row.beta_rho) for row in rows] == [float, float]
+        assert [row.alpha for row in rows] == [1.0, 1.0]
+
     def test_many_levels_rejected(self):
         s = normalize_spectrum([0, 1, 2, 3])
         with pytest.raises(NotImplementedError):

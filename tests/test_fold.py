@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import oracle
 from npassive.bounds import bound_report, check_bound
 from npassive.extremal import sample_n_passive
-from npassive.flattening import flatten, same_level_log_gap_ok
-from npassive.gibbs import ENTROPY_TOL, gibbs_point, gibbs_populations, isentropic_point
+from npassive.flattening import flatten
+from npassive.gibbs import ENTROPY_TOL, gibbs_point, gibbs_populations
 from npassive.passivity import (
     DEFAULT_LOG_TOL,
     DEFAULT_STABILITY_TOL,
@@ -163,19 +163,3 @@ def test_beta_rho_near_the_top_of_the_range():
     rep = bound_report(s, gibbs_populations(s, 3.0), 5)
     assert rep.beta_rho == pytest.approx(3.0, rel=1e-8)
 
-
-def test_same_level_log_gap_on_split_huge_level():
-    # two classes of 5e11 slots in one level: the pairwise loop runs over one
-    # slot of each, which realises every pair of the 10**12 slots
-    s = SPECTRA[0]
-    for split in (0.0, 1e-3, 0.5):
-        lnp = np.array(gibbs_populations(s, 20.0).log_populations)
-        lo, hi = lnp[1] - split, math.log(2 * math.exp(lnp[1]) - math.exp(lnp[1] - split))
-        p = np.exp([lnp[0], lo, hi, lnp[2]])
-        blocks = tuple(zip(p.tolist(), (1, HUGE // 2, HUGE // 2, HUGE)))
-        rho = DiagonalState._of(blocks, (lnp[0], lo, hi, lnp[2]))
-        logZ = isentropic_point(s, state_entropy(rho)).logZ
-        chunks = [[p[0]], [p[1], p[2]], [p[3]]]
-        for N in (2, 3, 6):
-            want = oracle.same_level_log_gap_ok(s.distinct_levels, chunks, logZ, N, 1e-9)
-            assert same_level_log_gap_ok(s, rho, N) == want

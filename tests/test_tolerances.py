@@ -11,12 +11,7 @@ import pytest
 
 import npassive
 from npassive.commensurability import n_star, rational_ratio_detect, triple_forces_gibbs
-from npassive.flattening import (
-    gibbs_crossing_witness,
-    ground_spread_witness,
-    majorizes,
-    same_level_log_gap_ok,
-)
+from npassive.flattening import gibbs_crossing_witness, majorizes
 from npassive.gibbs import gibbs_populations, isentropic_point
 from npassive.passivity import (
     classify_complete_passivity,
@@ -27,8 +22,6 @@ from npassive.spectra import DiagonalState, normalize_spectrum
 
 S012 = normalize_spectrum([0, 1, 1.9])
 RHO012 = DiagonalState((0.42, 0.33, 0.25))
-S00112 = normalize_spectrum([0, 0, 1, 1, 2])
-RHO00112 = DiagonalState((0.3, 0.25, 0.2, 0.15, 0.1))
 S013 = normalize_spectrum([0, 1, 3])
 
 # one valid call per public function with a tolerance, as (args, kwargs)
@@ -38,8 +31,6 @@ VALID_CALLS = {
     triple_forces_gibbs: ((S013, gibbs_populations(S013, 1.0), (0, 1, 2)), {}),
     majorizes: (([0.5, 0.5], [1, 0]), {}),
     gibbs_crossing_witness: ((S012, RHO012), {}),
-    same_level_log_gap_ok: ((S00112, RHO00112, 3), {}),
-    ground_spread_witness: ((S00112, RHO00112, 3), {}),
     isentropic_point: ((S012, 0.5), {}),
     is_n_passive: ((S012, RHO012, 2), {}),
     is_k_structurally_stable: ((S012, RHO012, 2), {}),
