@@ -3,10 +3,11 @@ three-level saturation construction.
 
 The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
-nothing extra, and ``gibbs._thermal_functionals`` normalizes each.  A built
-state is accepted by the one order-N verdict of ``passivity.is_n_passive``,
-at the tolerance ``_passive_tol``, read without its witness.  The energy
-ratio is maximized on the passive cone's extreme rays, and a saturation
+nothing extra, and ``gibbs._thermal_functionals`` normalizes each.  The
+energy ratio is maximized on the three-level passive cone's extreme rays,
+and a candidate is accepted by the verdict of ``passivity.is_n_passive`` at
+the tolerance ``_passive_tol``, both read from the cone's closed form,
+``passivity._facets``, so no order-N table is built at any N.  A saturation
 state is a row of that maximizer: the first, on a ladder of three-level
 spectra up to beta = ``BETA_INF_FACTOR``, whose ratio reaches the requested
 share of the ceiling.
@@ -16,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import BoundViolationError, alpha_max, exponential_factor, spectral_ratio
 from .gibbs import (BETA_INF_FACTOR, ENTROPY_TOL, _isentrope_root, _isentropic_point,
                     _thermal_functionals, gibbs_populations)
-from .passivity import _cuts, _passes_groups
-from .spectra import DiagonalState, Spectrum, _energy, _fold, default_energy_tol
+from .passivity import _cuts, _facets
+from .spectra import DiagonalState, Spectrum, _check_order, _energy
 
 DEFAULT_B_MAX = 30.0
 # saturation_construct's relative offset of r from N/(m+1)
@@ -51,17 +51,33 @@ class InfeasibleSaturationError(RuntimeError):
     """The construction cannot reach the requested fraction of the ceiling."""
 
 
-def _passive_tol(rho: DiagonalState, N: int) -> float:
+def _passive_tol(log_populations, N: int) -> float:
     """1e-8*N*max(1, largest finite |ln(lambda)|): the log-weight tolerance
     that absorbs the rounding of a state built on the passive cone's boundary."""
-    return 1e-8 * N * max(1.0, max(abs(x) for x in rho.log_populations if math.isfinite(x)))
+    return 1e-8 * N * max(1.0, max(abs(x) for x in log_populations if math.isfinite(x)))
 
 
-def _accepts(s: Spectrum, rho: DiagonalState, N: int) -> bool:
-    """The verdict of ``is_n_passive`` on a built state at ``_passive_tol``,
-    without the witness that a rejection would pay for."""
-    f = _fold(s, rho)
-    return _passes_groups(f.energies, f.log_populations, N, _passive_tol(rho, N))
+def _accepts(energies: tuple, lnp: list[float], N: int) -> bool:
+    """The verdict of ``is_n_passive`` at ``_passive_tol`` on the three-level
+    state of level log-populations lnp, from the two facets of
+    ``passivity._facets``, before the state is built.
+
+    With b_k = ln(lambda_0) - ln(lambda_k), each facet row v must give
+    k*(v1*b1 + v2*b2) >= -tol, where k is the row's largest order-N
+    multiple: the cut that binds first on a state near that facet and inside
+    the other.  Within about tol of the cone's apex the table also weighs
+    cuts a*v_lo + c*v_hi with a > k, and refuses a few states that this
+    accepts.  A zero entry adds nothing at b = +inf, as in ``_row_sums``;
+    where b1 and b2 are both infinite, every row they weigh has log-weight
+    -inf, and none is refused.
+    """
+    _, rows, ks = _facets(energies, N)
+    tol = _passive_tol(lnp, N)
+    b1, b2 = lnp[0] - lnp[1], lnp[0] - lnp[2]
+    for (_, v1, v2), k in zip(rows, ks):
+        if k * ((v1 * b1 if v1 else 0.0) + (v2 * b2 if v2 else 0.0)) < -tol:
+            return False
+    return True
 
 
 def sample_n_passive(
@@ -149,24 +165,13 @@ def sample_n_passive(
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
 
 
-@lru_cache(maxsize=64)
-def _rays(energies: tuple[float, float, float], N: int) -> np.ndarray:
-    """The two extreme rays (0, b1, b2) of the three-level order-N passive
-    cone {b : V[:, 1:] @ b[1:] >= 0}, V = ``_cuts``, by increasing angle;
-    read-only.  The Gibbs ray (eps1, eps2) is inside every cut v, so the
-    boundary direction (v2, -v1) lies clockwise of it by less than pi, and
-    the cone runs from the nearest of these to pi past the farthest.  If
-    every order-N energy sum ties, there is no cut and no ray: ValueError.
+def _rays(energies: tuple, N: int) -> np.ndarray:
+    """The two extreme rays (0, q, p) of the three-level order-N passive cone,
+    by increasing angle, read-only: those of ``passivity._facets``, the Farey
+    neighbours p/q of eps2/eps1 with max(p, q) <= N, at any N.  If every
+    order-N energy sum ties, there is no cut and no ray: ValueError.
     """
-    d = _cuts(energies, N)[:, :0:-1] * (1.0, -1.0)
-    if not len(d):
-        tol = default_energy_tol(energies[2], N)
-        raise ValueError(f"the order-{N} energy sums of the levels {list(energies)} all tie "
-                         f"(energy tol {tol:g}): the passive cone has no extreme ray")
-    angle = np.arctan2(d @ (-energies[2], energies[1]), d @ energies[1:])
-    w = np.array([[0.0, *d[angle.argmax()]], [0.0, *-d[angle.argmin()]]])
-    w.flags.writeable = False
-    return w
+    return _facets(energies, N)[0]
 
 
 def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> list[AlphaScanRow]:
@@ -175,7 +180,8 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
 
     With b0 = 0, the only interior critical points of E on an isentrope are
     Gibbs states, E's minimum there, so the maximum lies where it meets an
-    extreme ray of the cone (``_rays``).  The entropy falls along a ray, so
+    extreme ray of the cone (``_rays``), which reads no table, so any N
+    costs the same.  The entropy falls along a ray, so
     a ray crosses only if its gap at b = 2000 is below the target, and then
     once; ``gibbs._isentrope_root``, the Gibbs inversion's own Newton, solves
     each from the projection of beta*eps, to 1e-13 of the target's distance
@@ -185,23 +191,26 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     If the ray lambda_0 = lambda_1 does not cross, the isentrope leaves
     through lambda_2 -> 0, and that limit, the lower two levels at the
     target gap and lambda_2 = 0, is its candidate.  The best candidate that
-    ``_accepts`` is returned, else the Gibbs state, built only then.  The
-    rays, their caps and the gaps there are set up once per call, so each
-    beta pays only for its own solve.  One level has no ray: ValueError.  A ratio above min(``alpha_max``, ``exponential_factor``)
-    by more than 1e-9 relative would falsify the theorem:
-    ``BoundViolationError``.
+    ``_accepts`` (two facet inequalities on its log-populations) is built
+    and returned, else the Gibbs state, built only then.  The rays, their
+    caps and the gaps there are set up once per call, so each beta pays only
+    for its own solve; a spectrum's ``rational_levels``, when it has them,
+    place the rays exactly.  One level has no ray, and N must be an integer
+    >= 1: ValueError.  A ratio above min(``alpha_max``,
+    ``exponential_factor``) by more than 1e-9 relative would falsify the
+    theorem: ``BoundViolationError``.
     """
     if s.num_levels < 2:
         raise ValueError(f"the ray maximizer needs two or three distinct levels, not {s.num_levels}")
     if s.num_levels > 3:
         raise NotImplementedError("the ray maximizer supports at most three distinct levels")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     rows: list[AlphaScanRow] = []
     eps, logg = s.level_energies, s.log_multiplicities
     R = spectral_ratio(s)
     if s.num_levels == 3:
-        rays = _rays(tuple(eps.tolist()), N)
+        levels = tuple(e for e, _ in s.rational_levels or s.distinct_levels)
+        rays = _rays(levels, N)
         span = math.log(s.d) - float(logg[0])
         hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
@@ -221,9 +230,8 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
             lnp = np.subtract(lnp, logg[0]).reshape(-1, 3)
             E = _energy(eps, np.exp(logg + lnp))
             for k in np.argsort(-E, kind="stable"):
-                cand = DiagonalState.from_levels(s, lnp[k])
-                if E[k] > E_beta and _accepts(s, cand, N):
-                    alpha, rho = float(E[k]) / E_beta, cand
+                if E[k] > E_beta and _accepts(levels, lnp[k].tolist(), N):
+                    alpha, rho = float(E[k]) / E_beta, DiagonalState.from_levels(s, lnp[k])
                     break
         ceiling = min(alpha_max(N, R), exponential_factor(beta, s.eps_max, R, N))
         if alpha > ceiling * (1.0 + 1e-9):
@@ -249,6 +257,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
     past beta = ``BETA_INF_FACTOR``, where the thermal energy underflows on
     eps_1 = 1; then ``InfeasibleSaturationError`` names the best ratio found.
     """
+    _check_order(N)
     if not (1 <= m < N):
         raise ValueError("need 1 <= m < N")
     if not (0 <= alpha_target_frac <= 1):

@@ -14,16 +14,18 @@ One rule decides which energy sums tie, ``spectra._tie_breaks``, which
 chained groups and ranks them by energy; a vector is higher than another iff
 its group ranks higher.  The verdict, the stability check, the violation
 witness and the cuts all read those ranks.  The verdict, the one order-N
-decision (``extremal`` calls it too), holds every pair of vectors to its
-tol.  One cut set serves the readers that need the inequalities themselves
-(the sampler, ``prep1_envelope`` and ``max_alpha_scan``): the differences of
-``_cuts`` between adjacent groups, which generate the cone of every cut.
+decision, holds every pair of vectors to its tol.  The sampler reads the
+inequalities themselves: the differences of ``_cuts`` between adjacent
+groups, which generate the cone of every cut.  On three levels the cone has
+a closed form, ``_facets``: two facets, found in O(log N) integer steps with
+no table, which ``prep1_envelope`` and ``extremal.max_alpha_scan`` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -32,10 +34,12 @@ from .spectra import (
     DiagonalState,
     OccupationVector,
     Spectrum,
+    _check_order,
     _check_tol,
     _fold,
     _tie_breaks,
     check_size,
+    default_energy_tol,
     occupations,
     state_energy,
 )
@@ -167,6 +171,73 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     return V
 
 
+@lru_cache(maxsize=64)
+def _facets(energies: tuple, N: int):
+    """The three-level order-N passive cone over the levels (0, eps1, eps2)
+    in closed form, in O(log N) integer steps.  Returns its two extreme rays
+    (0, q, p) by increasing angle, read-only; per ray its facet, the cut row
+    (d0, d1, d2) of positive energy orthogonal to it; and per facet k, the
+    largest multiple of its row that order N holds.
+
+    A ray (q, p) has cut energy q*eps2 - p*eps1, and it ties r = eps2/eps1
+    when that lies within ``default_energy_tol(eps2, N)``.  Every comparison
+    is exact, in integers scaled from the ``Fraction`` of each energy (a
+    float, or a spectrum's ``rational_levels``) and of the tolerance.
+    Without a tie, the rays are the Farey neighbours p/q of r with
+    max(p, q) <= N, found by a Stern-Brocot descent in runs from 0/1 and
+    1/0; the ray 1/0, (0, 0, 1), is lambda_0 = lambda_1, the upper one when
+    r > N.  At a tie p/q on the descent the rays are the order-N neighbours
+    of p/q itself, and past a tie at 1/0 (eps1 within the tolerance) the
+    upper ray is (0, -1, N - 1): the row orthogonal to a ray (q, p) needs
+    order max(|q|, |p|, |p - q|).  This is the cone of ``_cuts`` wherever
+    chained ties join no two of these directions.  If every order-N energy
+    sum ties, which is eps1 and eps2 - eps1 both within the tolerance, there
+    is no cut: ValueError.
+    """
+    _, e1, e2 = map(Fraction, energies)
+    tol = Fraction(default_energy_tol(float(energies[2]), N))
+    if max(e1, e2 - e1) <= tol:
+        raise ValueError(f"the order-{N} energy sums of the levels {list(map(float, energies))} "
+                         f"all tie (energy tol {float(tol):g}): the passive cone has no extreme ray")
+    unit = math.lcm(e1.denominator, e2.denominator, tol.denominator)
+    a, b, t = (int(x * unit) for x in (e1, e2, tol))
+
+    def cut(v):
+        return v[0] * b - v[1] * a
+
+    def step(v, w, j):
+        return v[0] + j * w[0], v[1] + j * w[1]
+
+    def reach(v, w):
+        """The largest j with v + j*w within order N, for v within it."""
+        return min((N - x if y > 0 else N + x) // abs(y)
+                   for x, y in zip((*v, v[1] - v[0]), (*w, w[1] - w[0])) if y)
+
+    lo, hi, up = (1, 0), (0, 1), True
+    if a <= t:
+        lo, hi = (step(v, hi, reach(v, hi)) for v in (lo, (-1, 0)))
+    else:
+        # each run walks src to the node before the first that ties or
+        # crosses r, j = ceil((|cut(src)| - t)/|cut(dst)|), unless order N ends it
+        while True:
+            src, dst = (lo, hi) if up else (hi, lo)
+            j, last = -((t - abs(cut(src))) // abs(cut(dst))), reach(src, dst)
+            if j > last:
+                src = step(src, dst, last)
+                lo, hi = (src, dst) if up else (dst, src)
+                break
+            x, src = step(src, dst, j), step(src, dst, j - 1)
+            if abs(cut(x)) <= t:
+                lo, hi = (step(v, x, reach(v, x)) for v in ((src, dst) if up else (dst, src)))
+                break
+            lo, hi = (src, x) if up else (x, src)
+            up = not up
+    rays = np.array([[0.0, *lo], [0.0, *hi]])
+    rays.flags.writeable = False
+    rows = ((lo[1] - lo[0], -lo[1], lo[0]), (hi[0] - hi[1], hi[1], -hi[0]))
+    return rays, rows, tuple(reach((0, 0), v) for v in (lo, hi))
+
+
 def is_n_passive(
     s: Spectrum,
     rho: DiagonalState,
@@ -295,24 +366,25 @@ def prep1_envelope(
     Given outer populations lam_a (low energy) and lam_c (high energy),
     every occupation-vector comparison among the three levels at order N
     yields a geometric inequality on the middle population; the returned
-    interval is the intersection of all of them.  Only the generators of
-    ``_cuts`` are evaluated, each held exactly; every other cut is a sum of
-    them, so in exact arithmetic the interval is the brute-force one, and in
-    floats each end lies a few ulp from it.
+    interval is the intersection of all of them.  Only the two facet rows of
+    ``_facets`` are evaluated, at any N and with no table; every other cut
+    is a non-negative sum of them, and a ratio bound does not depend on a
+    row's scale, so in exact arithmetic the interval is the brute-force one,
+    and in floats each end lies a few ulp from it.  N must be an integer
+    >= 1.
     """
     if not (eps_a < eps_b < eps_c):
         raise ValueError("need eps_a < eps_b < eps_c")
     if not (lam_a >= lam_c > 0):
         raise ValueError("need lam_a >= lam_c > 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     la, lc = math.log(lam_a), math.log(lam_c)
-    # cuts of the shifted triple, so the comparison is translation invariant;
-    # a cut (da, db, dc) demands db*ln(lam_b) <= -da*la - dc*lc
-    V = _cuts((0.0, eps_b - eps_a, eps_c - eps_a), N)
-    coeff = V[:, 1]
-    rhs = -V[:, 0] * la - V[:, 2] * lc
-    up, down = coeff > 0, coeff < 0
-    hi = np.min(rhs[up] / coeff[up], initial=math.inf)
-    lo = np.max(rhs[down] / coeff[down], initial=-math.inf)
+    # the facets of the shifted triple, so the comparison is translation
+    # invariant; a cut (da, db, dc) demands db*ln(lam_b) <= -da*la - dc*lc
+    lo, hi = -math.inf, math.inf
+    for da, db, dc in _facets((0.0, eps_b - eps_a, eps_c - eps_a), N)[1]:
+        if db > 0:
+            hi = min(hi, (-da * la - dc * lc) / db)
+        elif db < 0:
+            lo = max(lo, (-da * la - dc * lc) / db)
     return math.exp(lo), math.exp(hi)

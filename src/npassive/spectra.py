@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,6 +48,12 @@ def _check_tol(tol: float, name: str = "tol") -> None:
     """The one tolerance guard: refuse a NaN, negative or infinite tolerance."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+
+
+def _check_order(N) -> None:
+    """Refuse an order N that is not an integer >= 1."""
+    if not (isinstance(N, numbers.Integral) and N >= 1):
+        raise ValueError(f"N must be >= 1 and an integer, got {N!r}")
 
 
 @dataclass(frozen=True)

@@ -227,15 +227,19 @@ def difference_vectors(energies, N):
 
 
 def adjacent_cuts(energies, N):
-    """The set of differences I-J with I in the tie group just above J's."""
+    """The set of differences I-J with I in the tie group just above J's,
+    pair by pair over the vectors bucketed by group."""
     vectors = list(compositions(len(energies), N))
     evals = [sum(c * e for c, e in zip(v, energies)) for v in vectors]
     ranks = tie_ranks(evals, default_energy_tol(max(energies), N))
+    groups = [[] for _ in range(max(ranks) + 1)]
+    for v, r in zip(vectors, ranks):
+        groups[r].append(v)
     return {
         tuple(a - b for a, b in zip(vi, vj))
-        for vi, ri in zip(vectors, ranks)
-        for vj, rj in zip(vectors, ranks)
-        if ri == rj + 1
+        for lower, upper in zip(groups, groups[1:])
+        for vi in upper
+        for vj in lower
     }
 
 

@@ -130,7 +130,7 @@ def test_05_saturation():
     from npassive.extremal import _passive_tol
     from npassive.passivity import is_n_passive
 
-    ok_passive = is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state, 2)).passive
+    ok_passive = is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state.log_populations, 2)).passive
     report(5, "three-level construction reaches 90% of the ratio ceiling",
            ok_reach and ok_passive,
            f"(measured={res.alpha_measured:.4f}, ceiling={res.alpha_max:.4f})")

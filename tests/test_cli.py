@@ -209,6 +209,15 @@ class TestScanAlpha:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 3
 
+    def test_order_past_the_table(self):
+        # the order-N occupation table refused this past N = 1,153
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",
+                              "1", "1000000", "--n", "100000", "--beta-min", "1", "--beta-max",
+                              "20", "--points", "3"])
+        assert (code, err) == (0, "")
+        for row in list(csv.DictReader(io.StringIO(out))):
+            assert 1.0 <= float(row["alpha"]) <= float(row["bound_inverse"])
+
     def test_one_level_exit_two(self):
         # the error names the level count, not beta
         code, out, err = run(["scan-alpha", "--energies", "0", "--degeneracies", "3", "--n", "2",
@@ -230,14 +239,13 @@ class TestOtherCommands:
         assert result["alpha_measured"] <= result["alpha_max"]
 
     def test_saturate_past_order_1000(self):
-        # both exited 1 with "gap ratio 1/r escaped" while r's offset exceeded 1/m
-        code, out, err = run(["saturate", "--n", "1100", "--m", "1099", "--frac", "0.5"])
-        assert code == 0 and err == ""
-        result = strict_json(out)
-        assert 0.5 * result["alpha_max"] <= result["alpha_measured"] <= result["alpha_max"]
-        code, out, err = run(["saturate", "--n", "1500", "--m", "1499", "--frac", "0.5"])
-        assert code == 2 and out == ""
-        assert err.startswith("error: occupation table") and err.count("\n") == 1
+        # both exited 1 with "gap ratio 1/r escaped" while r's offset exceeded
+        # 1/m, and (1500, 1499) then exited 2 on the occupation table's cap
+        for n in ("1100", "1500"):
+            code, out, err = run(["saturate", "--n", n, "--m", str(int(n) - 1), "--frac", "0.5"])
+            assert code == 0 and err == ""
+            result = strict_json(out)
+            assert 0.5 * result["alpha_max"] <= result["alpha_measured"] <= result["alpha_max"]
 
     def test_saturate_rejected_state_is_one_line_error(self):
         # (3, 1) exited 1 on an envelope state that failed the passivity scan

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
+    _accepts,
     _passive_tol,
     _rays,
     max_alpha_scan,
@@ -31,8 +33,11 @@ from npassive.gibbs import (
 )
 from npassive.passivity import (
     _cuts,
+    _facets,
+    _passes_groups,
     is_k_structurally_stable,
     is_n_passive,
+    prep1_envelope,
 )
 from npassive.spectra import (
     DiagonalState,
@@ -333,8 +338,8 @@ class TestLevelState:
         assert state_entropy(rho) == pytest.approx(state_entropy(dense), rel=1e-15)
         for N in (1, 2, 3):
             assert is_n_passive(s, rho, N) == is_n_passive(s, dense, N)
-            assert is_n_passive(s, rho, N, tol=_passive_tol(rho, N)) == is_n_passive(
-                s, dense, N, tol=_passive_tol(dense, N)
+            assert is_n_passive(s, rho, N, tol=_passive_tol(rho.log_populations, N)) == is_n_passive(
+                s, dense, N, tol=_passive_tol(dense.log_populations, N)
             )
 
     def test_huge_degeneracy_no_overflow(self):
@@ -343,7 +348,7 @@ class TestLevelState:
         rho = gibbs_populations(s, 30.0)
         assert math.isfinite(state_energy(s, rho))
         assert math.isfinite(state_entropy(rho))
-        assert is_n_passive(s, rho, 5, tol=_passive_tol(rho, 5))
+        assert is_n_passive(s, rho, 5, tol=_passive_tol(rho.log_populations, 5))
         with pytest.raises(StateError, match="dense population list refused"):
             rho.populations
 
@@ -355,14 +360,14 @@ def test_tolerance_holds_each_generator():
     t = 1e-8 * 2 * math.log(3)  # the scan's tol at N = 2 with max |ln lambda| ~ ln 3
     rho = level_state(s, (0.0, 0.75 * t, 0.6 * t))
     lnp, levels = np.array(rho.log_populations), tuple(s.level_energies)
-    assert t == pytest.approx(_passive_tol(rho, 2), rel=1e-7)
+    assert t == pytest.approx(_passive_tol(rho.log_populations, 2), rel=1e-7)
     assert np.max(_cuts(levels, 2) @ lnp) <= t
     assert np.max(oracle.difference_vectors(levels, 2) @ lnp) == pytest.approx(1.5 * t)
-    assert not is_n_passive(s, rho, 2, tol=_passive_tol(rho, 2))
+    assert not is_n_passive(s, rho, 2, tol=_passive_tol(rho.log_populations, 2))
     assert not oracle.verify_level_passive(s, rho, 2)
     # one generator past t fails the state too
     past = level_state(s, (0.0, 1.1 * t, 0.6 * t))
-    assert not is_n_passive(s, past, 2, tol=_passive_tol(past, 2))
+    assert not is_n_passive(s, past, 2, tol=_passive_tol(past.log_populations, 2))
     assert not oracle.verify_level_passive(s, past, 2)
 
 
@@ -371,7 +376,7 @@ def test_tolerance_checked(tol):
     # read as a bound, tol = NaN passed this inverted state
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1)])
     inverted = DiagonalState.from_levels(s, (math.log(0.3), math.log(0.7)))
-    assert not is_n_passive(s, inverted, 2, tol=_passive_tol(inverted, 2))
+    assert not is_n_passive(s, inverted, 2, tol=_passive_tol(inverted.log_populations, 2))
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         is_n_passive(s, inverted, 2, tol=tol)
 
@@ -489,7 +494,7 @@ def _scalar_alpha_scan(s, N, beta, resolution):
                 lnp = _bisect_root(s, b1, ts[k], ts[k + 1], vals[k], target)
                 E = float(_energy(eps, np.exp(logg + lnp)))
                 rho = DiagonalState.from_levels(s, lnp)
-                if E > best_E and is_n_passive(s, rho, N, tol=_passive_tol(rho, N)):
+                if E > best_E and is_n_passive(s, rho, N, tol=_passive_tol(rho.log_populations, N)):
                     best_E, best = E, lnp
     return best_E / gibbs_point(s, beta).energy, DiagonalState.from_levels(s, best)
 
@@ -594,7 +599,7 @@ class TestAlphaScanAccuracy:
         assert row.alpha >= 1.0432
         ref = _decimal_target(levels, 4.899)
         assert abs(_decimal_gap(s, row.state) - ref) <= Decimal("1e-9") * ref
-        assert is_n_passive(s, row.state, 3, tol=_passive_tol(row.state, 3))
+        assert is_n_passive(s, row.state, 3, tol=_passive_tol(row.state.log_populations, 3))
 
     @pytest.mark.parametrize("N, m, alpha", [(2, 1, 1.83546), (3, 2, 1.38586), (5, 4, 1.13982)])
     def test_reaches_the_saturation_states(self, N, m, alpha):
@@ -605,7 +610,7 @@ class TestAlphaScanAccuracy:
         (row,) = max_alpha_scan(res.spectrum, N, [res.beta_rho])
         assert (row.alpha, row.state) == (res.alpha_measured, res.state)
         assert alpha <= row.alpha <= res.alpha_max
-        assert is_n_passive(res.spectrum, row.state, N, tol=_passive_tol(row.state, N))
+        assert is_n_passive(res.spectrum, row.state, N, tol=_passive_tol(row.state.log_populations, N))
 
     @pytest.mark.parametrize(
         "energies, N",
@@ -631,8 +636,9 @@ class TestAlphaScanAccuracy:
         import npassive.extremal as X
 
         monkeypatch.setattr(X, "alpha_max", lambda N, R: 0.5)
-        with pytest.raises(BoundViolationError):
-            max_alpha_scan(Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)]), 3, [1.0])
+        for N in (3, 10**5):
+            with pytest.raises(BoundViolationError):
+                max_alpha_scan(Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 1)]), N, [1.0])
 
     def test_resolution_is_ignored(self):
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, 1000)])
@@ -732,6 +738,115 @@ ALPHA_SCAN_CASES = [
     ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 3, [4.899]),
     ([(0.0, 2), (1.0, 1), (3.0, 10)], 4, [2.0, 20.0, 40.0]),
 ]
+
+
+def _facet_grid(N):
+    """Level triples (0, 1, r) whose ratio r lies off, on, and within the tie
+    band of small fractions, and above N."""
+    return [(0.0, 1.0, r) for r in (1.9, 2.0, 1.5, 7 / 3, 1.001, math.pi / 2,
+                                    1.0 + 0.5e-9 * N, 2.0 + 0.7e-9 * N, 1.5 * N + 0.25)]
+
+
+class TestFacets:
+    """The closed-form cone of ``passivity._facets`` against the table."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_rays_are_the_extreme_pairwise_cuts(self, k):
+        for N in range(1, 61):
+            energies = _facet_grid(N)[k]
+            assert _rays(energies, N)[:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
+
+    def test_rays_on_level_ties(self):
+        # level 1 within the tolerance of the ground: lambda_1 may exceed
+        # lambda_0, and the upper ray leaves the quadrant
+        for energies, N in [((0.0, 1.0, 2e7), 100), ((0.0, 3e-9, 1.0), 5), ((0.0, 1.0, 1.0 + 2e-9), 1)]:
+            assert _rays(energies, N)[:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
+        assert _rays((0.0, 1.0, 2e7), 100).tolist() == [[0, 1, 100], [0, -1, 99]]
+
+    def test_rays_at_large_order(self):
+        assert _rays((0.0, 1.0, 1.9), 10).tolist() == [[0, 5, 9], [0, 1, 2]]
+        assert _rays((0.0, 1.0, 1.9), 10**6).tolist() == [[0, 526309, 999987], [0, 526311, 999991]]
+        # the Fraction of 1.9 lies below 19/10: a tie only within the tolerance
+        assert _rays((0.0, 1.0, 1.9), 10**5).tolist() == [[0, 52629, 99995], [0, 52631, 99999]]
+
+    def test_rational_levels_place_the_rays(self):
+        exact = Spectrum.from_rationals([Fraction(0), Fraction(3, 7), Fraction(6, 7)])
+        floats = Spectrum.from_levels(exact.distinct_levels)
+        assert _rays((Fraction(0), Fraction(3, 7), Fraction(6, 7)), 4).tolist() == [[0, 2, 3], [0, 1, 3]]
+        for N in (1, 4, 10**6):
+            assert max_alpha_scan(exact, N, [0.5, 3.0]) == max_alpha_scan(floats, N, [0.5, 3.0])
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_acceptance_is_the_verdict(self, N):
+        # candidates on each ray, nudged across its facet by f times the
+        # tolerance; the ray scales t stay well off the apex, where the table
+        # also weighs cuts a*v_lo + c*v_hi with a > k
+        seen = set()
+        for energies in _facet_grid(N):
+            rays, rows, ks = _facets(energies, N)
+            for side, k in enumerate(ks):
+                other = rays[1 - side, 1:]
+                v = np.array(rows[side][1:], float)
+                for t in (0.01, 0.3, 5.0):
+                    tol = _passive_tol(oracle.log_populations(0.0, t * rays[side]), N)
+                    for f in (-3.0, -1.5, -0.5, 0.5, 1.5):
+                        b = np.array([0.0, *(t * rays[side, 1:] + f * tol / k / (v @ other) * other)])
+                        lnp = oracle.log_populations(0.0, b).tolist()
+                        want = _passes_groups(energies, tuple(lnp), N, _passive_tol(lnp, N))
+                        assert _accepts(energies, lnp, N) == want, (energies, side, t, f)
+                        seen.add(want)
+            # empty levels, and a zero facet entry against b = +inf
+            for lnp in ([-0.1, -2.4, -math.inf], [-0.2, -1.7, -math.inf], [0.0, -math.inf, -math.inf],
+                        [-0.5, -0.3, -math.inf], [-0.5, -math.inf, -0.3]):
+                want = _passes_groups(energies, tuple(lnp), N, _passive_tol(lnp, N))
+                assert _accepts(energies, lnp, N) == want, (energies, lnp)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13, 21])
+    def test_envelope_is_exact(self, N):
+        # an end that no cut bounds (the tie at N = 1) is 0 or inf on both
+        for _, e1, e2 in _facet_grid(N):
+            args = (N, 0.25, 0.25 + e1, 0.25 + e2, 0.5, 0.1)
+            got, loop = prep1_envelope(*args), oracle.prep1_envelope(*args)
+            if 0.0 in loop or math.inf in loop:
+                assert got == loop, args
+                continue
+            for x, ref in zip(got, oracle.prep1_envelope_exact(*args)):
+                assert abs(x - ref) <= 4 * math.ulp(ref), args
+
+    def test_large_orders_build_no_table(self, monkeypatch):
+        import npassive.extremal as X
+        import npassive.passivity as P
+
+        def refused(*args):
+            raise AssertionError("an order-N table was built")
+
+        for module, name in ((P, "occupations"), (P, "_cuts"), (X, "_cuts")):
+            monkeypatch.setattr(module, name, refused)
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, 10**6)])
+        R = spectral_ratio(s)
+        for N in (5, 1000, 10**5):
+            for row in max_alpha_scan(s, N, [1.0, 5.0, 20.0]):
+                ceiling = min(alpha_max(N, R), exponential_factor(row.beta_rho, s.eps_max, R, N))
+                assert 1.0 <= row.alpha <= ceiling
+        lo, hi = prep1_envelope(10**6, 0, 1, 1.9, 0.6, 0.1)
+        assert 0.1 < lo <= hi < 0.6
+        res = saturation_construct(1500, 1499, 0.5)
+        assert res.alpha_measured >= 0.5 * res.alpha_max
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: max_alpha_scan(normalize_spectrum([0, 1, 1.9]), N, [1.0]),
+    lambda N: prep1_envelope(N, 0.0, 1.0, 1.9, 0.5, 0.1),
+    lambda N: saturation_construct(N, 1, 0.5),
+], ids=["max_alpha_scan", "prep1_envelope", "saturation_construct"])
+@pytest.mark.parametrize("N", [2.5, 3.0, "3", None])
+def test_non_integer_order_refused(call, N):
+    # 2.5 stopped in math.comb with a TypeError, and N // max(p, q) would
+    # run on it silently
+    with pytest.raises(ValueError, match="N must be >= 1 and an integer") as exc:
+        call(N)
+    assert "\n" not in str(exc.value)
 
 
 class TestAlphaScanBitIdentity:
@@ -845,7 +960,7 @@ class TestSaturation:
         res = saturation_construct(2, 1, 0.9)
         assert res.alpha_max == pytest.approx(2.002, abs=1e-3)
         assert res.alpha_measured >= 0.9 * res.alpha_max
-        assert is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state, 2))
+        assert is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state.log_populations, 2))
 
     def test_figure_parameters(self):
         res = saturation_construct(5, 4, 0.85)
@@ -860,7 +975,7 @@ class TestSaturation:
         # the envelope lambda_1 = lambda_2^(m/N) lambda_0^((N-m)/N)
         res = saturation_construct(N, m, frac)
         assert frac * res.alpha_max <= res.alpha_measured <= res.alpha_max
-        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state, N))
+        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state.log_populations, N))
 
     def test_ratio_above_ceiling_raises(self, monkeypatch):
         import npassive.extremal as X
@@ -909,7 +1024,7 @@ class TestSaturation:
         res = saturation_construct(N, m, 0.5)
         assert res.beta_rho == BETA_INF_FACTOR
         assert 0.5 * res.alpha_max <= res.alpha_measured == pytest.approx(1.0, abs=1e-9)
-        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state, N))
+        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state.log_populations, N))
 
     @pytest.mark.parametrize("N, m", [(2, 1), (3, 2), (5, 4)])
     def test_ladder_below_beta_inf_matches_the_array_bracket(self, monkeypatch, N, m):
@@ -931,10 +1046,11 @@ class TestSaturation:
         assert 0.5 * res.alpha_max <= res.alpha_measured == pytest.approx(1.000001, abs=1e-6)
         assert res.beta_rho == pytest.approx(45.0, abs=0.05)
 
-    def test_table_cap_is_the_limit_past_order_1000(self):
-        # r now stays in its window; the order-N occupation table is the limit
-        with pytest.raises(EnumerationCapError, match="cap"):
-            saturation_construct(1500, 1499, 0.5)
+    @pytest.mark.parametrize("N, m", [(1500, 1499), (10**5, 10**5 - 1)])
+    def test_orders_past_the_table(self, N, m):
+        # (1500, 1499) was refused by the cap of the order-N occupation table
+        res = saturation_construct(N, m, 0.5)
+        assert 0.5 * res.alpha_max <= res.alpha_measured <= res.alpha_max
 
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):

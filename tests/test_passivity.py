@@ -295,7 +295,8 @@ class TestEnvelope:
                 assert feasible == inside
 
     def test_large_order(self):
-        # the generators keep the three-level table at N = 150 (11,476 rows) cheap
+        # the two facet rows give the same floats the 11,476-row order-150
+        # table did, which is no longer built
         assert prep1_envelope(150, 0, 1, 1.9, 0.5, 0.1) == (
             0.21421298945182957, 0.21446852137559583)
 
