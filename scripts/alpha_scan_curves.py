@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from npassive.bounds import alpha_max, exponential_factor, spectral_ratio
+from npassive.bounds import alpha_max, spectral_ratio
 from npassive.cli import emit_scan_csv
 from npassive.extremal import max_alpha_scan
 from npassive.spectra import Spectrum
@@ -33,15 +33,11 @@ def run(cfg: ScanConfig) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for g2 in cfg.degeneracies:
         s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
-        R = spectral_ratio(s)
         rows = max_alpha_scan(s, cfg.N, list(cfg.beta_grid))
-        ceiling = alpha_max(cfg.N, R)
-        factors = [
-            (ceiling, exponential_factor(row.beta_rho, s.eps_max, R, cfg.N)) for row in rows
-        ]
+        ceiling = alpha_max(cfg.N, spectral_ratio(s))
         path = cfg.out_dir / f"alpha_scan_g{g2}.csv"
         with open(path, "w", newline="") as fh:
-            emit_scan_csv(rows, factors, fh)
+            emit_scan_csv(s, cfg.N, rows, fh)
         peak = max(r.alpha for r in rows)
         print(
             f"g2={g2:>12d}  peak alpha={peak:.6f}  "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gibbs import ENTROPY_TOL, _isentropic_point
 from .passivity import is_k_structurally_stable, is_n_passive
-from .spectra import DiagonalState, Spectrum, _entropy_gap, _fold, state_energy
+from .spectra import DiagonalState, Spectrum, _check_order, _entropy_gap, _fold, state_energy
 
 SLACK_TOL = 1e-9
 
@@ -71,8 +71,7 @@ def alpha_max(N: int, R: float) -> float:
 
     Returns +inf when N <= R (the bound is vacuous there).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     if N <= R:
         return math.inf
     return N / (N - R)
@@ -80,8 +79,7 @@ def alpha_max(N: int, R: float) -> float:
 
 def exponential_factor(beta: float, eps_max: float, R: float, N: int) -> float:
     """exp(beta*eps_max*R/N); +inf where that overflows a float."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     if math.isinf(beta):
         return math.inf if R > 0 else 1.0
     try:
@@ -103,8 +101,7 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
     regime.
     """
     f = _fold(s, rho)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     gap = _entropy_gap(s, rho)
     S = float(s.log_multiplicities[0]) + gap
     E = state_energy(s, rho)

@@ -174,8 +174,8 @@ def cmd_bounds(args) -> tuple[object, int]:
         # the report's own rows: set only in the regimes that define them
         rows = [out] + [
             {"regime": regime, "bound_value": value}
-            for regime, value in (("Exponential", rep.bound_exponential),
-                                  ("Inverse", rep.bound_inverse))
+            for regime, value in ((bounds_mod.EXPONENTIAL, rep.bound_exponential),
+                                  (bounds_mod.INVERSE, rep.bound_inverse))
             if value is not None
         ]
         out = {"rows": rows}
@@ -192,13 +192,15 @@ def cmd_flatten(args) -> tuple[object, int]:
     }, 0
 
 
-def emit_scan_csv(rows, factor_rows, stream):
-    """Write scan rows as CSV: beta, alpha, and the two bound factors."""
+def emit_scan_csv(s, N, rows, stream):
+    """Write order-N ``max_alpha_scan`` rows on s as CSV: beta, alpha, and the two
+    bound factors, which it computes itself (``bounds.alpha_max``, ``exponential_factor``)."""
+    R = bounds_mod.spectral_ratio(s)
+    f_inv = bounds_mod.alpha_max(N, R)
     stream.write("beta,alpha,bound_inverse,bound_exponential\n")
-    for row, (f_inv, f_exp) in zip(rows, factor_rows):
-        stream.write(
-            "%.17g,%.17g,%.17g,%.17g\n" % (row.beta_rho, row.alpha, f_inv, f_exp)
-        )
+    for row in rows:
+        f_exp = bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, N)
+        stream.write("%.17g,%.17g,%.17g,%.17g\n" % (row.beta_rho, row.alpha, f_inv, f_exp))
 
 
 def cmd_scan_alpha(args) -> tuple[object, int]:
@@ -214,13 +216,8 @@ def cmd_scan_alpha(args) -> tuple[object, int]:
 
     grid = np.linspace(args.beta_min, args.beta_max, args.points)
     rows = extremal_mod.max_alpha_scan(s, args.n, grid)
-    R = bounds_mod.spectral_ratio(s)
-    f_inv = bounds_mod.alpha_max(args.n, R)
-    factors = [
-        (f_inv, bounds_mod.exponential_factor(row.beta_rho, s.eps_max, R, args.n)) for row in rows
-    ]
     buf = io.StringIO()
-    emit_scan_csv(rows, factors, buf)
+    emit_scan_csv(s, args.n, rows, buf)
     return buf.getvalue(), 0
 
 

@@ -53,11 +53,17 @@ def rational_ratio_detect(
     return None
 
 
-def _level_ratios(s: Spectrum, triples):
-    """Gap ratios (eps_c - eps_a)/(eps_b - eps_a) as floats or exact Fractions, lazily."""
-    exact = s.rational_levels is not None
-    eps = [e for e, _ in (s.rational_levels if exact else s.distinct_levels)]
-    return (((eps[c] - eps[a]) / (eps[b] - eps[a]), exact) for a, b, c in triples)
+def _ratio(s: Spectrum, triple, max_den, tol, seen: dict) -> RationalRatio | None:
+    """The gap ratio (eps_c - eps_a)/(eps_b - eps_a) of a level triple, exact on
+    ``rational_levels``, else detected within tol (None if undetected); a
+    ratio value already in ``seen`` is read from it, not detected again."""
+    levels = s.rational_levels or s.distinct_levels
+    a, b, c = (levels[k][0] for k in triple)
+    ratio = (c - a) / (b - a)
+    if ratio not in seen:
+        seen[ratio] = (RationalRatio(p=ratio.numerator, q=ratio.denominator) if s.rational_levels
+                       else rational_ratio_detect(ratio, max_den, tol))
+    return seen[ratio]
 
 
 def _lcm(found) -> int | None:
@@ -68,18 +74,6 @@ def _lcm(found) -> int | None:
             return None
         ps.append(r.p)
     return math.lcm(*ps)
-
-
-def _detect_many(ratios, max_den, tol, seen: dict):
-    """Each ratio's RationalRatio (None if undetected), lazily; a ratio value
-    already in ``seen`` is read from it, not detected again."""
-    for ratio, exact in ratios:
-        if ratio not in seen and exact:
-            frac = Fraction(ratio)
-            seen[ratio] = RationalRatio(p=frac.numerator, q=frac.denominator)
-        elif ratio not in seen:
-            seen[ratio] = rational_ratio_detect(ratio, max_den, tol)
-        yield seen[ratio]
 
 
 def n_star(
@@ -103,15 +97,11 @@ def n_star(
         raise ValueError("N* needs at least three distinct levels")
     _check_tol(tol)
     check_size(math.comb(L, 3), "all-triples diagnostic")
-    consecutive = [(i, i + 1, i + 2) for i in range(L - 2)]
     seen = {}
-    ratios = list(_detect_many(_level_ratios(s, consecutive), max_den, tol, seen))
-    triples = tuple(
-        (r.p, r.q, i) if r is not None else None
-        for i, r in enumerate(ratios)
-    )
+    ratios = [_ratio(s, (i, i + 1, i + 2), max_den, tol, seen) for i in range(L - 2)]
+    triples = tuple((r.p, r.q, i) if r is not None else None for i, r in enumerate(ratios))
     every = itertools.combinations(range(L), 3)
-    all_lcm = _lcm(_detect_many(_level_ratios(s, every), max_den, tol, seen))
+    all_lcm = _lcm(_ratio(s, t, max_den, tol, seen) for t in every)
     return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=all_lcm)
 
 
@@ -135,7 +125,7 @@ def triple_forces_gibbs(
         raise ValueError("triple must hold increasing distinct-level indices")
     _check_tol(tol)
     _check_tol(ratio_tol, "ratio_tol")
-    (rr,) = _detect_many(_level_ratios(s, [triple]), max_den, ratio_tol, {})
+    rr = _ratio(s, triple, max_den, ratio_tol, {})
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")
     la, lb, lc = (means[k][0] for k in triple)

@@ -6,11 +6,11 @@ The states built here are order-1 stable, one block per level
 nothing extra, and ``gibbs._thermal_functionals`` normalizes each.  The
 energy ratio is maximized on the three-level passive cone's extreme rays,
 and a candidate is accepted by the verdict of ``passivity.is_n_passive`` at
-the tolerance ``_passive_tol``, both read from the cone's closed form,
-``passivity._facets``, so no order-N table is built at any N.  A saturation
-state is a row of that maximizer: the first, on a ladder of three-level
-spectra up to beta = ``BETA_INF_FACTOR``, whose ratio reaches the requested
-share of the ceiling.
+the tolerance ``_passive_tol``: the maximizer reads the rays and the facets
+straight from the cone's closed form, ``passivity._facets``, so no order-N
+table is built at any N.  A saturation state is a row of that maximizer:
+the first, on a ladder of three-level spectra up to beta =
+``BETA_INF_FACTOR``, whose ratio reaches the requested share of the ceiling.
 """
 
 from __future__ import annotations
@@ -106,6 +106,7 @@ def sample_n_passive(
     """
     if s.num_levels < 2:
         raise ValueError("single-level spectra have no passivity structure to sample")
+    _check_order(N)
     if count < 1:
         raise ValueError("count must be >= 1")
     if thin < 1:
@@ -165,22 +166,14 @@ def sample_n_passive(
     return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
 
 
-def _rays(energies: tuple, N: int) -> np.ndarray:
-    """The two extreme rays (0, q, p) of the three-level order-N passive cone,
-    by increasing angle, read-only: those of ``passivity._facets``, the Farey
-    neighbours p/q of eps2/eps1 with max(p, q) <= N, at any N.  If every
-    order-N energy sum ties, there is no cut and no ray: ValueError.
-    """
-    return _facets(energies, N)[0]
-
-
 def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> list[AlphaScanRow]:
     """Maximize E over order-1 stable, order-N passive states at fixed entropy,
     exactly, on at most three distinct levels; ``resolution`` is ignored.
 
     With b0 = 0, the only interior critical points of E on an isentrope are
     Gibbs states, E's minimum there, so the maximum lies where it meets an
-    extreme ray of the cone (``_rays``), which reads no table, so any N
+    extreme ray of the cone (``passivity._facets``, the Farey neighbours p/q
+    of eps2/eps1 with max(p, q) <= N), which reads no table, so any N
     costs the same.  The entropy falls along a ray, so
     a ray crosses only if its gap at b = 2000 is below the target, and then
     once; ``gibbs._isentrope_root``, the Gibbs inversion's own Newton, solves
@@ -210,7 +203,7 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     R = spectral_ratio(s)
     if s.num_levels == 3:
         levels = tuple(e for e, _ in s.rational_levels or s.distinct_levels)
-        rays = _rays(levels, N)
+        rays = _facets(levels, N)[0]
         span = math.log(s.d) - float(logg[0])
         hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
@@ -264,7 +257,7 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
         raise ValueError("alpha_target_frac must lie in [0, 1]")
     # the offset stays below 1/m, else r leaves the window once m >= 1000
     r = (N / (m + 1)) * (1.0 + min(DELTA_R, 0.5 / m))
-    if not (m / N < 1.0 / r <= (m + 1) / N):
+    if not ((m + 1) / N >= 1.0 / r > m / N):
         raise InfeasibleSaturationError("gap ratio 1/r escaped (m/N, (m+1)/N]")
     a_max = alpha_max(N, r)
     a_sup = N / (m * r)

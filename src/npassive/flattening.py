@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .gibbs import ENTROPY_TOL, _isentropic_point, _state_point
-from .spectra import DiagonalState, Spectrum, _check_tol, _entropy_gap, _fold, state_energy
+from .spectra import DiagonalState, Spectrum, _check_order, _check_tol, _entropy_gap, _fold, state_energy
 
 MAJORIZE_TOL = 1e-12
 
@@ -75,6 +75,7 @@ def delta_S_bound(
     'general' or the tighter 'two_level' variant (auto-detected by default).
     """
     f = _fold(s, rho)
+    _check_order(N)
     if N < 2:
         raise RegimeError("entropy-gap bound needs N >= 2")
     gap = _entropy_gap(s, rho)

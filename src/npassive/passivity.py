@@ -14,7 +14,9 @@ One rule decides which energy sums tie, ``spectra._tie_breaks``, which
 chained groups and ranks them by energy; a vector is higher than another iff
 its group ranks higher.  The verdict, the stability check, the violation
 witness and the cuts all read those ranks.  The verdict, the one order-N
-decision, holds every pair of vectors to its tol.  The sampler reads the
+decision, holds every pair of vectors to its tol.  It and the stability
+check read the table themselves, through one helper for each group's least
+and greatest log-weight, ``_group_extrema``.  The sampler reads the
 inequalities themselves: the differences of ``_cuts`` between adjacent
 groups, which generate the cone of every cut.  On three levels the cone has
 a closed form, ``_facets``: two facets, found in O(log N) integer steps with
@@ -104,42 +106,21 @@ def _energy_groups(energies: tuple[float, ...], N: int):
     return table, evals, order, starts, rank
 
 
+def _group_extrema(energies, logpops, N):
+    """Per tie group of the order-N table, by ascending energy, the least and
+    the greatest log-weight of its rows over these classes."""
+    table, _, order, starts, _ = _energy_groups(energies, N)
+    w = _row_sums(table, logpops)[order]
+    return np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+
+
 def _passes_groups(energies, logpops, N, tol) -> bool:
     """The order-N verdict over the energies and log-populations of classes,
     in O(M) with no witness: every group's minimum log-weight must dominate
     the maximum over all strictly higher groups, to within tol."""
-    table, _, order, starts, _ = _energy_groups(energies, N)
-    w = _row_sums(table, logpops)[order]
-    above = np.maximum.accumulate(np.maximum.reduceat(w, starts)[::-1])[::-1]
-    return not np.any(above[1:] > np.minimum.reduceat(w, starts)[:-1] + tol)
-
-
-def _scan_passive(energies, logpops, N, tol):
-    """Core order-N scan over the energies and log-populations of classes.
-
-    Returns None if passive, else the lexicographically first violating
-    (higher-energy, lower-energy) pair of raw count tuples, found by an
-    O(M^2) walk that only a violation reaches.
-    """
-    if _passes_groups(energies, logpops, N, tol):
-        return None
-    table, _, _, _, rank = _energy_groups(energies, N)
-    lweights = _row_sums(table, logpops)
-    for i in range(len(table)):
-        for j in range(len(table)):
-            if rank[i] > rank[j] and lweights[i] > lweights[j] + tol:
-                return tuple(table[i].tolist()), tuple(table[j].tolist())
-
-
-def _scan_stable(energies, logpops, k, tol):
-    """True iff equal-energy order-k occupation pairs carry equal log-weights."""
-    table, _, order, starts, _ = _energy_groups(energies, k)
-    w = _row_sums(table, logpops)[order]
-    lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
-    full = lo > -math.inf  # log-weights are finite or -inf
-    spread = np.subtract(hi, lo, out=np.zeros(len(starts)), where=full)
-    # a group of zero populations tied with non-zero ones is unstable too
-    return not np.any(full & (spread > tol) | ~full & (hi > -math.inf))
+    lo, hi = _group_extrema(energies, logpops, N)
+    above = np.maximum.accumulate(hi[::-1])[::-1]
+    return not np.any(above[1:] > lo[:-1] + tol)
 
 
 @lru_cache(maxsize=64)
@@ -244,19 +225,21 @@ def is_n_passive(
     N: int,
     tol: float = DEFAULT_LOG_TOL,
 ) -> PassivityVerdict:
-    """Order-N passivity of rho via exhaustive occupation-pair comparison over
-    its classes.  A class's witness count goes to its last slot, which makes
-    the witness the lexicographically first violating pair of slot vectors."""
+    """Order-N passivity of rho over its classes, decided in O(M) by
+    ``_passes_groups``.  Only a violation walks the table, in O(M^2), for its
+    witness.  A class's count goes to its last slot, which makes the witness
+    the lexicographically first violating pair of slot vectors."""
     f = _fold(s, rho)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     _check_tol(tol)
-    hit = _scan_passive(f.energies, f.log_populations, N, tol)
-    if hit is None:
+    if _passes_groups(f.energies, f.log_populations, N, tol):
         return PassivityVerdict(True)
-    return PassivityVerdict(False, tuple(
-        OccupationVector(s.d, tuple((f.last[k], c) for k, c in enumerate(v) if c)) for v in hit
-    ))
+    table, _, _, _, rank = _energy_groups(f.energies, N)
+    lw = _row_sums(table, f.log_populations)
+    M = range(len(table))
+    hit = next((i, j) for i in M for j in M if rank[i] > rank[j] and lw[i] > lw[j] + tol)
+    return PassivityVerdict(False, tuple(OccupationVector(s.d, tuple(
+        (f.last[k], c) for k, c in enumerate(table[v].tolist()) if c)) for v in hit))
 
 
 def is_k_structurally_stable(
@@ -265,12 +248,16 @@ def is_k_structurally_stable(
     k: int,
     tol: float = DEFAULT_STABILITY_TOL,
 ) -> bool:
-    """Equal-energy occupation vectors of order k carry equal weights."""
+    """Equal-energy occupation vectors of order k carry equal weights: each tie
+    group's log-weights (``_group_extrema``) spread by at most tol."""
     f = _fold(s, rho)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_order(k, "k")
     _check_tol(tol)
-    return _scan_stable(f.energies, f.log_populations, k, tol)
+    lo, hi = _group_extrema(f.energies, f.log_populations, k)
+    full = lo > -math.inf  # log-weights are finite or -inf
+    spread = np.subtract(hi, lo, out=np.zeros(len(lo)), where=full)
+    # a group of zero populations tied with non-zero ones is unstable too
+    return not np.any(full & (spread > tol) | ~full & (hi > -math.inf))
 
 
 def passive_rearrangement(s: Spectrum, populations) -> DiagonalState:
@@ -307,8 +294,7 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     allows gets an answer.
     """
     f = _fold(s, rho)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_order(N)
     table, evals, order, *_ = _energy_groups(f.energies, N)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
     log_mult = log_fact[N] - log_fact[table].sum(axis=1) + table.dot(np.log(f.counts))

@@ -50,10 +50,10 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
 
-def _check_order(N) -> None:
-    """Refuse an order N that is not an integer >= 1."""
-    if not (isinstance(N, numbers.Integral) and N >= 1):
-        raise ValueError(f"N must be >= 1 and an integer, got {N!r}")
+def _check_order(N, name: str = "N") -> None:
+    """The one order guard: refuse, by name, anything but an integer >= 1 (a bool too)."""
+    if not (isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {N!r}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +339,8 @@ def occupations(d: int, N: int) -> np.ndarray:
     integer table is read-only and shared between callers; above
     ``DEFAULT_CAP`` entries it is refused with ``EnumerationCapError``.
     """
-    if d < 1 or N < 1:
-        raise ValueError("need d >= 1 and N >= 1")
+    _check_order(d, "d")
+    _check_order(N)
     count = composition_count(d, N)
     check_size(count * d, f"occupation table of C({N + d - 1},{d - 1}) = {count} rows x {d}")
     # stars and bars: lexicographic bar positions give lexicographic counts

@@ -19,7 +19,6 @@ from npassive.extremal import (
     InfeasibleSaturationError,
     _accepts,
     _passive_tol,
-    _rays,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
@@ -619,7 +618,7 @@ class TestAlphaScanAccuracy:
            ((0.0, 1.0, 2.0), 4), ((0.0, 0.4, 1.0), 6)],
     )
     def test_rays_are_the_feasible_extremes(self, energies, N):
-        rays = _rays(energies, N)
+        rays = _facets(energies, N)[0]
         assert rays[:, 0].tolist() == [0.0, 0.0]
         for w, c in zip(rays[:, 1:], _oracle_rays(energies, N)):
             assert w[0] * c[1] - w[1] * c[0] == 0 and w @ c > 0
@@ -754,25 +753,25 @@ class TestFacets:
     def test_rays_are_the_extreme_pairwise_cuts(self, k):
         for N in range(1, 61):
             energies = _facet_grid(N)[k]
-            assert _rays(energies, N)[:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
+            assert _facets(energies, N)[0][:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
 
     def test_rays_on_level_ties(self):
         # level 1 within the tolerance of the ground: lambda_1 may exceed
         # lambda_0, and the upper ray leaves the quadrant
         for energies, N in [((0.0, 1.0, 2e7), 100), ((0.0, 3e-9, 1.0), 5), ((0.0, 1.0, 1.0 + 2e-9), 1)]:
-            assert _rays(energies, N)[:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
-        assert _rays((0.0, 1.0, 2e7), 100).tolist() == [[0, 1, 100], [0, -1, 99]]
+            assert _facets(energies, N)[0][:, 1:].tolist() == list(map(list, _oracle_rays(energies, N)))
+        assert _facets((0.0, 1.0, 2e7), 100)[0].tolist() == [[0, 1, 100], [0, -1, 99]]
 
     def test_rays_at_large_order(self):
-        assert _rays((0.0, 1.0, 1.9), 10).tolist() == [[0, 5, 9], [0, 1, 2]]
-        assert _rays((0.0, 1.0, 1.9), 10**6).tolist() == [[0, 526309, 999987], [0, 526311, 999991]]
+        assert _facets((0.0, 1.0, 1.9), 10)[0].tolist() == [[0, 5, 9], [0, 1, 2]]
+        assert _facets((0.0, 1.0, 1.9), 10**6)[0].tolist() == [[0, 526309, 999987], [0, 526311, 999991]]
         # the Fraction of 1.9 lies below 19/10: a tie only within the tolerance
-        assert _rays((0.0, 1.0, 1.9), 10**5).tolist() == [[0, 52629, 99995], [0, 52631, 99999]]
+        assert _facets((0.0, 1.0, 1.9), 10**5)[0].tolist() == [[0, 52629, 99995], [0, 52631, 99999]]
 
     def test_rational_levels_place_the_rays(self):
         exact = Spectrum.from_rationals([Fraction(0), Fraction(3, 7), Fraction(6, 7)])
         floats = Spectrum.from_levels(exact.distinct_levels)
-        assert _rays((Fraction(0), Fraction(3, 7), Fraction(6, 7)), 4).tolist() == [[0, 2, 3], [0, 1, 3]]
+        assert _facets((Fraction(0), Fraction(3, 7), Fraction(6, 7)), 4)[0].tolist() == [[0, 2, 3], [0, 1, 3]]
         for N in (1, 4, 10**6):
             assert max_alpha_scan(exact, N, [0.5, 3.0]) == max_alpha_scan(floats, N, [0.5, 3.0])
 
@@ -1007,12 +1006,12 @@ class TestSaturation:
     def test_rejection_skips_the_witness_walk(self, monkeypatch):
         import npassive.passivity as P
 
-        def walk(*args):
-            raise AssertionError("the witness walk ran")
+        def table(*args):
+            raise AssertionError("the occupation table was built")
 
-        # the O(M^2) witness walk would take seconds at this order, and the
-        # scan's verdicts never ask for it
-        monkeypatch.setattr(P, "_scan_passive", walk)
+        # the O(M^2) witness walk over the order-N table would take seconds
+        # at this order, and the scan's verdicts never build the table
+        monkeypatch.setattr(P, "_energy_groups", table)
         with pytest.raises(InfeasibleSaturationError, match="best ratio"):
             saturation_construct(300, 1, 0.5)
 
