@@ -7,7 +7,6 @@ and prints the peak ratio against the analytic ceiling.
 """
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,28 +16,20 @@ from npassive.cli import emit_scan_csv
 from npassive.extremal import max_alpha_scan
 from npassive.spectra import Spectrum
 
-
-@dataclass
-class ScanConfig:
-    N: int = 5
-    r: float = 1.001
-    degeneracies: tuple[int, ...] = (10**3, 10**6, 10**9)
-    beta_grid: tuple[float, ...] = field(
-        default_factory=lambda: tuple(np.geomspace(0.5, 200.0, 24))
-    )
-    out_dir: Path = Path("out")
+DEGENERACIES = (10**3, 10**6, 10**9)
+BETA_GRID = np.geomspace(0.5, 200.0, 24)
 
 
-def run(cfg: ScanConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for g2 in cfg.degeneracies:
-        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
-        rows = max_alpha_scan(s, cfg.N, list(cfg.beta_grid))
-        ceiling = alpha_max(cfg.N, spectral_ratio(s))
-        path = cfg.out_dir / f"alpha_scan_g{g2}.csv"
+def run(N: int = 5, r: float = 1.001, out_dir: Path = Path("out")) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for g2 in DEGENERACIES:
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (r, g2)])
+        rows = max_alpha_scan(s, N, BETA_GRID)
+        ceiling = alpha_max(N, spectral_ratio(s))
+        path = out_dir / f"alpha_scan_g{g2}.csv"
         with open(path, "w", newline="") as fh:
-            emit_scan_csv(s, cfg.N, rows, fh)
-        peak = max(r.alpha for r in rows)
+            emit_scan_csv(s, N, rows, fh)
+        peak = max(row.alpha for row in rows)
         print(
             f"g2={g2:>12d}  peak alpha={peak:.6f}  "
             f"ceiling={ceiling:.6f}  ({100 * peak / ceiling:.1f}%)  -> {path}"
@@ -51,7 +42,7 @@ def main() -> None:
     parser.add_argument("--r", type=float, default=1.001)
     parser.add_argument("--out-dir", type=Path, default=Path("out"))
     args = parser.parse_args()
-    run(ScanConfig(N=args.n, r=args.r, out_dir=args.out_dir))
+    run(args.n, args.r, args.out_dir)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import ENTROPY_TOL, _isentropic_point
+from .gibbs import _state_point
 from .passivity import is_k_structurally_stable, is_n_passive
 from .spectra import DiagonalState, Spectrum, _check_order, _entropy_gap, _fold, state_energy
 
@@ -90,6 +90,7 @@ def exponential_factor(beta: float, eps_max: float, R: float, N: int) -> float:
 
 def low_entropy_bound(s: Spectrum, S: float, N: int) -> float:
     """Energy cap for order-N passive states with entropy below ln(d0)."""
+    _check_order(N)
     return s.eps_max * (s.d - s.d0) * math.exp(-N * math.log(s.d0) + (N - 1) * S)
 
 
@@ -124,7 +125,7 @@ def bound_report(s: Spectrum, rho: DiagonalState, N: int) -> BoundReport:
         # single-level spectrum: E = E_beta = 0 identically
         return report(TWO_LEVEL_EQUALITY, 0.0, math.inf)
 
-    gp = _isentropic_point(s, gap, ENTROPY_TOL)
+    gp = _state_point(s, rho)
     beta, E_beta = gp.beta, gp.energy
     u = min(1.0, beta * s.eps_max) if math.isfinite(beta) else 1.0
     one_ss = is_k_structurally_stable(s, rho, 1)

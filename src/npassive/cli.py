@@ -209,8 +209,8 @@ def cmd_scan_alpha(args) -> tuple[object, int]:
     s = Spectrum.from_levels(zip(args.energies, args.degeneracies))
     if not 0 < args.beta_min <= args.beta_max < math.inf:
         raise InputError("need finite 0 < beta-min <= beta-max")
-    if args.n < 1 or args.points < 1:
-        raise InputError("need --n >= 1 and --points >= 1")
+    if args.points < 1:
+        raise InputError("need --points >= 1")
     check_size(args.points, "beta grid")
     import numpy as np
 
@@ -263,44 +263,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-N passivity, ergotropy, and thermal energy-bound toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --state leads the options of each command that reads a state file
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True, help="JSON file with energies/populations")
 
-    def add_state(p):
-        p.add_argument("--state", required=True, help="JSON file with energies/populations")
-
-    def add_output(p):
-        p.add_argument("--output", default=None, help="write result here instead of stdout")
-
-    p = sub.add_parser("check", help="order-N passivity / stability verdict")
-    add_state(p)
+    p = sub.add_parser("check", parents=[state], help="order-N passivity / stability verdict")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stability", type=int, default=None, metavar="K")
     p.add_argument("--tol", type=float, default=pass_mod.DEFAULT_LOG_TOL)
-    add_output(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("ergotropy", help="single-copy and N-copy ergotropy")
-    add_state(p)
+    p = sub.add_parser("ergotropy", parents=[state], help="single-copy and N-copy ergotropy")
     p.add_argument("--n", type=int, default=None)
-    add_output(p)
     p.set_defaults(func=cmd_ergotropy)
 
-    p = sub.add_parser("gibbs", help="thermal functionals at beta or at entropy")
-    add_state(p)
+    p = sub.add_parser("gibbs", parents=[state], help="thermal functionals at beta or at entropy")
     p.add_argument("--beta", default=None, help="inverse temperature (or 'inf')")
     p.add_argument("--entropy", type=float, default=None)
-    add_output(p)
     p.set_defaults(func=cmd_gibbs)
 
-    p = sub.add_parser("bounds", help="energy-bound report for the applicable regime")
-    add_state(p)
+    p = sub.add_parser("bounds", parents=[state], help="energy-bound report for the applicable regime")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", action="store_true", help="emit all applicable rows")
-    add_output(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("flatten", help="average populations within degenerate levels")
-    add_state(p)
-    add_output(p)
+    p = sub.add_parser("flatten", parents=[state], help="average populations within degenerate levels")
     p.set_defaults(func=cmd_flatten)
 
     p = sub.add_parser("scan-alpha", help="max energy ratio over a beta grid (CSV)")
@@ -311,14 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, required=True, dest="beta_max")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--resolution", type=int, default=200, help="ignored: the maximizer is exact")
-    add_output(p)
     p.set_defaults(func=cmd_scan_alpha)
 
     p = sub.add_parser("saturate", help="three-level near-maximal ratio construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--frac", type=float, required=True)
-    add_output(p)
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("nstar", help="commensurability cutoff order")
@@ -326,15 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rational", default=None, help="space-separated fractions, e.g. '0 1 3/1'")
     p.add_argument("--max-den", type=int, default=comm_mod.DEFAULT_MAX_DEN, dest="max_den")
     p.add_argument("--tol", type=float, default=comm_mod.DEFAULT_RATIO_TOL)
-    add_output(p)
     p.set_defaults(func=cmd_nstar)
 
-    p = sub.add_parser("classify-cp", help="thermal / ground / neither classification")
-    add_state(p)
+    p = sub.add_parser("classify-cp", parents=[state], help="thermal / ground / neither classification")
     p.add_argument("--tol", type=float, default=pass_mod.DEFAULT_CP_TOL)
-    add_output(p)
     p.set_defaults(func=cmd_classify_cp)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write result here instead of stdout")
     return parser
 
 

@@ -22,18 +22,6 @@ DEFAULT_RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RationalRatio:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError("p/q must be in lowest terms")
-        if not (self.p > self.q >= 1):
-            raise ValueError("need p > q >= 1")
-
-
-@dataclass(frozen=True)
 class NStarResult:
     n_star: int | None
     triples: tuple[tuple[int, int, int] | None, ...]
@@ -42,18 +30,19 @@ class NStarResult:
 
 def rational_ratio_detect(
     x: float, max_den: int = DEFAULT_MAX_DEN, tol: float = DEFAULT_RATIO_TOL
-) -> RationalRatio | None:
-    """Best rational p/q with q <= max_den matching x within tol, if any."""
+) -> Fraction | None:
+    """Best rational p/q with q <= max_den matching x within tol, if any: a
+    Fraction in lowest terms with p > q >= 1."""
     if not (math.isfinite(x) and x > 1):
         raise ValueError("ratio must be finite and > 1")
     _check_tol(tol)
     frac = Fraction(x).limit_denominator(max_den)
     if abs(x - float(frac)) <= tol and frac > 1:
-        return RationalRatio(p=frac.numerator, q=frac.denominator)
+        return frac
     return None
 
 
-def _ratio(s: Spectrum, triple, max_den, tol, seen: dict) -> RationalRatio | None:
+def _ratio(s: Spectrum, triple, max_den, tol, seen: dict) -> Fraction | None:
     """The gap ratio (eps_c - eps_a)/(eps_b - eps_a) of a level triple, exact on
     ``rational_levels``, else detected within tol (None if undetected); a
     ratio value already in ``seen`` is read from it, not detected again."""
@@ -61,8 +50,7 @@ def _ratio(s: Spectrum, triple, max_den, tol, seen: dict) -> RationalRatio | Non
     a, b, c = (levels[k][0] for k in triple)
     ratio = (c - a) / (b - a)
     if ratio not in seen:
-        seen[ratio] = (RationalRatio(p=ratio.numerator, q=ratio.denominator) if s.rational_levels
-                       else rational_ratio_detect(ratio, max_den, tol))
+        seen[ratio] = ratio if s.rational_levels else rational_ratio_detect(ratio, max_den, tol)
     return seen[ratio]
 
 
@@ -72,7 +60,7 @@ def _lcm(found) -> int | None:
     for r in found:
         if r is None:
             return None
-        ps.append(r.p)
+        ps.append(r.numerator)
     return math.lcm(*ps)
 
 
@@ -99,7 +87,8 @@ def n_star(
     check_size(math.comb(L, 3), "all-triples diagnostic")
     seen = {}
     ratios = [_ratio(s, (i, i + 1, i + 2), max_den, tol, seen) for i in range(L - 2)]
-    triples = tuple((r.p, r.q, i) if r is not None else None for i, r in enumerate(ratios))
+    triples = tuple((*r.as_integer_ratio(), i) if r is not None else None
+                    for i, r in enumerate(ratios))
     every = itertools.combinations(range(L), 3)
     all_lcm = _lcm(_ratio(s, t, max_den, tol, seen) for t in every)
     return NStarResult(n_star=_lcm(ratios), triples=triples, all_triples_lcm=all_lcm)
@@ -128,10 +117,9 @@ def triple_forces_gibbs(
     rr = _ratio(s, triple, max_den, ratio_tol, {})
     if rr is None:
         raise ValueError("triple's gap ratio is not rational at this precision")
+    p, q = rr.as_integer_ratio()
     la, lb, lc = (means[k][0] for k in triple)
     if min(la, lb, lc) <= 0:
         return False
-    resid = (
-        rr.p * math.log(lb) - rr.q * math.log(lc) - (rr.p - rr.q) * math.log(la)
-    )
+    resid = p * math.log(lb) - q * math.log(lc) - (p - q) * math.log(la)
     return abs(resid) <= tol

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .gibbs import ENTROPY_TOL, _isentropic_point, _state_point
+from .gibbs import _state_point
 from .spectra import DiagonalState, Spectrum, _check_order, _check_tol, _entropy_gap, _fold, state_energy
 
 MAJORIZE_TOL = 1e-12
@@ -78,10 +78,9 @@ def delta_S_bound(
     _check_order(N)
     if N < 2:
         raise RegimeError("entropy-gap bound needs N >= 2")
-    gap = _entropy_gap(s, rho)
-    if gap < -1e-12:
+    if _entropy_gap(s, rho) < -1e-12:
         raise RegimeError("entropy below ln d0: no isoentropic thermal state")
-    gp = _isentropic_point(s, gap, ENTROPY_TOL)
+    gp = _state_point(s, rho)
     beta, E_beta = gp.beta, gp.energy
     if not math.isfinite(beta):
         raise RegimeError("isoentropic temperature is zero (S == ln d0 limit)")

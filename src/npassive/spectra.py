@@ -136,6 +136,7 @@ class Spectrum:
 
 def default_energy_tol(eps_max: float, N: int) -> float:
     """Order-N energy sums within this tolerance of each other tie."""
+    _check_order(N)
     return 1e-9 * max(1.0, eps_max * N)
 
 
@@ -327,21 +328,18 @@ def state_entropy(rho: DiagonalState) -> float:
     return float(_entropy(w, np.where(w > 0, rho.log_populations, 0.0)))
 
 
-def composition_count(d: int, total: int) -> int:
-    return math.comb(total + d - 1, d - 1)
-
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def occupations(d: int, N: int) -> np.ndarray:
     """All occupation vectors of order N over d slots, one per row.
 
     Rows run in lexicographic order, first entry ascending from 0.  The
     integer table is read-only and shared between callers; above
     ``DEFAULT_CAP`` entries it is refused with ``EnumerationCapError``.
+    The cache is typed, so True misses the entry of 1 and meets the guard.
     """
     _check_order(d, "d")
     _check_order(N)
-    count = composition_count(d, N)
+    count = math.comb(N + d - 1, d - 1)
     check_size(count * d, f"occupation table of C({N + d - 1},{d - 1}) = {count} rows x {d}")
     # stars and bars: lexicographic bar positions give lexicographic counts
     bars = np.fromiter(

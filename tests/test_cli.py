@@ -225,6 +225,28 @@ class TestScanAlpha:
         assert (code, out) == (2, "")
         assert err == "error: the ray maximizer needs two or three distinct levels, not 1\n"
 
+    def test_order_zero_is_the_guards_error(self):
+        # scan-alpha refused it with its own message, unlike every other command
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",
+                              "1", "10", "--n", "0", "--beta-min", "1", "--beta-max", "2",
+                              "--points", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: N must be >= 1 and an integer, got 0\n"
+
+
+STATE_COMMANDS = ("check", "ergotropy", "gibbs", "bounds", "flatten", "classify-cp")
+
+
+@pytest.mark.parametrize("command", [*STATE_COMMANDS, "scan-alpha", "saturate", "nstar"])
+def test_help_lists_state_first_and_output_last(command):
+    code, out, err = run([command, "--help"])
+    assert (code, err) == (0, "")
+    options = [line.split()[0].rstrip(",") for line in out.split("\noptions:\n")[1].splitlines()
+               if line.startswith("  -")]
+    assert options[0] == "-h" and options[-1] == "--output"
+    assert options.count("--state") == (options[1] == "--state") == (command in STATE_COMMANDS)
+    assert options.count("--output") == 1
+
 
 class TestOtherCommands:
     def test_saturate(self, capsys):

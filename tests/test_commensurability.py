@@ -7,7 +7,8 @@ import pytest
 
 import npassive.commensurability as comm
 from npassive.commensurability import (
-    RationalRatio,
+    DEFAULT_MAX_DEN,
+    DEFAULT_RATIO_TOL,
     n_star,
     rational_ratio_detect,
     triple_forces_gibbs,
@@ -32,12 +33,10 @@ def _all_triples_lcm_oracle(levels):
 
 class TestRationalDetect:
     def test_integer(self):
-        rr = rational_ratio_detect(2.0)
-        assert (rr.p, rr.q) == (2, 1)
+        assert rational_ratio_detect(2.0).as_integer_ratio() == (2, 1)
 
     def test_decimal(self):
-        rr = rational_ratio_detect(1.9)
-        assert (rr.p, rr.q) == (19, 10)
+        assert rational_ratio_detect(1.9).as_integer_ratio() == (19, 10)
 
     def test_irrational(self):
         assert rational_ratio_detect(math.pi, max_den=50, tol=1e-9) is None
@@ -47,10 +46,18 @@ class TestRationalDetect:
             rational_ratio_detect(0.5)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            RationalRatio(p=4, q=2)
-        with pytest.raises(ValueError):
-            RationalRatio(p=2, q=3)
+        # every ratio detected here or on the spectra of TestNStar, float
+        # levels or exact ones, is a Fraction p/q in lowest terms, p > q >= 1
+        spectra = [normalize_spectrum(levels) for levels in
+                   ([0, 1, 2], [0, 1, 3], [0, 1, 2, 4], list(range(12)))]
+        spectra.append(Spectrum.from_rationals([Fraction(0), Fraction(1, 3), Fraction(1)]))
+        found = [rational_ratio_detect(x) for x in (2.0, 1.9)]
+        found += [comm._ratio(s, t, DEFAULT_MAX_DEN, DEFAULT_RATIO_TOL, {}) for s in spectra
+                  for t in itertools.combinations(range(s.num_levels), 3)]
+        for r in found:
+            assert type(r) is Fraction
+            p, q = r.as_integer_ratio()
+            assert math.gcd(p, q) == 1 and p > q >= 1
 
 
 class TestNStar:

@@ -925,15 +925,14 @@ def test_alpha_scan_curves_script(tmp_path):
     spec = importlib.util.spec_from_file_location("alpha_scan_curves", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    cfg = script.ScanConfig(out_dir=tmp_path)
-    script.run(cfg)
-    assert len(list(tmp_path.glob("*.csv"))) == 3
-    for g2 in cfg.degeneracies:
-        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (cfg.r, g2)])
+    script.run(out_dir=tmp_path)
+    assert len(list(tmp_path.glob("*.csv"))) == len(script.DEGENERACIES) == 3
+    for g2 in script.DEGENERACIES:
+        s = Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.001, g2)])
         with open(tmp_path / f"alpha_scan_g{g2}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 24
-        assert max(float(r["alpha"]) for r in rows) <= alpha_max(cfg.N, spectral_ratio(s)) + 1e-9
+        assert len(rows) == len(script.BETA_GRID) == 24
+        assert max(float(r["alpha"]) for r in rows) <= alpha_max(5, spectral_ratio(s)) + 1e-9
 
 
 DEMO_STDOUT = """\

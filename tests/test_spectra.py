@@ -12,7 +12,6 @@ from npassive.spectra import (
     Spectrum,
     SpectrumError,
     StateError,
-    composition_count,
     normalize_spectrum,
     occupations,
     state_energy,
@@ -145,6 +144,6 @@ class TestEnumerateOccupations:
     @given(d=st.integers(1, 8), N=st.integers(1, 6))
     def test_count_and_sums(self, d, N):
         table = occupations(d, N)
-        assert len(table) == composition_count(d, N)
+        assert len(table) == math.comb(N + d - 1, d - 1)
         assert (table.sum(axis=1) == N).all() and (table >= 0).all()
         assert table.tolist() == [list(c) for c in compositions(d, N)]
