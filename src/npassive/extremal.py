@@ -80,6 +80,15 @@ def _accepts(energies: tuple, lnp: list[float], N: int) -> bool:
     return True
 
 
+def _gap_limit(q: list, mults: list[int]) -> float:
+    """The entropy gap S - ln g0 that the level state b = t*q tends to as
+    t -> inf: that of the uniform state on the levels holding q's least
+    entry, ln(sum of their multiplicities) - ln g0.  It is log1p of a ratio
+    of integers, rounded once, so a gap far below 1 keeps its digits."""
+    low, g0 = min(q), mults[0]
+    return math.log1p((sum(g for g, x in zip(mults, q) if x == low) - g0) / g0)
+
+
 def sample_n_passive(
     s: Spectrum,
     N: int,
@@ -174,24 +183,27 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     Gibbs states, E's minimum there, so the maximum lies where it meets an
     extreme ray of the cone (``passivity._facets``, the Farey neighbours p/q
     of eps2/eps1 with max(p, q) <= N), which reads no table, so any N
-    costs the same.  The entropy falls along a ray, so
-    a ray crosses only if its gap at b = 2000 is below the target, and then
-    once; ``gibbs._isentrope_root``, the Gibbs inversion's own Newton, solves
-    each from the projection of beta*eps, to 1e-13 of the target's distance
-    from the nearer end of [ln d0, ln d]; its candidate is the state that
-    the root's functionals normalized.  A target at ln d or above (beta ->
-    0) leaves only the uniform state, the Gibbs one, and no ray is solved.
-    If the ray lambda_0 = lambda_1 does not cross, the isentrope leaves
-    through lambda_2 -> 0, and that limit, the lower two levels at the
-    target gap and lambda_2 = 0, is its candidate.  The best candidate that
-    ``_accepts`` (two facet inequalities on its log-populations) is built
-    and returned, else the Gibbs state, built only then.  The rays, their
-    caps and the gaps there are set up once per call, so each beta pays only
-    for its own solve; a spectrum's ``rational_levels``, when it has them,
-    place the rays exactly.  One level has no ray, and N must be an integer
-    >= 1: ValueError.  A ratio above min(``alpha_max``,
-    ``exponential_factor``) by more than 1e-9 relative would falsify the
-    theorem: ``BoundViolationError``.
+    costs the same.  The entropy falls along a ray, towards
+    ``_gap_limit``, the gap of the uniform state on the levels that hold the
+    ray's least entry, so a ray crosses only if that limit is below the
+    target, and then once; ``gibbs._isentrope_root``, the Gibbs inversion's
+    own Newton, solves each such ray from the projection of beta*eps, to
+    1e-13 of the target's distance from the nearer end of [ln d0, ln d], up
+    to the cap b = 2000.  Its candidate is the state that the root's
+    functionals normalized; a root past the cap (t = inf) gives none.  A
+    target at ln d or above (beta -> 0) leaves only the uniform state, the
+    Gibbs one, and no ray is solved.  If the ray lambda_0 = lambda_1 gives
+    no candidate, the isentrope leaves through lambda_2 -> 0, and that
+    limit, the lower two levels at the target gap and lambda_2 = 0, is its
+    candidate.  The best candidate that ``_accepts`` (two facet inequalities
+    on its log-populations) is built and returned, else the Gibbs state,
+    built only then.  The rays, their caps and their limit gaps are set up
+    once per call from the levels and multiplicities, with no state built,
+    so each beta pays only for its own solves; a spectrum's
+    ``rational_levels``, when it has them, place the rays exactly.  One
+    level has no ray, and N must be an integer >= 1: ValueError.  A ratio
+    above min(``alpha_max``, ``exponential_factor``) by more than 1e-9
+    relative would falsify the theorem: ``BoundViolationError``.
     """
     if s.num_levels < 2:
         raise ValueError(f"the ray maximizer needs two or three distinct levels, not {s.num_levels}")
@@ -207,17 +219,19 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
         span = math.log(s.d) - float(logg[0])
         hi = (2000.0 / rays[:, 2]).tolist()
         start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
-        gap_hi = [_thermal_functionals(q, logg, h)[2] for q, h in zip(rays, hi)]
+        mults = [g for _, g in s.distinct_levels]
+        gap_inf = [_gap_limit(q, mults) for q in rays.tolist()]
     for beta in map(float, beta_grid):
         _, E_beta, gap, _, _ = _thermal_functionals(eps, logg, beta)
         if not (beta >= 0 and E_beta > 0):
             raise ValueError("scan needs beta >= 0 with positive thermal energy")
         alpha, rho = 1.0, None
         if s.num_levels == 3 and gap < span:
-            reach = [k for k in (0, 1) if gap_hi[k] < gap]
-            lnp = [_isentrope_root(rays[k], logg, gap, span, min(beta * start[k], 0.5 * hi[k]),
-                                   hi[k], 1e-13)[1][4] for k in reach]
-            if rays[1, 1] == 0 and 1 not in reach:
+            roots = [_isentrope_root(rays[k], logg, gap, span, min(beta * start[k], 0.5 * hi[k]),
+                                     hi[k], 1e-13) if gap > gap_inf[k] else (math.inf, None)
+                     for k in (0, 1)]
+            lnp = [f[4] for t, f in roots if t < math.inf]
+            if rays[1, 1] == 0 and roots[1][0] == math.inf:
                 b1 = _isentropic_point(Spectrum(s.distinct_levels[:2]), gap, ENTROPY_TOL).beta
                 lnp.append(_thermal_functionals(eps[:2], logg[:2], b1)[4] + [-math.inf])
             lnp = np.subtract(lnp, logg[0]).reshape(-1, 3)

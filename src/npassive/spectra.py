@@ -82,6 +82,9 @@ class Spectrum:
             raise SpectrumError("distinct level energies must strictly increase")
         if any(g < 1 for g in mults):
             raise SpectrumError("multiplicities must be positive")
+        # the least integer that rounds to inf: log_multiplicities could not convert it
+        if any(g >= 2**1024 - 2**970 for g in mults):
+            raise SpectrumError("multiplicities must be below 2**1024 - 2**970, the float range")
 
     @property
     def num_levels(self) -> int:

@@ -225,6 +225,14 @@ class TestScanAlpha:
         assert (code, out) == (2, "")
         assert err == "error: the ray maximizer needs two or three distinct levels, not 1\n"
 
+    def test_multiplicity_past_the_float_range_exits_two(self):
+        # OverflowError from log_multiplicities came out as a traceback, exit 1
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",
+                              "1", str(10**400), "--n", "3", "--beta-min", "1", "--beta-max", "2",
+                              "--points", "3"])
+        assert (code, out) == (2, "")
+        assert err == "error: multiplicities must be below 2**1024 - 2**970, the float range\n"
+
     def test_order_zero_is_the_guards_error(self):
         # scan-alpha refused it with its own message, unlike every other command
         code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",

@@ -18,6 +18,7 @@ from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
     _accepts,
+    _gap_limit,
     _passive_tol,
     max_alpha_scan,
     sample_n_passive,
@@ -588,8 +589,8 @@ class TestAlphaScanAccuracy:
             assert 1.0 <= row.alpha <= ceiling
 
     def test_escaping_ray_takes_the_limit_state(self):
-        # r > N makes lambda_0 = lambda_1 an extreme ray, whose gap stays
-        # above the target up to b = 2000: the isentrope leaves the cone
+        # r > N makes lambda_0 = lambda_1 an extreme ray, whose gap falls
+        # only to ln 6, above the target: the isentrope leaves the cone
         # through lambda_2 -> 0.  The chord grid gave 1.0432, the rays alone 1.0060.
         levels = [(0.0, 2), (1.0, 10), (3.2425, 10**5)]
         s = Spectrum.from_levels(levels)
@@ -867,10 +868,122 @@ class TestAlphaScanBitIdentity:
 
     @pytest.mark.parametrize("levels, N, betas", ALPHA_SCAN_CASES[:4])
     def test_one_call_over_the_grid_gives_the_same_rows(self, levels, N, betas):
-        # the rays, caps and cap gaps set up once per call serve every beta
+        # the rays, caps and limit gaps set up once per call serve every beta
         s = Spectrum.from_levels(levels)
         one_by_one = [row for b in betas for row in _rows(max_alpha_scan(s, N, [b]))]
         assert _rows(max_alpha_scan(s, N, betas)) == one_by_one
+
+
+def _old_cap_rule(monkeypatch, run):
+    """``run()`` with a ray solved only where its gap at the cap b = 2000 is
+    below the target, the reach test before ``_gap_limit``: every other ray
+    returns t = inf; and the number of rays that the limit test sends to
+    the solver but the cap test would not."""
+    import npassive.extremal as X
+
+    skipped = []
+
+    def solve(q, logg, gap, span, t, cap, tol):
+        if _thermal_functionals(q, logg, cap)[2] < gap:
+            return _isentrope_root(q, logg, gap, span, t, cap, tol)
+        skipped.append(1)
+        return math.inf, _thermal_functionals(q, logg, math.inf)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(X, "_isentrope_root", solve)
+        return run(), len(skipped)
+
+
+# (levels, N, upper ray): rays with a zero or a negative entry, beyond r > N,
+# past a tie at 1/0, and on a degenerate ground
+LIMIT_RAYS = [
+    ([(0.0, 1), (1.0, 1), (3.2425, 1)], 3, [0, 0, 1]),
+    ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 3, [0, 0, 1]),
+    ([(0.0, 3), (1.0, 1), (3.2425, 10**12)], 3, [0, 0, 1]),
+    ([(0.0, 10**12), (1.0, 1), (3.2425, 10**6)], 3, [0, 0, 1]),
+    ([(0.0, 1), (1e-10, 1), (1.0, 1)], 3, [0, -1, 2]),
+    ([(0.0, 3), (2e-10, 7), (1.0, 10**12)], 3, [0, -1, 2]),
+    ([(0.0, 2), (1e-10, 1), (1.0, 5)], 2, [0, -1, 1]),
+]
+
+
+class TestReachRule:
+    """A ray is solved only where the target gap lies above ``_gap_limit``,
+    the gap of the level state b = t*q as t -> inf, and no state is built
+    at a ray's cap to decide it."""
+
+    @pytest.mark.parametrize("levels, N, upper", LIMIT_RAYS)
+    def test_limit_is_the_gap_at_the_old_cap(self, levels, N, upper):
+        # the cap's sums add a term near 2000 to ln g1 - ln g0 and round at
+        # about 1e-13; a ray of positive entries tends to the ground, gap 0
+        s = Spectrum.from_levels(levels)
+        logg, mults = s.log_multiplicities, [g for _, g in levels]
+        rays = _facets(tuple(e for e, _ in levels), N)[0]
+        assert rays[1].tolist() == upper and rays[0, 1] > 0
+        assert _gap_limit(rays[0].tolist(), mults) == 0.0
+        q = rays[1]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ref = Decimal(sum(g for g, x in zip(mults, q) if x == q.min())).ln() - Decimal(mults[0]).ln()
+        got = _gap_limit(q.tolist(), mults)
+        assert abs(Decimal(got) - ref) <= Decimal(2 * math.ulp(got)), (got, ref)
+        assert got == pytest.approx(_thermal_functionals(q, logg, 2000.0 / q[2])[2], rel=1e-12)
+
+    def test_rows_match_the_old_cap_rule(self, monkeypatch):
+        # beta up to 700 and g2 up to 1e12, r below and above N, and the rays
+        # of LIMIT_RAYS, ties at 1/0 among them
+        betas = np.geomspace(0.05, 700.0, 25)
+        cases = [([(0.0, g0), (1.0, g1), (r, g2)], N) for r in (1.001, 1.9, 3.2425)
+                 for g0, g1 in ((1, 1), (2, 10)) for g2 in (1, 10**3, 10**6, 10**12) for N in (1, 3, 5, 8)]
+        skipped = 0
+        for levels, N in cases + [(levels, N) for levels, N, _ in LIMIT_RAYS]:
+            s = Spectrum.from_levels(levels)
+            want, n = _old_cap_rule(monkeypatch, lambda: _rows(max_alpha_scan(s, N, betas)))
+            assert _rows(max_alpha_scan(s, N, betas)) == want, (levels, N)
+            skipped += n
+        # the window where a solve now ends at the cap, cold states on the
+        # steep rays of r = 3.2425, is run
+        assert skipped > 0
+
+    def test_no_state_at_a_ray_cap(self, monkeypatch):
+        # one beta per call on the benchmark's four spectra: the cap test cost
+        # two evaluations of the functionals per call
+        import npassive.extremal as X
+        import npassive.gibbs as G
+
+        points = []
+
+        def functionals(q, logg, t):
+            points.append((tuple(q.tolist()), t))
+            return _thermal_functionals(q, logg, t)
+
+        monkeypatch.setattr(X, "_thermal_functionals", functionals)
+        monkeypatch.setattr(G, "_thermal_functionals", functionals)
+        on_rays = 0
+        for levels, N, betas in ALPHA_SCAN_CASES[:4]:
+            s = Spectrum.from_levels(levels)
+            rays = [tuple(q) for q in _facets(tuple(e for e, _ in levels), N)[0].tolist()]
+            caps = {(q, 2000.0 / q[2]) for q in rays}
+            for beta in betas:
+                points.clear()
+                max_alpha_scan(s, N, [beta])
+                assert caps.isdisjoint(points), (levels[2], beta)
+                on_rays += sum(q in rays for q, _ in points)
+        assert on_rays > 0
+
+    def test_root_at_the_cap_is_a_root(self):
+        # the edge of the rule: on the rays of test_no_reaching_ray a target
+        # at the gap of the cap is met there, a finite root and a candidate;
+        # one just below it lies past the cap, t = inf, and gives none
+        s = Spectrum.from_levels([(0.0, 2), (1.0, 10), (3.2425, 10**5)])
+        logg = s.log_multiplicities
+        span = math.log(s.d) - logg[0]
+        for q in _facets((0.0, 1.0, 3.2425), 5)[0]:
+            cap = 2000.0 / q[2]
+            at_cap = _thermal_functionals(q, logg, cap)[2]
+            assert _gap_limit(q.tolist(), [2, 10, 10**5]) == 0.0 < at_cap
+            assert _isentrope_root(q, logg, at_cap, span, 1.0, cap, 1e-13)[0] == cap
+            assert _isentrope_root(q, logg, at_cap * (1 - 1e-9), span, 1.0, cap, 1e-13)[0] == math.inf
 
 
 class TestLineRoots:
@@ -897,16 +1010,20 @@ class TestLineRoots:
         return _isentrope_root(np.zeros(3), np.zeros(3), 0.75, 2.0, 1.0, 4.0, 1e-13)
 
     def test_no_reaching_ray(self, monkeypatch):
-        # the fallback cases of test_gibbs_state_built_only_on_fallback
+        # the fallback cases of test_gibbs_state_built_only_on_fallback: a
+        # target gap at or above the span solves no ray, and at beta = 700
+        # both rays, (0, 1, 3) and (0, 1, 4), pass their limit gap 0 and
+        # return t = inf from their caps
         import npassive.extremal as X
 
-        calls = []
-        monkeypatch.setattr(X, "_isentrope_root", lambda *a: calls.append(a) or _isentrope_root(*a))
-        for levels, N, beta in [([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.05),
-                                ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 5, 700.0)]:
+        roots = []
+        monkeypatch.setattr(X, "_isentrope_root", lambda *a: roots.append(_isentrope_root(*a)) or roots[-1])
+        for levels, N, beta, solves in [([(0.0, 1), (1.0, 1), (1.001, 10**12)], 2, 0.05, 0),
+                                        ([(0.0, 2), (1.0, 10), (3.2425, 10**5)], 5, 700.0, 2)]:
+            roots.clear()
             (row,) = max_alpha_scan(Spectrum.from_levels(levels), N, [beta])
             assert row.alpha == 1.0
-        assert calls == []
+            assert len(roots) == solves and all(t == math.inf for t, _ in roots)
 
     def test_non_finite_step_takes_the_midpoint(self, points):
         # the first midpoint, (1 + inf)/2, stops at the cap

@@ -59,6 +59,15 @@ class TestNormalizeSpectrum:
         with pytest.raises(SpectrumError):
             Spectrum.from_levels([(0.0, 1), (1.0, 1), (bad, 1)])
 
+    def test_multiplicity_past_the_float_range_rejected(self):
+        # it passed, then log_multiplicities raised OverflowError in every reader
+        top = 2**1024 - 2**970
+        assert Spectrum.from_levels([(0.0, 1), (1.0, top - 1)]).log_multiplicities[1] == math.log(top - 1)
+        for g in (top, 10**400):
+            with pytest.raises(SpectrumError, match="float range") as exc:
+                Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, g)])
+            assert "\n" not in str(exc.value)
+
     def test_rational_input(self):
         s = Spectrum.from_rationals([Fraction(0), Fraction(1), Fraction(3)])
         assert s.rational_levels == ((Fraction(0), 1), (Fraction(1), 1), (Fraction(3), 1))
