@@ -9,7 +9,7 @@ from .extremal import (
     sample_n_passive,
     saturation_construct,
 )
-from .flattening import delta_S_bound, flatten, gibbs_crossing_witness, majorizes
+from .flattening import delta_S_bound, flatten
 from .gibbs import (
     GibbsPoint,
     NoGibbsCounterpartError,

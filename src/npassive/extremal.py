@@ -5,11 +5,10 @@ The states built here are order-1 stable, one block per level
 (``DiagonalState.from_levels``), so astronomically degenerate levels cost
 nothing extra, and ``gibbs._thermal_functionals`` normalizes each.  The
 energy ratio is maximized on the three-level passive cone's extreme rays,
-and a candidate is accepted by the verdict of ``passivity.is_n_passive`` at
-the tolerance ``_passive_tol``: the maximizer reads the rays and the facets
-straight from the cone's closed form, ``passivity._facets``, so no order-N
-table is built at any N.  A saturation state is a row of that maximizer:
-the first, on a ladder of three-level spectra up to beta =
+which the maximizer reads straight from the cone's closed form,
+``passivity._facets``, so no order-N table is built at any N, and every
+candidate lies on the cone by construction.  A saturation state is a row of
+that maximizer: the first, on a ladder of three-level spectra up to beta =
 ``BETA_INF_FACTOR``, whose ratio reaches the requested share of the ceiling.
 """
 
@@ -49,35 +48,6 @@ class SaturationResult:
 
 class InfeasibleSaturationError(RuntimeError):
     """The construction cannot reach the requested fraction of the ceiling."""
-
-
-def _passive_tol(log_populations, N: int) -> float:
-    """1e-8*N*max(1, largest finite |ln(lambda)|): the log-weight tolerance
-    that absorbs the rounding of a state built on the passive cone's boundary."""
-    return 1e-8 * N * max(1.0, max(abs(x) for x in log_populations if math.isfinite(x)))
-
-
-def _accepts(energies: tuple, lnp: list[float], N: int) -> bool:
-    """The verdict of ``is_n_passive`` at ``_passive_tol`` on the three-level
-    state of level log-populations lnp, from the two facets of
-    ``passivity._facets``, before the state is built.
-
-    With b_k = ln(lambda_0) - ln(lambda_k), each facet row v must give
-    k*(v1*b1 + v2*b2) >= -tol, where k is the row's largest order-N
-    multiple: the cut that binds first on a state near that facet and inside
-    the other.  Within about tol of the cone's apex the table also weighs
-    cuts a*v_lo + c*v_hi with a > k, and refuses a few states that this
-    accepts.  A zero entry adds nothing at b = +inf, as in ``_row_sums``;
-    where b1 and b2 are both infinite, every row they weigh has log-weight
-    -inf, and none is refused.
-    """
-    _, rows, ks = _facets(energies, N)
-    tol = _passive_tol(lnp, N)
-    b1, b2 = lnp[0] - lnp[1], lnp[0] - lnp[2]
-    for (_, v1, v2), k in zip(rows, ks):
-        if k * ((v1 * b1 if v1 else 0.0) + (v2 * b2 if v2 else 0.0)) < -tol:
-            return False
-    return True
 
 
 def _gap_limit(q: list, mults: list[int]) -> float:
@@ -187,18 +157,23 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     ``_gap_limit``, the gap of the uniform state on the levels that hold the
     ray's least entry, so a ray crosses only if that limit is below the
     target, and then once; ``gibbs._isentrope_root``, the Gibbs inversion's
-    own Newton, solves each such ray from the projection of beta*eps, to
-    1e-13 of the target's distance from the nearer end of [ln d0, ln d], up
-    to the cap b = 2000.  Its candidate is the state that the root's
-    functionals normalized; a root past the cap (t = inf) gives none.  A
-    target at ln d or above (beta -> 0) leaves only the uniform state, the
-    Gibbs one, and no ray is solved.  If the ray lambda_0 = lambda_1 gives
-    no candidate, the isentrope leaves through lambda_2 -> 0, and that
-    limit, the lower two levels at the target gap and lambda_2 = 0, is its
-    candidate.  The best candidate that ``_accepts`` (two facet inequalities
-    on its log-populations) is built and returned, else the Gibbs state,
-    built only then.  The rays, their caps and their limit gaps are set up
-    once per call from the levels and multiplicities, with no state built,
+    own Newton, solves each such ray from the size of the projection of
+    beta*eps, to 1e-13 of the target's distance from the nearer end of
+    [ln d0, ln d], up to the cap b = 2000 on the top level (on level 1 for
+    the rays (0, +-1, 0) of ties at order 1).  Its candidate is the state
+    that the root's functionals normalized; a root past the cap (t = inf)
+    gives none.  A target at ln d or above (beta -> 0) leaves only the
+    uniform state, the Gibbs one, and no ray is solved.  If the ray
+    lambda_0 = lambda_1 gives no candidate, the isentrope leaves through
+    lambda_2 -> 0, and that limit, the lower two levels at the target gap
+    and lambda_2 = 0, is its candidate.  Every candidate lies on the cone,
+    so none is checked: b = t*q is orthogonal to q's facet row, up to a
+    rounding of about N ulp of the largest |ln lambda|, and strictly inside
+    the other facet, whose row meets q in an integer >= 1; the limit meets
+    +inf only on positive facet entries.  The first candidate of the
+    greatest energy, if that exceeds E_beta, is built and returned, else
+    the Gibbs state, built only then.  The rays, their caps and their limit gaps are set up once
+    per call from the levels and multiplicities, with no state built,
     so each beta pays only for its own solves; a spectrum's
     ``rational_levels``, when it has them, place the rays exactly.  One
     level has no ray, and N must be an integer >= 1: ValueError.  A ratio
@@ -214,11 +189,13 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
     eps, logg = s.level_energies, s.log_multiplicities
     R = spectral_ratio(s)
     if s.num_levels == 3:
-        levels = tuple(e for e, _ in s.rational_levels or s.distinct_levels)
-        rays = _facets(levels, N)[0]
+        rays = _facets(tuple(e for e, _ in s.rational_levels or s.distinct_levels), N)[0]
         span = math.log(s.d) - float(logg[0])
-        hi = (2000.0 / rays[:, 2]).tolist()
-        start = ((rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
+        # the rays (0, +-1, 0) of ties at order 1 need a finite cap, or the
+        # bracket cannot halve, and their root lies at t > 0 even where the
+        # ray points away from beta*eps
+        hi = [2000.0 / (p or abs(q)) for _, q, p in rays.tolist()]
+        start = (np.abs(rays @ eps) / np.add.reduce(rays * rays, axis=-1)).tolist()
         mults = [g for _, g in s.distinct_levels]
         gap_inf = [_gap_limit(q, mults) for q in rays.tolist()]
     for beta in map(float, beta_grid):
@@ -236,10 +213,9 @@ def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> lis
                 lnp.append(_thermal_functionals(eps[:2], logg[:2], b1)[4] + [-math.inf])
             lnp = np.subtract(lnp, logg[0]).reshape(-1, 3)
             E = _energy(eps, np.exp(logg + lnp))
-            for k in np.argsort(-E, kind="stable"):
-                if E[k] > E_beta and _accepts(levels, lnp[k].tolist(), N):
-                    alpha, rho = float(E[k]) / E_beta, DiagonalState.from_levels(s, lnp[k])
-                    break
+            if len(E) and E.max() > E_beta:
+                k = np.argmax(E)
+                alpha, rho = float(E[k]) / E_beta, DiagonalState.from_levels(s, lnp[k])
         ceiling = min(alpha_max(N, R), exponential_factor(beta, s.eps_max, R, N))
         if alpha > ceiling * (1.0 + 1e-9):
             raise BoundViolationError(f"alpha {alpha} at beta {beta} exceeds its ceiling {ceiling}")
@@ -259,10 +235,11 @@ def saturation_construct(N: int, m: int, alpha_target_frac: float) -> Saturation
     times 1.5 per rung, sets ln g2 = beta*(r - 1/alpha_t) - ln(r*alpha_t), so
     that a cold state can park weight on the top level while keeping the
     first excited population large, and takes the scan's one row at that
-    beta: its state, accepted at ``_passive_tol``, and its ratio, checked
-    against the ceiling (else ``BoundViolationError``).  The ladder stops
-    past beta = ``BETA_INF_FACTOR``, where the thermal energy underflows on
-    eps_1 = 1; then ``InfeasibleSaturationError`` names the best ratio found.
+    beta: its state, on the passive cone by construction, and its ratio,
+    checked against the ceiling (else ``BoundViolationError``).  The ladder
+    stops past beta = ``BETA_INF_FACTOR``, where the thermal energy
+    underflows on eps_1 = 1; then ``InfeasibleSaturationError`` names the
+    best ratio found.
     """
     _check_order(N)
     if not (1 <= m < N):

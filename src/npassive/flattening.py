@@ -1,4 +1,4 @@
-"""Degenerate-level averaging, entropy-gap bounds, and majorization predicates.
+"""Degenerate-level averaging and its entropy-gap bound.
 
 Flattening replaces the populations inside each degenerate level by their
 mean.  It preserves energy, never decreases entropy, and turns an order-N
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .gibbs import _state_point
-from .spectra import DiagonalState, Spectrum, _check_order, _check_tol, _entropy_gap, _fold, state_energy
-
-MAJORIZE_TOL = 1e-12
+from .spectra import DiagonalState, Spectrum, _check_order, _entropy_gap, _fold, state_energy
 
 
 class RegimeError(ValueError):
@@ -101,64 +99,3 @@ def delta_S_bound(
             raise RegimeError("two_level form needs a two-level spectrum")
         return beta / (N - 1) * (E + tail)
     return beta / (N - 1) * (E + E_beta + tail) + 1.0 / (N - 1)
-
-
-def majorizes(P, Q, tol: float = MAJORIZE_TOL) -> str:
-    """Prefix-sum comparison of two probability vectors: 'strict'/'weak'/'none'.
-
-    'weak' means every prefix of sorted-descending P is >= that of Q within
-    tol but never strictly greater; 'strict' requires at least one strictly
-    greater prefix.
-    """
-    _check_tol(tol)
-    p = sorted((float(x) for x in P), reverse=True)
-    q = sorted((float(x) for x in Q), reverse=True)
-    if len(p) != len(q):
-        raise ValueError("vectors must have equal length")
-    cum_p = cum_q = 0.0
-    any_strict = False
-    for a, b in zip(p, q):
-        cum_p += a
-        cum_q += b
-        if cum_p < cum_q - tol:
-            return "none"
-        if cum_p > cum_q + tol:
-            any_strict = True
-    return "strict" if any_strict else "weak"
-
-
-def gibbs_crossing_witness(
-    s: Spectrum, rho: DiagonalState, tol: float = 1e-12
-) -> tuple[float, float]:
-    """Energies (eps_b, eps_c) where rho crosses its isoentropic thermal state.
-
-    For a non-thermal state whose top population sits below 1/Z, some excited
-    level must be over-populated relative to the thermal state and some higher
-    level under-populated; this returns the first such pair of slots b < c, in
-    one backward pass keeping the lowest level above each that holds a c.
-    """
-    f = _fold(s, rho)
-    _check_tol(tol)
-    gp = _state_point(s, rho)
-    beta, logZ = gp.beta, gp.logZ
-    if not math.isfinite(beta):
-        raise RegimeError("state entropy at the ln d0 limit: no finite temperature")
-    if rho.blocks[0][0] >= math.exp(-logZ) - tol:
-        raise RegimeError("leading population not below 1/Z: hypothesis fails")
-    over = [False] * s.num_levels
-    under = [False] * s.num_levels
-    for k, e, p in zip(f.level, f.energies, f.populations):
-        hat = math.exp(-beta * e - logZ)
-        over[k] |= not p < hat - tol
-        under[k] |= p <= hat + tol
-    eps = s.level_energies.tolist()
-    pair = None
-    up = None
-    for k in reversed(range(s.num_levels)):
-        if over[k] and up is not None and eps[k] > 0:
-            pair = eps[k], eps[up]
-        if under[k]:
-            up = k
-    if pair is None:
-        raise RegimeError("no crossing pair found: state violates the hypothesis class")
-    return pair

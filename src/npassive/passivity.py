@@ -156,9 +156,8 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
 def _facets(energies: tuple, N: int):
     """The three-level order-N passive cone over the levels (0, eps1, eps2)
     in closed form, in O(log N) integer steps.  Returns its two extreme rays
-    (0, q, p) by increasing angle, read-only; per ray its facet, the cut row
-    (d0, d1, d2) of positive energy orthogonal to it; and per facet k, the
-    largest multiple of its row that order N holds.
+    (0, q, p) by increasing angle, read-only, and per ray its facet, the cut
+    row (d0, d1, d2) of positive energy orthogonal to it.
 
     A ray (q, p) has cut energy q*eps2 - p*eps1, and it ties r = eps2/eps1
     when that lies within ``default_energy_tol(eps2, N)``.  Every comparison
@@ -216,7 +215,7 @@ def _facets(energies: tuple, N: int):
     rays = np.array([[0.0, *lo], [0.0, *hi]])
     rays.flags.writeable = False
     rows = ((lo[1] - lo[0], -lo[1], lo[0]), (hi[0] - hi[1], hi[1], -hi[0]))
-    return rays, rows, tuple(reach((0, 0), v) for v in (lo, hi))
+    return rays, rows
 
 
 def is_n_passive(

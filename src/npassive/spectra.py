@@ -61,9 +61,10 @@ class Spectrum:
     """Zero-shifted, non-decreasing energy spectrum with degeneracy structure.
 
     ``distinct_levels`` is the authoritative field: a tuple of
-    ``(energy, multiplicity)`` pairs with strictly increasing energies and
-    ``energy[0] == 0``.  The dense ``energies`` view is materialized on
-    demand and refuses for astronomically degenerate spectra.
+    ``(energy, multiplicity)`` pairs with strictly increasing energies,
+    ``energy[0] == 0`` and Python-int multiplicities.  The dense
+    ``energies`` view is materialized on demand and refuses for
+    astronomically degenerate spectra.
     """
 
     distinct_levels: tuple[tuple[float, int], ...]
@@ -80,6 +81,11 @@ class Spectrum:
             raise SpectrumError("ground level must sit at energy 0")
         if any(e2 <= e1 for e1, e2 in zip(energies, energies[1:])):
             raise SpectrumError("distinct level energies must strictly increase")
+        # a bool or a float is refused, as by _check_order; numpy integers are stored as ints
+        bad = [g for g in mults if not isinstance(g, numbers.Integral) or isinstance(g, bool)]
+        if bad:
+            raise SpectrumError(f"multiplicities must be integers, got {bad[0]!r}")
+        object.__setattr__(self, "distinct_levels", tuple((e, int(g)) for e, g in self.distinct_levels))
         if any(g < 1 for g in mults):
             raise SpectrumError("multiplicities must be positive")
         # the least integer that rounds to inf: log_multiplicities could not convert it
@@ -121,7 +127,7 @@ class Spectrum:
     @classmethod
     def from_levels(cls, levels) -> "Spectrum":
         """Build from (energy, multiplicity) pairs; shifts the minimum to 0."""
-        levels = sorted((float(e), int(g)) for e, g in levels)
+        levels = sorted((float(e), g) for e, g in levels)
         if not levels:
             raise SpectrumError("spectrum needs at least one level")
         e0 = levels[0][0]

@@ -20,12 +20,13 @@ with the library's grouping.  ``difference_vectors`` is every cut and
 reads.  ``log_populations`` is the numpy normalizer of level states that
 the library's Python-float functional replaced, and ``thermal_functionals``
 the Gibbs level functional on it as it was before it exponentiated the
-populations once.  ``gibbs_crossing_pair`` is the pairwise loop of
-``gibbs_crossing_witness``, which the library decides in one pass per level.
-``same_level_log_gap_ok`` and ``ground_spread_witness`` are the paper's two
-flattening lemmas on dense states, and their only implementation: the
-library checks a flattened state through its passivity verdict and
-``is_k_structurally_stable`` instead.
+populations once.  ``gibbs_crossing_pair`` (the crossing of a state and its
+isoentropic thermal state), ``same_level_log_gap_ok`` and
+``ground_spread_witness`` are the paper's flattening lemmas on dense
+states, and their only implementation: the library checks a flattened state
+through its passivity verdict and ``is_k_structurally_stable`` instead.
+``passive_tol`` is the tolerance at which the tests hold a state built on
+the passive cone's boundary to ``is_n_passive``.
 """
 
 import math
@@ -50,6 +51,12 @@ def compositions(d, total):
 def slot_log_populations(rho):
     """ln(lambda) of every slot of a state; -inf for an empty slot."""
     return tuple(math.log(p) if p > 0 else -math.inf for p in rho.populations)
+
+
+def passive_tol(log_populations, N):
+    """1e-8*N*max(1, largest finite |ln(lambda)|): the log-weight tolerance
+    that absorbs the rounding of a state built on the passive cone's boundary."""
+    return 1e-8 * N * max(1.0, max(abs(x) for x in log_populations if math.isfinite(x)))
 
 
 def log_weights(vectors, logpops):
@@ -298,10 +305,11 @@ def thermal_functionals(eps, logg, beta):
 
 
 def gibbs_crossing_pair(energies, populations, beta, logZ, tol):
-    """The pairwise scan of ``gibbs_crossing_witness``: the first slot b of an
-    excited level populated at least to its thermal value (within tol) that
-    has a later slot c of higher energy populated at most to its own; None
-    when there is no such pair."""
+    """The paper's crossing pair of a state whose leading population lies
+    below 1/Z at its isoentropic beta: the first slot b of an excited level
+    populated at least to its thermal value (within tol) that has a later
+    slot c of higher energy populated at most to its own; None when there is
+    no such pair."""
     hat = [math.exp(-beta * e - logZ) for e in energies]
     for b, (eb, pb) in enumerate(zip(energies, populations)):
         if eb <= 0 or pb < hat[b] - tol:

@@ -32,6 +32,8 @@ from npassive.spectra import (
     state_entropy,
 )
 
+import oracle
+
 
 def report(num, desc, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -127,10 +129,7 @@ def test_04_alpha_max_and_scan():
 def test_05_saturation():
     res = saturation_construct(2, 1, 0.9)
     ok_reach = res.alpha_measured >= 0.9 * res.alpha_max
-    from npassive.extremal import _passive_tol
-    from npassive.passivity import is_n_passive
-
-    ok_passive = is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state.log_populations, 2)).passive
+    ok_passive = is_n_passive(res.spectrum, res.state, 2, tol=oracle.passive_tol(res.state.log_populations, 2)).passive
     report(5, "three-level construction reaches 90% of the ratio ceiling",
            ok_reach and ok_passive,
            f"(measured={res.alpha_measured:.4f}, ceiling={res.alpha_max:.4f})")

@@ -209,6 +209,14 @@ class TestScanAlpha:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 3
 
+    def test_order_one_tie_prints_no_warning(self):
+        # the tie at 1/1 gives the ray (0, 1, 0), whose cap divided by zero
+        code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.0000000001", "--degeneracies",
+                              "1", "2", "1000000", "--n", "1", "--beta-min", "1", "--beta-max", "2",
+                              "--points", "2"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+
     def test_order_past_the_table(self):
         # the order-N occupation table refused this past N = 1,153
         code, out, err = run(["scan-alpha", "--energies", "0", "1", "1.9", "--degeneracies", "1",

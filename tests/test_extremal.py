@@ -17,9 +17,7 @@ from npassive.bounds import (
 from npassive.extremal import (
     DEFAULT_B_MAX,
     InfeasibleSaturationError,
-    _accepts,
     _gap_limit,
-    _passive_tol,
     max_alpha_scan,
     sample_n_passive,
     saturation_construct,
@@ -34,7 +32,6 @@ from npassive.gibbs import (
 from npassive.passivity import (
     _cuts,
     _facets,
-    _passes_groups,
     is_k_structurally_stable,
     is_n_passive,
     prep1_envelope,
@@ -338,8 +335,8 @@ class TestLevelState:
         assert state_entropy(rho) == pytest.approx(state_entropy(dense), rel=1e-15)
         for N in (1, 2, 3):
             assert is_n_passive(s, rho, N) == is_n_passive(s, dense, N)
-            assert is_n_passive(s, rho, N, tol=_passive_tol(rho.log_populations, N)) == is_n_passive(
-                s, dense, N, tol=_passive_tol(dense.log_populations, N)
+            assert is_n_passive(s, rho, N, tol=oracle.passive_tol(rho.log_populations, N)) == is_n_passive(
+                s, dense, N, tol=oracle.passive_tol(dense.log_populations, N)
             )
 
     def test_huge_degeneracy_no_overflow(self):
@@ -348,7 +345,7 @@ class TestLevelState:
         rho = gibbs_populations(s, 30.0)
         assert math.isfinite(state_energy(s, rho))
         assert math.isfinite(state_entropy(rho))
-        assert is_n_passive(s, rho, 5, tol=_passive_tol(rho.log_populations, 5))
+        assert is_n_passive(s, rho, 5, tol=oracle.passive_tol(rho.log_populations, 5))
         with pytest.raises(StateError, match="dense population list refused"):
             rho.populations
 
@@ -360,14 +357,14 @@ def test_tolerance_holds_each_generator():
     t = 1e-8 * 2 * math.log(3)  # the scan's tol at N = 2 with max |ln lambda| ~ ln 3
     rho = level_state(s, (0.0, 0.75 * t, 0.6 * t))
     lnp, levels = np.array(rho.log_populations), tuple(s.level_energies)
-    assert t == pytest.approx(_passive_tol(rho.log_populations, 2), rel=1e-7)
+    assert t == pytest.approx(oracle.passive_tol(rho.log_populations, 2), rel=1e-7)
     assert np.max(_cuts(levels, 2) @ lnp) <= t
     assert np.max(oracle.difference_vectors(levels, 2) @ lnp) == pytest.approx(1.5 * t)
-    assert not is_n_passive(s, rho, 2, tol=_passive_tol(rho.log_populations, 2))
+    assert not is_n_passive(s, rho, 2, tol=oracle.passive_tol(rho.log_populations, 2))
     assert not oracle.verify_level_passive(s, rho, 2)
     # one generator past t fails the state too
     past = level_state(s, (0.0, 1.1 * t, 0.6 * t))
-    assert not is_n_passive(s, past, 2, tol=_passive_tol(past.log_populations, 2))
+    assert not is_n_passive(s, past, 2, tol=oracle.passive_tol(past.log_populations, 2))
     assert not oracle.verify_level_passive(s, past, 2)
 
 
@@ -376,7 +373,7 @@ def test_tolerance_checked(tol):
     # read as a bound, tol = NaN passed this inverted state
     s = Spectrum.from_levels([(0.0, 1), (1.0, 1)])
     inverted = DiagonalState.from_levels(s, (math.log(0.3), math.log(0.7)))
-    assert not is_n_passive(s, inverted, 2, tol=_passive_tol(inverted.log_populations, 2))
+    assert not is_n_passive(s, inverted, 2, tol=oracle.passive_tol(inverted.log_populations, 2))
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         is_n_passive(s, inverted, 2, tol=tol)
 
@@ -494,7 +491,7 @@ def _scalar_alpha_scan(s, N, beta, resolution):
                 lnp = _bisect_root(s, b1, ts[k], ts[k + 1], vals[k], target)
                 E = float(_energy(eps, np.exp(logg + lnp)))
                 rho = DiagonalState.from_levels(s, lnp)
-                if E > best_E and is_n_passive(s, rho, N, tol=_passive_tol(rho.log_populations, N)):
+                if E > best_E and is_n_passive(s, rho, N, tol=oracle.passive_tol(rho.log_populations, N)):
                     best_E, best = E, lnp
     return best_E / gibbs_point(s, beta).energy, DiagonalState.from_levels(s, best)
 
@@ -599,7 +596,7 @@ class TestAlphaScanAccuracy:
         assert row.alpha >= 1.0432
         ref = _decimal_target(levels, 4.899)
         assert abs(_decimal_gap(s, row.state) - ref) <= Decimal("1e-9") * ref
-        assert is_n_passive(s, row.state, 3, tol=_passive_tol(row.state.log_populations, 3))
+        assert is_n_passive(s, row.state, 3, tol=oracle.passive_tol(row.state.log_populations, 3))
 
     @pytest.mark.parametrize("N, m, alpha", [(2, 1, 1.83546), (3, 2, 1.38586), (5, 4, 1.13982)])
     def test_reaches_the_saturation_states(self, N, m, alpha):
@@ -610,7 +607,7 @@ class TestAlphaScanAccuracy:
         (row,) = max_alpha_scan(res.spectrum, N, [res.beta_rho])
         assert (row.alpha, row.state) == (res.alpha_measured, res.state)
         assert alpha <= row.alpha <= res.alpha_max
-        assert is_n_passive(res.spectrum, row.state, N, tol=_passive_tol(row.state.log_populations, N))
+        assert is_n_passive(res.spectrum, row.state, N, tol=oracle.passive_tol(row.state.log_populations, N))
 
     @pytest.mark.parametrize(
         "energies, N",
@@ -778,29 +775,29 @@ class TestFacets:
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_acceptance_is_the_verdict(self, N):
-        # candidates on each ray, nudged across its facet by f times the
-        # tolerance; the ray scales t stay well off the apex, where the table
-        # also weighs cuts a*v_lo + c*v_hi with a > k
-        seen = set()
-        for energies in _facet_grid(N):
-            rays, rows, ks = _facets(energies, N)
-            for side, k in enumerate(ks):
-                other = rays[1 - side, 1:]
-                v = np.array(rows[side][1:], float)
-                for t in (0.01, 0.3, 5.0):
-                    tol = _passive_tol(oracle.log_populations(0.0, t * rays[side]), N)
-                    for f in (-3.0, -1.5, -0.5, 0.5, 1.5):
-                        b = np.array([0.0, *(t * rays[side, 1:] + f * tol / k / (v @ other) * other)])
-                        lnp = oracle.log_populations(0.0, b).tolist()
-                        want = _passes_groups(energies, tuple(lnp), N, _passive_tol(lnp, N))
-                        assert _accepts(energies, lnp, N) == want, (energies, side, t, f)
-                        seen.add(want)
-            # empty levels, and a zero facet entry against b = +inf
-            for lnp in ([-0.1, -2.4, -math.inf], [-0.2, -1.7, -math.inf], [0.0, -math.inf, -math.inf],
-                        [-0.5, -0.3, -math.inf], [-0.5, -math.inf, -0.3]):
-                want = _passes_groups(energies, tuple(lnp), N, _passive_tol(lnp, N))
-                assert _accepts(energies, lnp, N) == want, (energies, lnp)
-        assert seen == {True, False}
+        # the scan checks no candidate, as each lies on the cone by
+        # construction: every row it takes off the Gibbs state passes the
+        # verdict at the boundary tolerance and sits on the isentrope, on
+        # ties at 1/1 (eps2 near eps1) and 1/0 (eps1 near 0), exact levels,
+        # multiplicities up to 1e6 and beta from 1e-6 to 300.  At order 1
+        # those ties give the rays (0, +-1, 0), which a solve with no cap, or
+        # from the negative projection of beta*eps on (0, -1, 0), leaves off
+        # the isentrope
+        third = (Fraction(0), Fraction(3, 7), Fraction(6, 7))
+        spectra = [Spectrum(tuple(zip(energies, g)))
+                   for energies in [*_facet_grid(N), (0.0, 0.5e-9 * N, 1.0)]
+                   for g in [(1, 1, 1), (2, 1, 10), (1, 3, 10**6), (10**6, 1, 7)]]
+        spectra.append(Spectrum(tuple(zip(map(float, third), (2, 1, 5))), tuple(zip(third, (2, 1, 5)))))
+        checked = 0
+        for s in spectra:
+            for row in max_alpha_scan(s, N, np.geomspace(1e-6, 300.0, 9)):
+                if row.alpha > 1.0:
+                    tol = oracle.passive_tol(row.state.log_populations, N)
+                    assert is_n_passive(s, row.state, N, tol=tol), (s.distinct_levels, row.beta_rho)
+                    gap = _thermal_functionals(s.level_energies, s.log_multiplicities, row.beta_rho)[2]
+                    assert _entropy_gap(s, row.state) == pytest.approx(gap, rel=1e-12, abs=0)
+                    checked += 1
+        assert checked >= 200
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13, 21])
     def test_envelope_is_exact(self, N):
@@ -1075,7 +1072,7 @@ class TestSaturation:
         res = saturation_construct(2, 1, 0.9)
         assert res.alpha_max == pytest.approx(2.002, abs=1e-3)
         assert res.alpha_measured >= 0.9 * res.alpha_max
-        assert is_n_passive(res.spectrum, res.state, 2, tol=_passive_tol(res.state.log_populations, 2))
+        assert is_n_passive(res.spectrum, res.state, 2, tol=oracle.passive_tol(res.state.log_populations, 2))
 
     def test_figure_parameters(self):
         res = saturation_construct(5, 4, 0.85)
@@ -1090,7 +1087,7 @@ class TestSaturation:
         # the envelope lambda_1 = lambda_2^(m/N) lambda_0^((N-m)/N)
         res = saturation_construct(N, m, frac)
         assert frac * res.alpha_max <= res.alpha_measured <= res.alpha_max
-        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state.log_populations, N))
+        assert is_n_passive(res.spectrum, res.state, N, tol=oracle.passive_tol(res.state.log_populations, N))
 
     def test_ratio_above_ceiling_raises(self, monkeypatch):
         import npassive.extremal as X
@@ -1139,7 +1136,7 @@ class TestSaturation:
         res = saturation_construct(N, m, 0.5)
         assert res.beta_rho == BETA_INF_FACTOR
         assert 0.5 * res.alpha_max <= res.alpha_measured == pytest.approx(1.0, abs=1e-9)
-        assert is_n_passive(res.spectrum, res.state, N, tol=_passive_tol(res.state.log_populations, N))
+        assert is_n_passive(res.spectrum, res.state, N, tol=oracle.passive_tol(res.state.log_populations, N))
 
     @pytest.mark.parametrize("N, m", [(2, 1), (3, 2), (5, 4)])
     def test_ladder_below_beta_inf_matches_the_array_bracket(self, monkeypatch, N, m):

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import oracle
 from npassive.extremal import (
-    _passive_tol,
     max_alpha_scan,
     sample_n_passive,
 )
@@ -255,7 +254,7 @@ def test_level_passivity_matches_reference(levels, N):
     s = Spectrum.from_levels(levels)
     rng = np.random.default_rng(len(levels) * 100 + N)
     for rho in _level_states(rng, s):
-        got = is_n_passive(s, rho, N, tol=_passive_tol(rho.log_populations, N))
+        got = is_n_passive(s, rho, N, tol=oracle.passive_tol(rho.log_populations, N))
         assert got.passive == oracle.verify_level_passive(s, rho, N)
 
 
@@ -266,7 +265,7 @@ def test_level_passivity_matches_reference_on_scan_candidates():
         for shift in (0.0, 1e-3, -1e-3, 0.05, -0.05):
             b = -np.array(row.state.log_populations) - np.array([0.0, shift, -shift])
             rho = _level_state(s, b)
-            got = is_n_passive(s, rho, 5, tol=_passive_tol(rho.log_populations, 5))
+            got = is_n_passive(s, rho, 5, tol=oracle.passive_tol(rho.log_populations, 5))
             assert got.passive == oracle.verify_level_passive(s, rho, 5)
 
 

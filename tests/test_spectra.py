@@ -68,6 +68,20 @@ class TestNormalizeSpectrum:
                 Spectrum.from_levels([(0.0, 1), (1.0, 1), (1.9, g)])
             assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("g", [2.5, 2.7, 2.0, True, np.float64(3.0)])
+    def test_non_integer_multiplicity_rejected(self, g):
+        # 2.5 gave d = 3.5, and from_levels truncated 2.7 to 2
+        for build in (Spectrum, Spectrum.from_levels):
+            with pytest.raises(SpectrumError, match="multiplicities must be integers") as exc:
+                build(((0.0, 1), (1.0, g)))
+            assert "\n" not in str(exc.value)
+
+    def test_numpy_multiplicities_stored_as_ints(self):
+        for build in (Spectrum, Spectrum.from_levels):
+            s = build(((0.0, np.int64(2**62)), (1.0, np.int64(2**62))))
+            assert [type(g) for _, g in s.distinct_levels] == [int, int]
+            assert s.d == 2**63
+
     def test_rational_input(self):
         s = Spectrum.from_rationals([Fraction(0), Fraction(1), Fraction(3)])
         assert s.rational_levels == ((Fraction(0), 1), (Fraction(1), 1), (Fraction(3), 1))

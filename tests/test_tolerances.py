@@ -11,7 +11,6 @@ import pytest
 
 import npassive
 from npassive.commensurability import n_star, rational_ratio_detect, triple_forces_gibbs
-from npassive.flattening import gibbs_crossing_witness, majorizes
 from npassive.gibbs import gibbs_populations, isentropic_point
 from npassive.passivity import (
     classify_complete_passivity,
@@ -29,8 +28,6 @@ VALID_CALLS = {
     rational_ratio_detect: ((1.5,), {}),
     n_star: ((S013,), {}),
     triple_forces_gibbs: ((S013, gibbs_populations(S013, 1.0), (0, 1, 2)), {}),
-    majorizes: (([0.5, 0.5], [1, 0]), {}),
-    gibbs_crossing_witness: ((S012, RHO012), {}),
     isentropic_point: ((S012, 0.5), {}),
     is_n_passive: ((S012, RHO012, 2), {}),
     is_k_structurally_stable: ((S012, RHO012, 2), {}),
