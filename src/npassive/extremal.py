@@ -142,7 +142,7 @@ def sample_n_passive(
         logg = s.log_multiplicities
         return [DiagonalState.from_levels(s, np.subtract(_thermal_functionals(b, logg, 1.0)[4], logg[0]))
                 for b in kept]
-    return [DiagonalState(tuple(w / np.sum(w))) for w in np.exp(-kept)]
+    return [DiagonalState((w / np.sum(w)).tolist()) for w in np.exp(-kept)]
 
 
 def max_alpha_scan(s: Spectrum, N: int, beta_grid, resolution: int = 200) -> list[AlphaScanRow]:

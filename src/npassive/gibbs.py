@@ -169,7 +169,11 @@ def _isentrope_root(q: np.ndarray, logg: np.ndarray, gap: float, span: float,
     S << 1, and tol*(span - gap) in the upper half, but no less than 4 ulp of
     span, the rounding of the entropy there; or once the bracket has shrunk
     to adjacent floats.  t is +inf if the gap at the cap is above the target.
+    A non-finite cap is refused with ValueError: with the bracket open above,
+    an unusable step would bisect to inf and exit off the target.
     """
+    if not math.isfinite(cap):
+        raise ValueError(f"the ray needs a finite cap on t, got {cap}")
     low = gap <= 0.5 * span
     sign, ln_dist = (1.0, math.log(gap)) if low else (-1.0, math.log(span - gap))
     accept = tol * gap if low else max(tol * (span - gap), 4 * math.ulp(span))

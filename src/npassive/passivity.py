@@ -39,6 +39,7 @@ from .spectra import (
     _check_order,
     _check_tol,
     _fold,
+    _occupation_entry,
     _tie_breaks,
     check_size,
     default_energy_tol,
@@ -71,6 +72,8 @@ class CPClass:
 
 def _row_sums(table: np.ndarray, values) -> np.ndarray:
     """Per row, the sum of count*value over the columns, as one matrix product.
+    The readers pass a table's cached float64 form, which an int64 table
+    would be converted to on every call, with the same bits.
 
     A zero count adds nothing, even at an infinite value; any other count, of
     either sign, times +-inf adds the product's infinity (both infinities: NaN).
@@ -87,15 +90,15 @@ def _row_sums(table: np.ndarray, values) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _energy_groups(energies: tuple[float, ...], N: int):
-    """The order-N occupation table, its row energies, their stable ascending
-    order, the starts (in that order) of the chained tie groups, and each
-    row's group rank.
+    """The row energies of the order-N occupation table, their stable
+    ascending order, the starts (in that order) of the chained tie groups,
+    and each row's group rank.
 
     The groups are those of ``spectra._tie_breaks`` at the largest energy.
-    The arrays are read-only and shared, and the last 16 are kept.
+    The arrays are read-only and shared, and the last 16 are kept; the table
+    is not, so only ``occupations``' entry bound holds tables.
     """
-    table = occupations(len(energies), N)
-    evals = _row_sums(table, energies)
+    evals = _row_sums(_occupation_entry(len(energies), N).floats, energies)
     order = np.argsort(evals, kind="stable")
     new = _tie_breaks(evals[order], max(energies), N)
     starts = np.flatnonzero(new)
@@ -103,14 +106,14 @@ def _energy_groups(energies: tuple[float, ...], N: int):
     rank[order] = np.cumsum(new) - 1
     for a in (evals, order, starts, rank):
         a.flags.writeable = False
-    return table, evals, order, starts, rank
+    return evals, order, starts, rank
 
 
 def _group_extrema(energies, logpops, N):
     """Per tie group of the order-N table, by ascending energy, the least and
     the greatest log-weight of its rows over these classes."""
-    table, _, order, starts, _ = _energy_groups(energies, N)
-    w = _row_sums(table, logpops)[order]
+    _, order, starts, _ = _energy_groups(energies, N)
+    w = _row_sums(_occupation_entry(len(energies), N).floats, logpops)[order]
     return np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
 
 
@@ -131,7 +134,8 @@ def _cuts(energies: tuple[float, ...], N: int) -> np.ndarray:
     along a chain of one row per group in between, so these rows span every
     cut.  Built in O(M*w) for M rows and next groups of w rows.
     """
-    C, _, order, starts, rank = _energy_groups(energies, N)
+    C = occupations(len(energies), N)
+    _, order, starts, rank = _energy_groups(energies, N)
     size = np.concatenate((starts[1:], [len(order)])) - starts
     # every sorted position j below the top group, against the next group
     up = rank[order[: starts[-1]]] + 1
@@ -233,12 +237,13 @@ def is_n_passive(
     _check_tol(tol)
     if _passes_groups(f.energies, f.log_populations, N, tol):
         return PassivityVerdict(True)
-    table, _, _, _, rank = _energy_groups(f.energies, N)
-    lw = _row_sums(table, f.log_populations)
-    M = range(len(table))
+    rank = _energy_groups(f.energies, N)[3]
+    occ = _occupation_entry(len(f.energies), N)
+    lw = _row_sums(occ.floats, f.log_populations)
+    M = range(len(rank))
     hit = next((i, j) for i in M for j in M if rank[i] > rank[j] and lw[i] > lw[j] + tol)
     return PassivityVerdict(False, tuple(OccupationVector(s.d, tuple(
-        (f.last[k], c) for k, c in enumerate(table[v].tolist()) if c)) for v in hit))
+        (f.last[k], c) for k, c in enumerate(occ.table[v].tolist()) if c)) for v in hit))
 
 
 def is_k_structurally_stable(
@@ -294,17 +299,17 @@ def n_ergotropy(s: Spectrum, rho: DiagonalState, N: int) -> float:
     """
     f = _fold(s, rho)
     _check_order(N)
-    table, evals, order, *_ = _energy_groups(f.energies, N)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
-    log_mult = log_fact[N] - log_fact[table].sum(axis=1) + table.dot(np.log(f.counts))
-    lweights = _row_sums(table, f.log_populations)
+    evals, order, *_ = _energy_groups(f.energies, N)
+    occ = _occupation_entry(len(f.energies), N)
+    log_mult = occ.log_multinomials + occ.floats.dot(np.log(f.counts))
+    lweights = _row_sums(occ.floats, f.log_populations)
     by_weight = np.argsort(-lweights, kind="stable")
     ends_w = np.logaddexp.accumulate(log_mult[by_weight])
     ends_e = np.logaddexp.accumulate(log_mult[order])
     ends = np.sort(np.concatenate((ends_w, ends_e)))
     # segment k holds exp(ends[k]) * (1 - exp(ends[k-1] - ends[k])) eigenvalues
     share = -np.expm1(np.concatenate(([-math.inf], ends[:-1])) - ends)
-    last = len(table) - 1
+    last = len(order) - 1
     w_blk = by_weight[np.minimum(np.searchsorted(ends_w, ends), last)]
     e_blk = order[np.minimum(np.searchsorted(ends_e, ends), last)]
     e_passive = float(share * np.exp(ends + lweights[w_blk]) @ evals[e_blk])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -337,19 +338,48 @@ def state_entropy(rho: DiagonalState) -> float:
     return float(_entropy(w, np.where(w > 0, rho.log_populations, 0.0)))
 
 
-@lru_cache(maxsize=16, typed=True)
-def occupations(d: int, N: int) -> np.ndarray:
-    """All occupation vectors of order N over d slots, one per row.
+class _OccupationEntry:
+    """One (d, N) entry of the table cache: the read-only int64 table and,
+    each built on first read and read-only, its float64 form, which every
+    row sum reads, and its row log-multinomials ln N! - sum ln c_k!."""
 
-    Rows run in lexicographic order, first entry ascending from 0.  The
-    integer table is read-only and shared between callers; above
-    ``DEFAULT_CAP`` entries it is refused with ``EnumerationCapError``.
-    The cache is typed, so True misses the entry of 1 and meets the guard.
-    """
-    _check_order(d, "d")
-    _check_order(N)
+    def __init__(self, table: np.ndarray, N: int):
+        self.table = table
+        self.N = N
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        out = self.table.astype(float)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def log_multinomials(self) -> np.ndarray:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(self.N + 1)])
+        out = log_fact[self.N] - log_fact[self.table].sum(axis=1)
+        out.flags.writeable = False
+        return out
+
+
+# (d, N) -> entry, least recently used first, holding at most DEFAULT_CAP
+# table entries in all
+_TABLES: OrderedDict[tuple[int, int], _OccupationEntry] = OrderedDict()
+
+
+def _occupation_entry(d: int, N: int) -> _OccupationEntry:
+    """The cached (d, N) entry of ``occupations``, for orders its callers
+    have checked; a miss first evicts the least recently used entries until
+    its table fits under the bound."""
+    key = (d, N)
+    entry = _TABLES.get(key)
+    if entry is not None:
+        _TABLES.move_to_end(key)
+        return entry
     count = math.comb(N + d - 1, d - 1)
     check_size(count * d, f"occupation table of C({N + d - 1},{d - 1}) = {count} rows x {d}")
+    held = sum(e.table.size for e in _TABLES.values())
+    while held + count * d > DEFAULT_CAP:
+        held -= _TABLES.popitem(last=False)[1].table.size
     # stars and bars: lexicographic bar positions give lexicographic counts
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(N + d - 1), d - 1)),
@@ -366,5 +396,26 @@ def occupations(d: int, N: int) -> np.ndarray:
         table[:, 1:-1] -= 1
         np.subtract(N + d - 2, bars[:, -1], out=table[:, -1])
     table.flags.writeable = False
-    return table
+    entry = _TABLES[key] = _OccupationEntry(table, N)
+    return entry
 
+
+def occupations(d: int, N: int) -> np.ndarray:
+    """All occupation vectors of order N over d slots, one per row.
+
+    Rows run in lexicographic order, first entry ascending from 0.  The
+    integer table is read-only and shared between callers; above
+    ``DEFAULT_CAP`` entries it is refused with ``EnumerationCapError``, and
+    a bool is refused before any lookup.  One cache keyed by (d, N) keeps
+    each table with its float64 form and row log-multinomials, built on
+    first read.  It holds at most ``DEFAULT_CAP`` table entries in all and
+    evicts the least recently used, never the table just requested: at
+    most 40 MB at the cap (a 16 MB table, 16 MB of floats and 8 MB of
+    multinomials at d = 2).  ``occupations.cache_clear()`` empties it.
+    """
+    _check_order(d, "d")
+    _check_order(N)
+    return _occupation_entry(d, N).table
+
+
+occupations.cache_clear = _TABLES.clear

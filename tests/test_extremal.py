@@ -22,6 +22,7 @@ from npassive.extremal import (
     sample_n_passive,
     saturation_construct,
 )
+from npassive.flattening import flatten
 from npassive.gibbs import (
     BETA_INF_FACTOR,
     _isentrope_root,
@@ -83,6 +84,14 @@ class TestSampler:
     def test_single_level_rejected(self):
         with pytest.raises(ValueError):
             sample_n_passive(normalize_spectrum([0, 0, 0]), 2, 5, seed=1)
+
+    def test_dense_samples_hold_python_floats(self):
+        # a numpy scalar population would make the flattening gaps numpy scalars
+        s = normalize_spectrum([0, 0, 1, 2])
+        for rho in sample_n_passive(s, 2, 10, seed=6):
+            assert all(type(p) is float for p in rho.populations)
+            res = flatten(s, rho)
+            assert type(res.delta_S) is float and type(res.delta_S0) is float
 
     @pytest.mark.parametrize(
         "energies, N, count, seed, stable, expected",

@@ -262,6 +262,18 @@ class TestOneSolve:
         s = normalize_spectrum([0, 1])
         assert gibbs_point(s, BETA_INF_FACTOR / s.eps_max).entropy > 1e-310 > math.log(s.d0)
 
+    def test_root_refuses_an_unbounded_bracket(self):
+        # from t = 0 the Newton step is unusable (dS/dt = 0) and bisecting
+        # (0, inf) gives inf, so an infinite cap once exited at t = 0, with
+        # the gap ln 3 in place of the target 0.5
+        s = normalize_spectrum([0, 1, 1.9])
+        args = (s.level_energies, s.log_multiplicities, 0.5, math.log(3), 0.0)
+        _, f = G._isentrope_root(*args, BETA_INF_FACTOR / s.eps_max, 1e-12)
+        assert f[2] == pytest.approx(0.5, rel=1e-12)
+        for cap in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite cap"):
+                G._isentrope_root(*args, cap, 1e-12)
+
     @pytest.fixture
     def evaluations(self, monkeypatch):
         G._isentropic_point.cache_clear()

@@ -12,10 +12,12 @@ loop's ``erg <= 1e-10`` verdict.  The ``prep1_envelope`` interval, like the
 reference loop's, lies within 4 ulp of the exact one.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from npassive import spectra
 from npassive.extremal import (
     max_alpha_scan,
     sample_n_passive,
@@ -41,6 +44,7 @@ from npassive.passivity import (
     prep1_envelope,
 )
 from npassive.spectra import (
+    DEFAULT_CAP,
     DiagonalState,
     EnumerationCapError,
     Spectrum,
@@ -331,6 +335,49 @@ class TestCap:
     def test_cut_pairs(self):
         # 43,758 table rows, but 325,740,400 pairs between adjacent tie groups
         assert_refused_small(sample_n_passive, normalize_spectrum([0] * 8 + [1]), 10, 1, seed=1)
+
+
+class TestTableCache:
+    """One cache keyed by (d, N) holds every table under one entry bound."""
+
+    def test_scan_shapes_stay_resident(self):
+        # passivity_scan's class counts 2..10 at orders 2..5: 36 tables of
+        # 68,196 entries in all, each built once over two passes
+        occupations.cache_clear()
+        pairs = [(d, N) for d in range(2, 11) for N in range(2, 6)]
+        first = [occupations(d, N) for d, N in pairs]
+        assert all(occupations(d, N) is t for (d, N), t in zip(pairs, first))
+        assert sum(t.size for t in first) < 70_000
+
+    def test_entry_bound(self):
+        # 1,999,305 then 2,000,000 entries: the first is evicted, with its
+        # derived arrays, and the table just requested stays
+        occupations.cache_clear()
+        old = spectra._occupation_entry(3, 1153)
+        refs = [weakref.ref(a) for a in (old.table, old.floats)]
+        del old
+        table = occupations(2, 999_999)
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert sum(e.table.size for e in spectra._TABLES.values()) <= DEFAULT_CAP
+        assert occupations(2, 999_999) is table
+        occupations.cache_clear()
+
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 7), (3, 5), (6, 4), (10, 5)])
+    def test_derived_arrays(self, d, N):
+        entry = spectra._occupation_entry(d, N)
+        table = occupations(d, N)
+        assert entry.table is table
+        assert np.array_equal(entry.floats, table.astype(float))
+        assert entry.floats.dtype == np.float64
+        want = [math.lgamma(N + 1) - sum(math.lgamma(c + 1) for c in row) for row in table.tolist()]
+        assert entry.log_multinomials == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, math.lgamma(N + 1)))
+        # a product with the float form has the bits of the int table's own
+        v = np.random.default_rng(d * 10 + N).normal(size=d) * 7.3
+        assert np.array_equal(entry.floats.dot(v), table.dot(v))
+        assert not entry.floats.flags.writeable and not entry.log_multinomials.flags.writeable
+        again = spectra._occupation_entry(d, N)
+        assert again.floats is entry.floats and again.log_multinomials is entry.log_multinomials
 
 
 def test_three_levels_at_large_order():
